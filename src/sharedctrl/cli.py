@@ -4,7 +4,7 @@ Every subcommand is deterministic given the scenario, the flags, and the
 seed; all randomness is fanned out from the single `--seed` value.  Exit
 codes form a stable contract for scripting: 0 success, 1 usage/IO error,
 2 unrealizable specification, 3 validation failure (co-simulation, or a
-template check that rejects a synthesized strategy).
+template check that rejects a synthesized or loaded strategy).
 """
 
 from __future__ import annotations
@@ -111,13 +111,13 @@ def cmd_synth(args):
     _write(os.path.join(out, "arena_stats.txt"), arena_stats_text(arena, region))
     if not realizable(arena, region):
         print(f"unrealizable for variant {args.variant!r} "
-              f"({len(region)}/{arena.n_states} winning states)", file=sys.stderr)
+              f"(initial state lost, {arena.n_states} states explored)", file=sys.stderr)
         return EXIT_UNREALIZABLE
     strategy = extract_strategy(arena, region)
     certify(arena, strategy, region)
     _write(os.path.join(out, "strategy.txt"), serialize_strategy(strategy))
     print(f"synthesized strategy with {len(strategy.actions)} entries "
-          f"({arena.n_states} arena states)")
+          f"({arena.n_states} arena states explored)")
     return EXIT_OK
 
 
@@ -132,6 +132,13 @@ def cmd_validate(args):
     except (OSError, FormatError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the file is trusted only once the game certifies it
+    try:
+        arena = build_arena(hm, scenario, params=params, variant=strategy.variant)
+    except ArenaCapExceeded as exc:
+        print(f"arena build failed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    certify(arena, strategy, solve(arena))
     cfg = scenario.supervisor_config()
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
@@ -216,7 +223,7 @@ def cmd_demo(args):
     strategy = extract_strategy(arena, region)
     certify(arena, strategy, region)
     print(f"[2/3] synthesized strategy: {len(strategy.actions)} entries, "
-          f"{len(region)}/{arena.n_states} winning states")
+          f"{arena.n_states} arena states explored")
     cfg = scenario.supervisor_config()
     run_sul = CognitiveDriver(params)
     trace = execute(strategy, run_sul, scenario, cfg,

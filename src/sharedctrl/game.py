@@ -1,11 +1,20 @@
 """Finite two-player safety game over the learned driver abstraction.
 
-The arena is the reachable synchronous product of driver abstraction, lead
-and follower kinematics, sensor perturbation, step scheduling, and the
+The arena is the synchronous product of driver abstraction, lead and
+follower kinematics, sensor perturbation, step scheduling, and the
 three-mode control skeleton.  Each 0.5 s decision epoch unfolds as one
 environment move (sensor level choice plus the deterministic driver
 response) followed by one controller move (pick an action; physics then
 advances deterministically).
+
+The arena is explored on demand, not enumerated.  A local solver (after Liu
+& Smolka, ICALP 1998, and the OTFUR algorithm of Cassez et al., CONCUR 2005)
+walks forward from the initial state through the successor logic and
+expands only the states that deciding it needs: a controller state stops at
+its first winning action in severity order, an environment state at its
+first losing perception.  Every controller move advances the epoch, so a
+built arena is a DAG of depth 2·horizon; the solver is exact on cyclic
+(hand-written) arenas too.
 
 Positions and velocities are held on an exact lattice (0.25 m, 0.5 m/s
 units) so that the gridded game dynamics coincide bit-for-bit with the
@@ -25,6 +34,7 @@ checked properties unchanged while keeping the product tractable.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -55,6 +65,10 @@ VARIANT_ACTIONS = {
 ACTION_SEVERITY = {ACTION_NONE: 0, ACTION_HINT: 1, ACTION_OVERRIDE: 2}
 
 
+def _severity(action):
+    return ACTION_SEVERITY.get(action, 0)
+
+
 def minimal_intervention(action, winning_actions):
     """The min-intervention objective, shared by synthesis, template check
     and monitor.
@@ -66,12 +80,12 @@ def minimal_intervention(action, winning_actions):
     minimal-interference condition of safety shields.  Labels outside the
     three supervision actions (hand-written fixtures) rank with `none`.
     """
-    severity = ACTION_SEVERITY.get(action, 0)
-    return all(ACTION_SEVERITY.get(a, 0) >= severity for a in winning_actions)
+    severity = _severity(action)
+    return all(_severity(a) >= severity for a in winning_actions)
 
 
 class ArenaCapExceeded(RuntimeError):
-    """Reachable product grew past the configured state cap."""
+    """Explored product grew past the configured state cap."""
 
 
 class Unrealizable(RuntimeError):
@@ -79,7 +93,7 @@ class Unrealizable(RuntimeError):
 
 
 class StrategyRejected(RuntimeError):
-    """The template check refused a strategy extracted from a solved arena."""
+    """The template check refused a strategy for a solved arena."""
 
 
 def _scaled(value, scale, what):
@@ -133,41 +147,90 @@ class AbstractDriver:
 
 
 class GameArena:
-    """Explicit bipartite arena: interleaved controller/environment turns.
+    """Bipartite arena: interleaved controller/environment turns.
 
-    States are opaque tuples; `turn[i]` says who moves, `edges[i]` lists
-    `(label, successor)` pairs.  Environment edges are uncontrollable
-    (sensor level choices); controller edges carry supervision actions.
+    States are opaque values, numbered in the order they are first reached.
+    `turn[i]` says who moves, `bad`/`goal`/`terminal` classify state `i`, and
+    `edges[i]` lists `(label, successor)` pairs, or is None while `i` is
+    unexplored: `successors(i)` explores it.  Environment edges are
+    uncontrollable (sensor level choices); controller edges carry
+    supervision actions, held in severity order.  `n_states` and `n_edges`
+    count what has been explored so far, and `state_cap` bounds it.
+    `region` is the arena's winning region, decided as it is asked.
     """
 
-    def __init__(self, states, index, turn, edges, bad, goal, terminal,
-                 initial, meta=None):
-        self.states = states
-        self.index = index
-        self.turn = turn
-        self.edges = edges
-        self.bad = bad
-        self.goal = goal
-        self.terminal = terminal
-        self.initial = initial
+    def __init__(self, classify, expand, state_cap=None, meta=None):
+        self._classify = classify  # state -> (turn, bad, goal, terminal)
+        self._expand = expand      # state -> [(label, successor state), ...]
+        self.state_cap = state_cap
         self.meta = meta or {}
+        self.states = []
+        self.index = {}
+        self.turn = []
+        self.edges = []
+        self.bad = []
+        self.goal = []
+        self.terminal = []
+        self.initial = None
+        self.region = WinningRegion(self)
 
     @classmethod
     def from_graph(cls, nodes, bad=(), goal=(), initial=None):
         """Build a small arena from `{name: (turn, [(label, succ), ...])}`.
 
-        `turn` is "c" or "e"; intended for hand-written fixtures.
+        `turn` is "c" or "e"; intended for hand-written fixtures.  Every
+        node is numbered in the given order and explored at once.  A
+        controller node must not carry two edges with the same label.
         """
-        names = list(nodes)
-        index = {name: i for i, name in enumerate(names)}
-        turn = [TURN_CTRL if nodes[n][0] == "c" else TURN_ENV for n in names]
-        edges = [[(label, index[succ]) for label, succ in nodes[n][1]] for n in names]
-        bad_l = [n in set(bad) for n in names]
-        goal_l = [n in set(goal) for n in names]
-        terminal = [not e or b or g for e, b, g in zip(edges, bad_l, goal_l)]
-        edges = [([] if terminal[i] else e) for i, e in enumerate(edges)]
-        return cls(names, index, turn, edges, bad_l, goal_l, terminal,
-                   index[initial if initial is not None else names[0]])
+        bad, goal = set(bad), set(goal)
+        for name, (turn, edges) in nodes.items():
+            labels = [label for label, _succ in edges]
+            if turn == "c" and len(set(labels)) != len(labels):
+                raise ValueError(f"controller state {name!r} has two edges "
+                                 "with the same label")
+
+        def classify(name):
+            turn, edges = nodes[name]
+            is_bad, is_goal = name in bad, name in goal
+            return (TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
+                    not edges or is_bad or is_goal)
+
+        def expand(name):
+            turn, edges = nodes[name]
+            return sorted(edges, key=lambda e: _severity(e[0])) if turn == "c" else edges
+
+        arena = cls(classify, expand)
+        for name in nodes:
+            arena.intern(name)
+        for i in range(arena.n_states):
+            arena.successors(i)
+        arena.initial = arena.index[initial if initial is not None else next(iter(nodes))]
+        return arena
+
+    def intern(self, s):
+        """Number of state `s`, classifying it when it is first reached."""
+        i = self.index.get(s)
+        if i is None:
+            i = len(self.states)
+            if self.state_cap is not None and i >= self.state_cap:
+                raise ArenaCapExceeded(f"arena exceeds {self.state_cap} states")
+            turn, bad, goal, terminal = self._classify(s)
+            self.index[s] = i
+            self.states.append(s)
+            self.turn.append(turn)
+            self.bad.append(bad)
+            self.goal.append(goal)
+            self.terminal.append(terminal)
+            self.edges.append([] if terminal else None)
+        return i
+
+    def successors(self, i):
+        """Edges of state `i`, exploring it on first use."""
+        es = self.edges[i]
+        if es is None:
+            es = self.edges[i] = [(label, self.intern(s))
+                                  for label, s in self._expand(self.states[i])]
+        return es
 
     @property
     def n_states(self):
@@ -175,10 +238,7 @@ class GameArena:
 
     @property
     def n_edges(self):
-        return sum(len(e) for e in self.edges)
-
-    def describe(self, i):
-        return f"{'C' if self.turn[i] == TURN_CTRL else 'E'}:{self.states[i]!r}"
+        return sum(len(e) for e in self.edges if e is not None)
 
 
 def grid_lattice_checks(scenario, params, cfg):
@@ -220,7 +280,8 @@ def lead_trajectory(scenario):
 
 def build_arena(hm, scenario, cfg=None, params=None, variant="full",
                 state_cap=2_000_000):
-    """Enumerate the reachable product arena for one scenario and variant."""
+    """The product arena for one scenario and variant, explored until its
+    initial state is decided; `state_cap` bounds all exploration."""
     cfg = cfg if cfg is not None else scenario.supervisor_config()
     params = params if params is not None else DriverParams()
     if tuple(hm.inputs) != params.levels():
@@ -239,81 +300,44 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
     vmax_q = _scaled(scenario.v_max, VEL_SCALE, "v_max")
     pos_step = round(eps * POS_SCALE / VEL_SCALE)
     model = scenario.sensor_model()
-    num_levels = params.num_levels
+    perceived = {level: sensor_perturb(level, model, params.num_levels)
+                 for level in params.levels()}
     driver = AbstractDriver(hm, params)
-    dv_of = {}  # applied acceleration -> scaled velocity increment
+    moves_of = {}  # driver acc -> [(action, scaled velocity increment, hinted)]
+    ctrl_class = (TURN_CTRL, False, False, False)
 
-    states = []
-    index = {}
-    edges = []
-    turn = []
-    bad = []
-    goal = []
-    terminal = []
+    def classify(s):
+        if s[0] == TURN_CTRL:
+            return ctrl_class
+        _, k, fp, _fv, _q, _hinted = s
+        is_bad = fp >= lead[k][0]
+        # reaching the destination only wins when the state is also safe
+        is_goal = fp >= dest_q and not is_bad
+        return TURN_ENV, is_bad, is_goal, is_bad or is_goal or k == horizon
 
-    def intern(s):
-        i = index.get(s)
-        if i is None:
-            i = len(states)
-            if i >= state_cap:
-                raise ArenaCapExceeded(f"arena exceeds {state_cap} states")
-            index[s] = i
-            states.append(s)
-            edges.append([])
-            turn.append(s[0])
-            bad.append(False)
-            goal.append(False)
-            terminal.append(False)
-        return i
-
-    init = (TURN_ENV, 0,
-            _scaled(scenario.follow_pos, POS_SCALE, "follow_pos"),
-            _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
-            hm.initial, 0)
-    queue = deque([intern(init)])
-    while queue:
-        i = queue.popleft()
-        s = states[i]
+    def expand(s):
         if s[0] == TURN_ENV:
             _, k, fp, fv, q, hinted = s
-            lp, _lv = lead[k]
-            is_bad = fp >= lp
-            # reaching the destination only wins when the state is also safe
-            is_goal = fp >= dest_q and not is_bad
-            bad[i] = is_bad
-            goal[i] = is_goal
-            if is_bad or is_goal or k == horizon:
-                terminal[i] = True
-                continue
-            thw, _ttc = headway_metrics(lp / POS_SCALE, _lv / VEL_SCALE,
+            lp, lv = lead[k]
+            thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
                                         fp / POS_SCALE, fv / VEL_SCALE)
             level = quantize_thw(thw, params.thw_levels)
-            for p in sensor_perturb(level, model, num_levels):
+            out = []
+            for p in perceived[level]:
                 q2, dacc, _full = driver.step(q, hinted, p)
-                cs = (TURN_CTRL, k, fp, fv, q2, dacc)
-                j = index.get(cs)
-                if j is None:
-                    j = intern(cs)
-                    queue.append(j)
-                edges[i].append((p, j))
-        else:
-            _, k, fp, fv, q2, dacc = s
-            for action in actions:
-                mode2 = ACTION_MODE[action]
-                applied, _ = arbitrate(mode2, dacc, cfg)
-                dv = dv_of.get(applied)
-                if dv is None:
-                    dv = _scaled(applied * eps, VEL_SCALE, "velocity increment")
-                    dv_of[applied] = dv
-                fp2 = fp + fv * pos_step
-                fv2 = min(max(fv + dv, 0), vmax_q)
-                es = (TURN_ENV, k + 1, fp2, fv2, q2,
-                      1 if action == ACTION_HINT else 0)
-                j = index.get(es)
-                if j is None:
-                    j = intern(es)
-                    queue.append(j)
-                edges[i].append((action, j))
+                out.append((p, (TURN_CTRL, k, fp, fv, q2, dacc)))
+            return out
+        _, k, fp, fv, q2, dacc = s
+        moves = moves_of.get(dacc)
+        if moves is None:
+            moves = moves_of[dacc] = [
+                (action, _scaled(arbitrate(ACTION_MODE[action], dacc, cfg)[0] * eps,
+                                 VEL_SCALE, "velocity increment"),
+                 1 if action == ACTION_HINT else 0)
+                for action in actions]
+        fp2 = fp + fv * pos_step
+        return [(action, (TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, hinted))
+                for action, dv, hinted in moves]
 
     meta = {
         "scenario": scenario,
@@ -324,78 +348,161 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
         "driver": driver,
         "lead": lead,
     }
-    return GameArena(states, index, turn, edges, bad, goal, terminal,
-                     index[init], meta)
+    arena = GameArena(classify, expand, state_cap, meta)
+    arena.initial = arena.intern(
+        (TURN_ENV, 0,
+         _scaled(scenario.follow_pos, POS_SCALE, "follow_pos"),
+         _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
+         hm.initial, 0))
+    realizable(arena, arena.region)  # explore until the initial state is decided
+    return arena
 
 
-@dataclass
 class WinningRegion:
-    members: frozenset
-    iterations: int
+    """The states from which the controller wins the weak-until objective,
+    decided one state at a time as they are asked about.
+
+    `i in region` runs the local solver from `i` unless `i` is already
+    decided.  Bad states lose (even past the destination), non-bad goal
+    states win unconditionally, and terminal non-bad states (horizon reached
+    without overtaking) are safe.  `len(region)` counts the states decided
+    winning so far; `members` decides every state, exploring the rest of
+    the arena to do so.  `iterations` counts the states the solver expanded.
+    """
+
+    def __init__(self, arena):
+        self.arena = arena
+        self.won = {}  # decided state -> whether the controller wins it
+        self.iterations = 0
 
     def __contains__(self, i):
-        return i in self.members
+        won = self.won.get(i)
+        return self._decide(i) if won is None else won
 
     def __len__(self):
-        return len(self.members)
+        return sum(self.won.values())
+
+    @property
+    def members(self):
+        i = 0
+        while i < self.arena.n_states:  # deciding a state may explore more
+            self.__contains__(i)
+            i += 1
+        return frozenset(i for i, won in self.won.items() if won)
+
+    def _decide(self, root):
+        """Depth-first walk from `root` with an explicit stack.
+
+        A controller state tries its edges in order (severity order) and
+        stops at the first winning one; an environment state stops at the
+        first losing one.  A state met again while on the stack is assumed
+        winning.  A loss never rests on an assumption and is recorded at
+        once.  A win that does waits in `log`, with `low`, the depth of the
+        shallowest frame it assumed, passed up to its parent.  When a frame
+        finishes, the wins waiting since it was pushed are recorded if it
+        wins on its own (`low` no shallower than itself), since together
+        they keep the play out of the bad states; they are dropped if it
+        loses; otherwise they keep waiting, with it.  A state whose win is
+        waiting is decided afresh if met again.  Built arenas are acyclic,
+        so there every result is recorded as soon as it is known.
+        """
+        arena, won = self.arena, self.won
+        turn, bad, terminal = arena.turn, arena.bad, arena.terminal
+        if terminal[root]:
+            won[root] = not bad[root]
+            return won[root]
+        free = sys.maxsize   # `low` of a result that rests on no assumption
+        depth_of = {root: 0}  # states on the stack
+        log = []             # wins that rest on an assumption, in order
+        # frame: [state, edges, next edge, low, len(log) when pushed]
+        stack = [[root, arena.successors(root), 0, free, 0]]
+        self.iterations += 1
+        result = None        # (won, low) of the frame that just finished
+        while True:
+            frame = stack[-1]
+            i, edges, pos, low, mark = frame
+            ctrl = turn[i] == TURN_CTRL
+            decided = None
+            if result is not None:
+                if result[1] < low:
+                    low = result[1]
+                if result[0] == ctrl:
+                    decided = ctrl
+                result = None
+            while decided is None and pos < len(edges):
+                j = edges[pos][1]
+                pos += 1
+                r = won.get(j)
+                if r is None:
+                    d = depth_of.get(j)
+                    if d is not None:
+                        r = True
+                        if d < low:
+                            low = d
+                    elif terminal[j]:
+                        r = won[j] = not bad[j]
+                    else:
+                        break
+                if r == ctrl:
+                    decided = ctrl
+            else:
+                if decided is None:
+                    decided = not ctrl  # no winning action / no losing perception
+                stack.pop()
+                del depth_of[i]
+                if not decided:
+                    won[i] = False
+                    del log[mark:]
+                    result = (False, free)
+                elif low >= len(stack):  # rests on no frame still on the stack
+                    won[i] = True
+                    for s in log[mark:]:
+                        won[s] = True
+                    del log[mark:]
+                    result = (True, free)
+                else:
+                    log.append(i)
+                    result = (True, low)
+                if not stack:
+                    return decided
+                continue
+            frame[2], frame[3] = pos, low
+            depth_of[j] = len(stack)
+            stack.append([j, arena.successors(j), 0, free, len(log)])
+            self.iterations += 1
 
 
 def solve(arena):
-    """Greatest set of states from which the controller wins the weak-until
-    objective, computed as the complement of the environment's attractor to
-    the bad states.  Bad states lose (even past the destination), non-bad
-    goal states win unconditionally, and terminal non-bad states (horizon
-    reached without overtaking) are safe.
-    """
-    n = arena.n_states
-    lose = bytearray(n)
-    preds = [[] for _ in range(n)]
-    pending = [0] * n
-    for i, es in enumerate(arena.edges):
-        for _label, j in es:
-            preds[j].append(i)
-        if arena.turn[i] == TURN_CTRL:
-            pending[i] = len(es)
-    queue = deque()
-    for i in range(n):
-        if arena.bad[i]:
-            lose[i] = 1
-            queue.append(i)
-    iterations = 0
-    while queue:
-        j = queue.popleft()
-        iterations += 1
-        for i in preds[j]:
-            if lose[i] or arena.goal[i]:
-                continue
-            if arena.turn[i] == TURN_ENV:
-                lose[i] = 1
-                queue.append(i)
-            else:
-                pending[i] -= 1
-                if pending[i] == 0:
-                    lose[i] = 1
-                    queue.append(i)
-    members = frozenset(i for i in range(n) if not lose[i])
-    return WinningRegion(members, iterations)
+    """The winning region of `arena`, with its initial state decided; other
+    states are decided when asked."""
+    realizable(arena, arena.region)
+    return arena.region
 
 
 def realizable(arena, region):
     return arena.initial in region
 
 
-def winning_actions(arena, region, i):
-    """Labels of the edges from controller state `i` that stay in `region`."""
-    return [label for label, j in arena.edges[i] if j in region]
+def winning_actions(arena, region, i, below):
+    """Labels of the edges from controller state `i` that stay in `region`,
+    asking only about those strictly less severe than `below`: all that
+    `minimal_intervention(below, ...)` needs."""
+    severity = _severity(below)
+    return [label for label, j in arena.successors(i)
+            if _severity(label) < severity and j in region]
 
 
 @dataclass
 class Strategy:
     """Memoryless controller: winning controller-turn state -> action.
 
-    Its entries are certified: `extract_strategy` chose each one under
-    `minimal_intervention`, so `monitor` trusts their overrides instead of
-    applying its deep-safe check.  `parse_strategy` trusts the file it reads.
+    `extract_strategy` labels the controller states the strategy's own plays
+    reach, so files hold those states only; files that label every winning
+    state, as older versions wrote them, parse and validate as well.  Its
+    entries are certified: each was chosen under `minimal_intervention`, so
+    `monitor` trusts their overrides instead of applying its deep-safe
+    check.  `parse_strategy` trusts the file it reads; `sharedctrl validate`
+    certifies it against the game before running it.
     """
 
     actions: dict
@@ -420,23 +527,37 @@ class ConstantStrategy:
 
 
 def extract_strategy(arena, region):
-    """Pick one winning action per controller state in the winning region.
+    """Pick one winning action per controller state the strategy's own plays
+    reach from the initial state.
 
-    The pick is the first winning edge that satisfies `minimal_intervention`,
-    i.e. the least severe winning action (none < hint < override).
+    The pick is the first winning edge, in severity order, that satisfies
+    `minimal_intervention`: the least severe winning action (none < hint <
+    override).  The region is never asked about more severe actions.
     """
     if not realizable(arena, region):
         raise Unrealizable("initial state is not in the winning region")
     mapping = {}
-    for i in range(arena.n_states):
-        if arena.turn[i] != TURN_CTRL or i not in region or arena.terminal[i]:
+    seen = {arena.initial}
+    stack = [arena.initial]
+    while stack:
+        i = stack.pop()
+        if arena.terminal[i]:
             continue
-        winning = winning_actions(arena, region, i)
-        action = next((a for a in winning if minimal_intervention(a, winning)), None)
-        if action is None:
-            raise RuntimeError(f"winning controller state {arena.states[i]!r} "
-                               "has no winning action")
-        mapping[arena.states[i]] = action
+        edges = arena.successors(i)
+        if arena.turn[i] == TURN_CTRL:
+            action = next((label for label, j in edges if j in region and
+                           minimal_intervention(label, winning_actions(arena, region, i,
+                                                                       label))),
+                          None)
+            if action is None:
+                raise RuntimeError(f"winning controller state {arena.states[i]!r} "
+                                   "has no winning action")
+            mapping[arena.states[i]] = action
+            edges = [e for e in edges if e[0] == action]
+        for _label, j in edges:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
     return Strategy(mapping, arena.meta.get("variant", "full"),
                     {"scenario": getattr(arena.meta.get("scenario"), "name", "?")})
 
@@ -485,8 +606,11 @@ def check_templates(arena, strategy, region=None):
     (i) no bad state is reached; (ii) every maximal play ends in a goal
     state (horizon-only terminals are reported distinctly); (iii) every
     controller decision satisfies `minimal_intervention` against the winning
-    region (`solve(arena)` unless the caller passes it); (iv) a hint is
-    always followed by a full-deliberation driver edge (built arenas only).
+    region (`solve(arena)` unless the caller passes it), which is asked only
+    about actions less severe than the chosen one; (iv) a hint is always
+    followed by a full-deliberation driver edge (built arenas only).
+    Raises `StrategyRejected` if the strategy is undefined on a reachable
+    controller state.
     """
     report = TemplateReport()
     region = region if region is not None else solve(arena)
@@ -508,26 +632,30 @@ def check_templates(arena, strategy, region=None):
             else:
                 report.horizon_terminals += 1
             continue
+        edges = arena.successors(i)
         if arena.turn[i] == TURN_ENV:
             if driver is not None and s[5]:
-                for p, _j in arena.edges[i]:
+                for p, _j in edges:
                     _q2, _acc, full = driver.step(s[4], 1, p)
                     if not full and report.response_ok:
                         report.response_ok = False
                         report.response_witness = (s, p)
-            for _label, j in arena.edges[i]:
+            for _label, j in edges:
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
         else:
             action = strategy.action_for(s)
             if action is None:
-                raise KeyError(f"strategy undefined on reachable state {s!r}")
+                raise StrategyRejected(
+                    f"template check rejected the strategy: undefined on reachable "
+                    f"state {s!r}; checks up to there:\n" + report.text())
             if (report.min_intervention_ok and
-                    not minimal_intervention(action, winning_actions(arena, region, i))):
+                    not minimal_intervention(action,
+                                             winning_actions(arena, region, i, action))):
                 report.min_intervention_ok = False
                 report.min_intervention_witness = s
-            for label, j in arena.edges[i]:
+            for label, j in edges:
                 if label == action and j not in seen:
                     seen.add(j)
                     queue.append(j)
@@ -536,8 +664,8 @@ def check_templates(arena, strategy, region=None):
 
 
 def certify(arena, strategy, region):
-    """Template-check an extracted strategy; raise `StrategyRejected` unless
-    safety and min-intervention hold.
+    """Template-check a strategy; raise `StrategyRejected` unless safety and
+    min-intervention hold.
 
     Reachability is reported but not enforced: a play that reaches the
     horizon without overtaking wins the weak-until game.
@@ -549,7 +677,8 @@ def certify(arena, strategy, region):
 
 
 def serialize_strategy(strategy):
-    """Canonical text form: sorted `state-key action` lines."""
+    """Canonical text form: sorted `state-key action` lines, one per
+    controller state the strategy labels (those its plays reach)."""
     lines = [f"strategy v1 {strategy.variant} {len(strategy.actions)}"]
     for state in sorted(strategy.actions):
         _, k, fp, fv, hm_state, dacc = state
@@ -585,6 +714,8 @@ def parse_strategy(text):
 
 
 def arena_stats_text(arena, region=None):
+    """Counts over the explored part of the arena; `winning_states` is the
+    number of explored states decided winning."""
     n_ctrl = sum(1 for t in arena.turn if t == TURN_CTRL)
     lines = [
         f"states={arena.n_states}",
@@ -603,7 +734,8 @@ def arena_stats_text(arena, region=None):
 
 
 def arena_to_dot(arena, name="arena"):
-    """DOT rendering for small arenas (documentation of fixtures)."""
+    """DOT rendering of the explored part of small arenas (documentation of
+    fixtures)."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i, s in enumerate(arena.states):
         shape = "box" if arena.turn[i] == TURN_CTRL else "ellipse"
@@ -616,7 +748,7 @@ def arena_to_dot(arena, name="arena"):
     lines.append(f"  __start [shape=point];")
     lines.append(f"  __start -> n{arena.initial};")
     for i, es in enumerate(arena.edges):
-        for label, j in es:
+        for label, j in es or ():
             lines.append(f'  n{i} -> n{j} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

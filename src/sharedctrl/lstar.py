@@ -143,25 +143,33 @@ def close(table, sul, stats=None, state_cap=None):
         fill(table, sul, stats)
 
 
+def find_inconsistency(table):
+    """First suffix `(a,) + e` that separates the successors of two prefixes
+    with equal rows, or None when the table is consistent.
+
+    The clash is the first in the order (s1, s2, a, e) over S, S, alphabet
+    and E.  Each row is computed once, and only prefixes with equal rows are
+    compared: if two prefixes of a group of equal rows clash, one of them
+    clashes with the group's first prefix, so the first clash involves it.
+    """
+    rows = {w: table.row(w) for w in table.S + table.extensions()}
+    groups = {}  # row -> prefixes with that row, in S order
+    for s in table.S:
+        groups.setdefault(rows[s], []).append(s)
+    for first, *others in groups.values():
+        for s2 in others:
+            for a in table.alphabet:
+                r1, r2 = rows[first + (a,)], rows[s2 + (a,)]
+                if r1 != r2:
+                    e = next(e for e, o1, o2 in zip(table.E, r1, r2) if o1 != o2)
+                    return (a,) + e
+    return None
+
+
 def make_consistent(table, sul, stats=None):
     """Add distinguishing suffixes until equal rows have equal successor rows."""
     while True:
-        clash = None
-        for i, s1 in enumerate(table.S):
-            for s2 in table.S[i + 1:]:
-                if table.row(s1) != table.row(s2):
-                    continue
-                for a in table.alphabet:
-                    for e in table.E:
-                        if table.T[(s1 + (a,), e)] != table.T[(s2 + (a,), e)]:
-                            clash = (a,) + e
-                            break
-                    if clash:
-                        break
-                if clash:
-                    break
-            if clash:
-                break
+        clash = find_inconsistency(table)
         if clash is None:
             return table
         table.E.append(clash)
@@ -174,13 +182,7 @@ def is_closed(table):
 
 
 def is_consistent(table):
-    for i, s1 in enumerate(table.S):
-        for s2 in table.S[i + 1:]:
-            if table.row(s1) == table.row(s2):
-                for a in table.alphabet:
-                    if table.row(s1 + (a,)) != table.row(s2 + (a,)):
-                        return False
-    return True
+    return find_inconsistency(table) is None
 
 
 def build_hypothesis(table, allow_partial=False):

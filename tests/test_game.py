@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharedctrl.driver import DriverParams
 from sharedctrl.game import (
@@ -132,6 +135,32 @@ def fixture_severity_preference():
     return GameArena.from_graph(nodes, goal={"g", "g2", "g3"}, initial="c0")
 
 
+def fixture_assumption_fails():
+    # t's only move returns to x, which is on the stack when t is reached and
+    # is assumed winning there; x then loses, so t loses too, while r wins
+    nodes = {
+        "r": ("c", [("none", "x"), ("hint", "g")]),
+        "x": ("e", [("u", "t"), ("v", "b")]),
+        "t": ("c", [("none", "x")]),
+        "g": ("e", []),
+        "b": ("e", []),
+    }
+    return GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="r")
+
+
+def fixture_assumption_outlived():
+    # t wins assuming f, f wins assuming g; f2 reaches t after f has left the
+    # stack, so t's win still rests on g, which loses
+    nodes = {
+        "g": ("e", [("u1", "f"), ("u2", "f2"), ("u3", "b")]),
+        "f": ("e", [("u", "t"), ("v", "g")]),
+        "t": ("c", [("none", "f")]),
+        "f2": ("c", [("none", "t")]),
+        "b": ("e", []),
+    }
+    return GameArena.from_graph(nodes, bad={"b"}, initial="g")
+
+
 ALL_FIXTURES = [
     fixture_forced_loss,
     fixture_vacuous_cycle,
@@ -141,6 +170,8 @@ ALL_FIXTURES = [
     fixture_bad_goal_overlap,
     fixture_override_needed,
     fixture_severity_preference,
+    fixture_assumption_fails,
+    fixture_assumption_outlived,
 ]
 
 
@@ -276,15 +307,30 @@ def mini_scenario(offset=0, horizon=6):
     )
 
 
+def explore_all(arena):
+    """Expand every reachable state of a lazily explored arena, so that
+    structure checks see the whole arena and not just what deciding the
+    initial state needed."""
+    i = 0
+    while i < arena.n_states:
+        arena.successors(i)
+        i += 1
+    assert all(es is not None for es in arena.edges)
+    # non-trivial: the expansion reached the horizon through a full-depth play
+    horizon = arena.meta["scenario"].horizon_epochs
+    assert any(s[1] == horizon for s in arena.states)
+    return arena
+
+
 def test_build_arena_zero_offset_collapses_sensor(oracle_machine):
-    arena = build_arena(oracle_machine, mini_scenario(offset=0))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=0)))
     for i in range(arena.n_states):
         if arena.turn[i] == TURN_ENV and not arena.terminal[i]:
             assert len(arena.edges[i]) == 1
 
 
 def test_build_arena_offset_one_branches(oracle_machine):
-    arena = build_arena(oracle_machine, mini_scenario(offset=1))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1)))
     widths = {len(arena.edges[i]) for i in range(arena.n_states)
               if arena.turn[i] == TURN_ENV and not arena.terminal[i]}
     assert widths <= {2, 3}
@@ -315,7 +361,7 @@ def test_build_arena_rejects_off_lattice(oracle_machine):
 
 
 def test_built_arena_bipartite(oracle_machine):
-    arena = build_arena(oracle_machine, mini_scenario(offset=1))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1)))
     for i in range(arena.n_states):
         if arena.terminal[i]:
             continue
@@ -333,7 +379,7 @@ def test_default_arena_realizable(default_synthesis):
 
 def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
     # brute force is quadratic; check agreement on a small built arena
-    arena = build_arena(oracle_machine, mini_scenario(offset=1, horizon=5))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1, horizon=5)))
     region = solve(arena)
     assert set(region.members) == brute_force_region(arena)
 
@@ -388,11 +434,83 @@ def test_arena_stats_text(default_synthesis):
 
 def test_variant_restricts_actions(oracle_machine):
     sc = mini_scenario(offset=1)
-    arena = build_arena(oracle_machine, sc, variant="no-override")
+    arena = explore_all(build_arena(oracle_machine, sc, variant="no-override"))
     labels = {a for i in range(arena.n_states) if arena.turn[i] == TURN_CTRL
               for a, _ in arena.edges[i]}
     assert labels <= {"none", "hint"}
-    arena2 = build_arena(oracle_machine, sc, variant="advisory-only")
+    arena2 = explore_all(build_arena(oracle_machine, sc, variant="advisory-only"))
     labels2 = {a for i in range(arena2.n_states) if arena2.turn[i] == TURN_CTRL
                for a, _ in arena2.edges[i]}
     assert labels2 == {"hint"}
+
+
+def test_from_graph_rejects_duplicate_controller_labels():
+    nodes = {
+        "c0": ("c", [("none", "g"), ("none", "b")]),
+        "g": ("e", []),
+        "b": ("e", []),
+    }
+    with pytest.raises(ValueError, match="'c0'"):
+        GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
+
+
+def test_solver_walks_deep_arenas_without_recursion():
+    # a play far longer than Python's recursion limit, ending in a cycle
+    depth = 3 * sys.getrecursionlimit()
+    nodes = {f"c{k}": ("c", [("none", f"e{k}")]) for k in range(depth)}
+    nodes.update({f"e{k}": ("e", [("u", f"c{k + 1}")]) for k in range(depth - 1)})
+    nodes[f"e{depth - 1}"] = ("e", [("u", "c0")])
+    arena = GameArena.from_graph(nodes, initial="c0")
+    region = solve(arena)
+    assert realizable(arena, region)
+    assert len(region) == arena.n_states
+    assert len(extract_strategy(arena, region).actions) == depth
+
+
+def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
+    arena = build_arena(oracle_machine, mini_scenario(offset=1))
+    explored = arena.n_states
+    assert realizable(arena, arena.region)
+    assert explored < explore_all(arena).n_states
+
+
+@st.composite
+def random_arenas(draw):
+    """Well-formed random arenas: cycles allowed, unique labels per
+    controller state, any bad/goal marking; plus a query order."""
+    n = draw(st.integers(1, 9))
+    nodes = {}
+    for k in range(n):
+        if draw(st.booleans()):
+            labels = draw(st.lists(st.sampled_from(("none", "hint", "override")),
+                                   unique=True, max_size=3))
+            turn = "c"
+        else:
+            labels = [f"u{m}" for m in range(draw(st.integers(0, 3)))]
+            turn = "e"
+        nodes[f"s{k}"] = (turn, [(label, f"s{draw(st.integers(0, n - 1))}")
+                                 for label in labels])
+    names = list(nodes)
+    bad = draw(st.sets(st.sampled_from(names)))
+    goal = draw(st.sets(st.sampled_from(names)))
+    arena = GameArena.from_graph(nodes, bad=bad, goal=goal,
+                                 initial=draw(st.sampled_from(names)))
+    return arena, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_arenas())
+def test_local_solver_properties_on_random_arenas(case):
+    arena, order = case
+    expected = brute_force_region(arena)
+    region = solve(arena)
+    assert {i for i in order if i in region} == expected
+    if not realizable(arena, region):
+        return
+    strategy = extract_strategy(arena, region)
+    severity = {"none": 0, "hint": 1, "override": 2}
+    for state, action in strategy.actions.items():
+        i = arena.index[state]
+        winning = [label for label, j in arena.edges[i] if j in expected]
+        assert severity[action] == min(severity[a] for a in winning)
+    certify(arena, strategy, region)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sharedctrl.driver import CognitiveDriver
@@ -12,6 +14,7 @@ from sharedctrl.lstar import (
     build_hypothesis,
     close,
     fill,
+    find_inconsistency,
     is_closed,
     is_consistent,
     learn,
@@ -110,6 +113,39 @@ def test_make_consistent_adds_suffix():
     make_consistent(table, sul)
     assert len(table.E) == before + 1
     assert is_consistent(table)
+
+
+def reference_inconsistency(table):
+    """The pairwise scan: first (s1, s2, a, e) whose cells differ."""
+    for i, s1 in enumerate(table.S):
+        for s2 in table.S[i + 1:]:
+            if table.row(s1) != table.row(s2):
+                continue
+            for a in table.alphabet:
+                for e in table.E:
+                    if table.T[(s1 + (a,), e)] != table.T[(s2 + (a,), e)]:
+                        return (a,) + e
+    return None
+
+
+def test_find_inconsistency_matches_pairwise_scan():
+    rng = random.Random(7)
+    clashes = 0
+    for _ in range(2000):
+        table = ObservationTable(rng.choice(("ab", "abc")))
+        for _ in range(rng.randint(0, 8)):
+            table.add_prefixes(tuple(rng.choice(table.alphabet)
+                                     for _ in range(rng.randint(1, 3))))
+        table.E += [tuple(rng.choice(table.alphabet) for _ in range(2))
+                    for _ in range(rng.randint(0, 2))]
+        outputs = rng.randint(1, 3)
+        for word in table.S + table.extensions():
+            for e in table.E:
+                table.T[(word, e)] = rng.randrange(outputs)
+        expected = reference_inconsistency(table)
+        assert find_inconsistency(table) == expected
+        clashes += expected is not None
+    assert 0 < clashes < 2000
 
 
 def test_make_consistent_noop_when_rows_injective(fresh_driver):
