@@ -245,7 +245,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, variant=True):
         p.add_argument("--scenario", default="default",
                        help="builtin name (default, braking) or scenario file path")
         p.add_argument("--driver-params", default=None,
@@ -253,13 +253,14 @@ def build_parser():
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--variant", default="full", choices=sorted(VARIANT_ACTIONS))
+        if variant:
+            p.add_argument("--variant", default="full", choices=sorted(VARIANT_ACTIONS))
         p.add_argument("--oracle-walks", type=int, default=500)
         p.add_argument("--oracle-len", type=int, default=20)
         p.add_argument("--oracle-reset-prob", type=float, default=0.09)
 
     p = sub.add_parser("learn", help="learn the driver abstraction")
-    common(p)
+    common(p, variant=False)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("synth", help="build the game and extract a strategy")
@@ -268,7 +269,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("validate", help="co-simulate a strategy against the driver")
-    common(p)
+    common(p, variant=False)  # the game is built for the variant in the file
     p.add_argument("--hm", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--runs", type=int, default=25)

@@ -20,6 +20,7 @@ from .game import (
     AbstractDriver,
     POS_SCALE,
     TURN_CTRL,
+    VARIANT_ACTIONS,
     VEL_SCALE,
     build_arena,
     certify,
@@ -31,7 +32,7 @@ from .game import (
 from .lstar import EqOracleConfig, LearningSession, NotDistinguishing, RandomWalkOracle
 from .mealy import minimize, serialize
 from .supervisor import (
-    ACTION_HINT, ACTION_MODE, ACTION_NONE, ACTION_OVERRIDE, Mode, arbitrate, safe_now,
+    ACTION_HINT, ACTION_MODE, ACTION_NONE, ACTION_OVERRIDE, arbitrate, safe_now,
 )
 from .world import headway_metrics, quantize_thw, sensor_perturb, step_world
 
@@ -128,7 +129,6 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     initial_world = world
     q = hm.initial
     hinted = 0
-    mode = Mode.NOMINAL
     rows = []
     misses = 0
     for k in range(scenario.horizon_epochs):
@@ -150,12 +150,10 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
         if action is None:
             misses += 1
             action = ACTION_OVERRIDE
-            mode = Mode.INTERVENTION
             applied = cfg.acc_floor
             certified = False
         else:
-            mode = ACTION_MODE[action]
-            applied, _ = arbitrate(mode, dacc, cfg)
+            applied = arbitrate(action, dacc, cfg)
             certified = strategy.certified
         if action == ACTION_HINT:
             sul.apply_hint()
@@ -166,7 +164,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
             t=k * eps,
             lead_pos=world.lead.pos, lead_vel=world.lead.vel,
             follow_pos=world.follow.pos, follow_vel=world.follow.vel,
-            thw=thw, ttc=ttc, mode=mode.label,
+            thw=thw, ttc=ttc, mode=ACTION_MODE[action],
             driver_acc=dacc, applied_acc=applied, action=action,
             perceived_level=perceived, rule_chain=chain, certified=certified,
         ))
@@ -192,7 +190,7 @@ def monitor(trace, dest, thresholds):
     if final.follow.pos < dest:
         return Verdict(STATUS_GOAL, max(len(trace.rows) - 1, 0))
     for idx, row in enumerate(trace.rows):
-        if row.mode != Mode.INTERVENTION.label:
+        if row.mode != ACTION_MODE[ACTION_OVERRIDE]:
             continue
         deep_safe = not row.certified and safe_now(row.thw, row.ttc, thresholds)
         winning = (ACTION_NONE,) if deep_safe else (ACTION_OVERRIDE,)
@@ -288,9 +286,6 @@ class IterationArtifacts:
     traces: list = field(default_factory=list)
 
 
-_VARIANT_LADDER = ("advisory-only", "no-override", "full")
-
-
 def refine_loop(scenario, cfg):
     """Learn, synthesize, validate, refine until the objectives hold.
 
@@ -320,12 +315,12 @@ def refine_loop(scenario, cfg):
         records.append(record)
         artifacts.append(art)
         if not record.realizable:
-            if cfg.expand_on_unrealizable:
-                pos = _VARIANT_LADDER.index(variant)
-                if pos + 1 < len(_VARIANT_LADDER):
-                    variant = _VARIANT_LADDER[pos + 1]
-                    it += 1
-                    continue
+            ladder = list(VARIANT_ACTIONS)
+            pos = ladder.index(variant)
+            if cfg.expand_on_unrealizable and pos + 1 < len(ladder):
+                variant = ladder[pos + 1]
+                it += 1
+                continue
             reason = "unrealizable"
             break
         strategy = extract_strategy(arena, region)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config_text import config_lines, parse_config
 from .mealy import MealyMachine
 
 FULL_CHAIN = ("attend", "read", "encode", "retrieve", "decide")
@@ -62,36 +63,12 @@ class DriverParams:
         return tuple(range(1, self.num_levels + 1))
 
     def to_text(self):
-        lines = [
-            f"k1={self.k1}",
-            f"k2={self.k2}",
-            f"thw_follow={self.thw_follow}",
-            f"decision_epoch={self.decision_epoch}",
-            "acc_set=" + ",".join(str(a) for a in self.acc_set),
-            "thw_levels=" + ",".join(str(b) for b in self.thw_levels),
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(config_lines(self)) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        kwargs = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("k1", "k2", "thw_follow", "decision_epoch"):
-                kwargs[key] = float(value)
-            elif key == "acc_set":
-                kwargs[key] = tuple(int(float(v)) if float(v).is_integer() else float(v)
-                                    for v in value.split(","))
-            elif key == "thw_levels":
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-            else:
-                raise ValueError(f"unknown driver parameter {key!r}")
-        return cls(**kwargs)
+        values, _rows = parse_config(cls, text)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path):

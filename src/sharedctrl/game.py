@@ -42,7 +42,6 @@ from .driver import DriverParams, decide_acceleration, FULL_CHAIN
 from .mealy import AlphabetMismatch
 from .supervisor import (
     ACTION_HINT,
-    ACTION_MODE,
     ACTION_NONE,
     ACTION_OVERRIDE,
     ACTIONS,
@@ -56,10 +55,11 @@ TURN_CTRL = 1
 POS_SCALE = 4   # lattice units per metre
 VEL_SCALE = 2   # lattice units per (m/s)
 
+# ordered by growing action set: each variant includes the actions of the one before
 VARIANT_ACTIONS = {
-    "full": (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE),
-    "no-override": (ACTION_NONE, ACTION_HINT),
     "advisory-only": (ACTION_HINT,),
+    "no-override": (ACTION_NONE, ACTION_HINT),
+    "full": (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE),
 }
 
 ACTION_SEVERITY = {ACTION_NONE: 0, ACTION_HINT: 1, ACTION_OVERRIDE: 2}
@@ -331,7 +331,7 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
         moves = moves_of.get(dacc)
         if moves is None:
             moves = moves_of[dacc] = [
-                (action, _scaled(arbitrate(ACTION_MODE[action], dacc, cfg)[0] * eps,
+                (action, _scaled(arbitrate(action, dacc, cfg) * eps,
                                  VEL_SCALE, "velocity increment"),
                  1 if action == ACTION_HINT else 0)
                 for action in actions]
@@ -514,18 +514,6 @@ class Strategy:
         return self.actions.get(state)
 
 
-@dataclass
-class ConstantStrategy:
-    """Fixed-action stub (baselines and mutation tests); not certified."""
-
-    action: str
-    variant: str = "full"
-    certified = False
-
-    def action_for(self, state):
-        return self.action
-
-
 def extract_strategy(arena, region):
     """Pick one winning action per controller state the strategy's own plays
     reach from the initial state.
@@ -576,11 +564,6 @@ class TemplateReport:
     min_intervention_witness: object = None
     response_ok: bool = True
     response_witness: object = None
-
-    @property
-    def all_ok(self):
-        return (self.safety_ok and self.reach_ok and
-                self.min_intervention_ok and self.response_ok)
 
     def text(self):
         lines = [
@@ -730,25 +713,4 @@ def arena_stats_text(arena, region=None):
         lines.append(f"winning_states={len(region)}")
         lines.append(f"solver_iterations={region.iterations}")
         lines.append(f"realizable={'true' if realizable(arena, region) else 'false'}")
-    return "\n".join(lines) + "\n"
-
-
-def arena_to_dot(arena, name="arena"):
-    """DOT rendering of the explored part of small arenas (documentation of
-    fixtures)."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for i, s in enumerate(arena.states):
-        shape = "box" if arena.turn[i] == TURN_CTRL else "ellipse"
-        color = ""
-        if arena.bad[i]:
-            color = ', style=filled, fillcolor="#f4cccc"'
-        elif arena.goal[i]:
-            color = ', style=filled, fillcolor="#d9ead3"'
-        lines.append(f'  n{i} [shape={shape}, label="{s}"{color}];')
-    lines.append(f"  __start [shape=point];")
-    lines.append(f"  __start -> n{arena.initial};")
-    for i, es in enumerate(arena.edges):
-        for label, j in es or ():
-            lines.append(f'  n{i} -> n{j} [label="{label}"];')
-    lines.append("}")
     return "\n".join(lines) + "\n"

@@ -163,26 +163,6 @@ def equivalent(m1, m2):
     return True, None
 
 
-def distinguishing_word(machine, s1, s2):
-    """Shortest word telling states `s1` and `s2` apart, or None if none exists."""
-    if s1 == s2:
-        return None
-    seen = {(s1, s2)}
-    queue = deque([((s1, s2), ())])
-    while queue:
-        (a, b), word = queue.popleft()
-        for symbol in machine.inputs:
-            ta, oa = machine.delta[a][symbol]
-            tb, ob = machine.delta[b][symbol]
-            if oa != ob:
-                return word + (symbol,)
-            pair = (ta, tb)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (symbol,)))
-    return None
-
-
 def _encode_symbol(symbol):
     text = repr(symbol)
     if "\n" in text or "\r" in text:

@@ -1,19 +1,20 @@
-"""Scenario definitions: initial conditions, lead profile, supervision settings.
+"""Scenario definitions: initial conditions, lead profile, hazard thresholds
+and the override clamp.
 
-Scenarios live in a plain-text `key=value` format with one `profile t acc`
-line per lead-profile segment.  Two built-in scenarios are provided: the
-default car-following setting and a harsher braking variant used for
-design-space exploration.
+Scenarios live in the `key=value` text of `config_text`: the field names are
+the keys, the thresholds are flattened into `thw_safe`/`ttc_safe`, and each
+lead-profile segment is one `profile t acc` line.  Two built-in scenarios are
+provided: the default car-following setting and a harsher braking variant
+used for design-space exploration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from .config_text import ConfigError, config_lines, parse_config
 from .supervisor import HazardThresholds, SupervisorConfig
-from .world import LeadProfile, SensorErrorModel, VehicleState, WorldState, V_MAX_DEFAULT
-
-BUILTIN_NAMES = ("default", "braking")
+from .world import LeadProfile, SensorErrorModel, VehicleState, WorldState
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class Scenario:
     thresholds: HazardThresholds = field(default_factory=HazardThresholds)
     acc_floor: float = -3.0
     acc_cap: float = -1.0
-    lookahead_steps: int = 2
 
     def __post_init__(self):
         if self.lead_pos <= self.follow_pos:
@@ -55,86 +55,29 @@ class Scenario:
             thresholds=self.thresholds,
             acc_floor=self.acc_floor,
             acc_cap=self.acc_cap,
-            lookahead_steps=self.lookahead_steps,
         )
 
     def sensor_model(self):
         return SensorErrorModel(self.sensor_offset)
 
     def to_text(self):
-        th = self.thresholds
-        lines = [
-            f"name={self.name}",
-            f"lead_pos={self.lead_pos}",
-            f"lead_vel={self.lead_vel}",
-            f"follow_pos={self.follow_pos}",
-            f"follow_vel={self.follow_vel}",
-            f"dest={self.dest}",
-            f"epoch={self.epoch}",
-            f"horizon_epochs={self.horizon_epochs}",
-            f"sensor_offset={self.sensor_offset}",
-            f"v_max={self.v_max}",
-            f"thw_warn={th.thw_warn}",
-            f"ttc_warn={th.ttc_warn}",
-            f"thw_min={th.thw_min}",
-            f"ttc_min={th.ttc_min}",
-            f"thw_safe={th.thw_safe}",
-            f"ttc_safe={th.ttc_safe}",
-            f"acc_floor={self.acc_floor}",
-            f"acc_cap={self.acc_cap}",
-            f"lookahead={self.lookahead_steps}",
-        ]
-        for t, a in self.profile.segments:
-            lines.append(f"profile {t} {a}")
+        lines = config_lines(self, skip=("profile",))
+        lines += [f"profile {t} {a}" for t, a in self.profile.segments]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        values = {}
+        values, rows = parse_config(cls, text, rows=("profile",))
         segments = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("profile"):
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError(f"bad profile line: {line!r}")
-                segments.append((float(parts[1]), float(parts[2])))
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad scenario line: {line!r}")
-            values[key.strip()] = value.strip()
-
-        def fnum(key, default):
-            return float(values[key]) if key in values else default
-
-        thresholds = HazardThresholds(
-            thw_warn=fnum("thw_warn", 1.5),
-            ttc_warn=fnum("ttc_warn", 2.0),
-            thw_min=fnum("thw_min", 0.8),
-            ttc_min=fnum("ttc_min", 1.0),
-            thw_safe=fnum("thw_safe", 2.0),
-            ttc_safe=fnum("ttc_safe", 3.0),
-        )
-        return cls(
-            name=values.get("name", "scenario"),
-            lead_pos=fnum("lead_pos", 50.0),
-            lead_vel=fnum("lead_vel", 12.0),
-            follow_pos=fnum("follow_pos", 0.0),
-            follow_vel=fnum("follow_vel", 15.0),
-            dest=fnum("dest", 300.0),
-            epoch=fnum("epoch", 0.5),
-            horizon_epochs=int(fnum("horizon_epochs", 60)),
-            sensor_offset=int(fnum("sensor_offset", 1)),
-            v_max=fnum("v_max", V_MAX_DEFAULT),
-            profile=LeadProfile(segments or [(0.0, 0.0)]),
-            thresholds=thresholds,
-            acc_floor=fnum("acc_floor", -3.0),
-            acc_cap=fnum("acc_cap", -1.0),
-            lookahead_steps=int(fnum("lookahead", 2)),
-        )
+        for number, parts in rows["profile"]:
+            try:
+                t, acc = map(float, parts)
+            except ValueError:
+                raise ConfigError(f"line {number}: expected 'profile t acc'") from None
+            segments.append((t, acc))
+        if segments:
+            values["profile"] = LeadProfile(segments)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path):
@@ -165,9 +108,9 @@ def braking_scenario():
     noise can goad the driver into the closing gap.  With it the game wins,
     but only by anticipating the lead's braking at t = 4 s: an override can
     only clamp the driver's acceleration into [acc_floor, acc_cap], so the
-    winning strategy starts clamping at t = 1.5 s, while the headway is still
-    above 2 s and no warning is active.  Each such override is minimal: no
-    less severe action still wins there.
+    winning strategy starts clamping at t = 1.5 s, while the time headway is
+    still at least 2.2 s, above `thw_safe`.  Each such override is minimal:
+    no less severe action still wins there.
     """
     return Scenario(
         name="braking",

@@ -1,27 +1,14 @@
 """Three-mode shared-control supervision.
 
-Hazard predicates over (thw, ttc), the Nominal / Advisory / Intervention
-mode machine with hysteresis, short-horizon risk prediction, and
-acceleration arbitration.  These pieces form the controllable skeleton of
-the synthesis game and the runtime shield used during co-simulation.
+The supervisor's three actions (none, hint, override), the mode label each
+one shows in a trace (Nominal, Advisory, Intervention), the SafeNow hazard
+predicate over (thw, ttc), and acceleration arbitration.  Which action to
+take is not decided here: the game's min-intervention strategy chooses it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-
-from .world import CollisionState, headway_metrics, step_world
-
-
-class Mode(enum.IntEnum):
-    NOMINAL = 0
-    ADVISORY = 1
-    INTERVENTION = 2
-
-    @property
-    def label(self):
-        return self.name.capitalize()
 
 
 ACTION_NONE = "none"
@@ -29,29 +16,22 @@ ACTION_HINT = "hint"
 ACTION_OVERRIDE = "override"
 ACTIONS = (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE)
 
-# the three-mode policy ties each mode to exactly one action
-MODE_ACTION = {
-    Mode.NOMINAL: ACTION_NONE,
-    Mode.ADVISORY: ACTION_HINT,
-    Mode.INTERVENTION: ACTION_OVERRIDE,
+# the mode label each action shows in a trace
+ACTION_MODE = {
+    ACTION_NONE: "Nominal",
+    ACTION_HINT: "Advisory",
+    ACTION_OVERRIDE: "Intervention",
 }
-ACTION_MODE = {action: mode for mode, action in MODE_ACTION.items()}
 
 
 @dataclass(frozen=True)
 class HazardThresholds:
-    thw_warn: float = 1.5
-    ttc_warn: float = 2.0
-    thw_min: float = 0.8
-    ttc_min: float = 1.0
     thw_safe: float = 2.0
     ttc_safe: float = 3.0
 
     def __post_init__(self):
-        if not (self.thw_min < self.thw_warn <= self.thw_safe):
-            raise ValueError("need thw_min < thw_warn <= thw_safe")
-        if not (self.ttc_min < self.ttc_warn <= self.ttc_safe):
-            raise ValueError("need ttc_min < ttc_warn <= ttc_safe")
+        if not (self.thw_safe > 0 and self.ttc_safe > 0):
+            raise ValueError("need thw_safe > 0 and ttc_safe > 0")
 
 
 @dataclass(frozen=True)
@@ -59,65 +39,19 @@ class SupervisorConfig:
     thresholds: HazardThresholds = field(default_factory=HazardThresholds)
     acc_floor: float = -3.0
     acc_cap: float = -1.0
-    lookahead_steps: int = 2
 
     def __post_init__(self):
         if not self.acc_floor <= self.acc_cap < 0:
             raise ValueError("need acc_floor <= acc_cap < 0")
-        if self.lookahead_steps not in (1, 2):
-            raise ValueError("lookahead_steps must be 1 or 2")
-
-
-def risk_warn(thw, ttc, th):
-    return thw < th.thw_warn or ttc < th.ttc_warn
-
-
-def risk_filter(thw, ttc, th):
-    return thw < th.thw_min or ttc < th.ttc_min
 
 
 def safe_now(thw, ttc, th):
     return thw >= th.thw_safe and ttc >= th.ttc_safe
 
 
-def predict_risk(world, driver_acc, cfg, profile=None, dt=0.5):
-    """Evaluate warn/filter over the current state and a short rollout.
-
-    The follower is assumed to hold `driver_acc` for `lookahead_steps`
-    epochs; a predicted overtake counts as maximal hazard.
-    """
-    th = cfg.thresholds
-    warn = filt = False
-    w = world
-    for step in range(cfg.lookahead_steps + 1):
-        try:
-            thw, ttc = headway_metrics(w.lead.pos, w.lead.vel,
-                                       w.follow.pos, w.follow.vel)
-        except CollisionState:
-            thw = ttc = 0.0
-        warn = warn or risk_warn(thw, ttc, th)
-        filt = filt or risk_filter(thw, ttc, th)
-        if step < cfg.lookahead_steps:
-            w = step_world(w, driver_acc, dt, profile)
-    return warn, filt
-
-
-def mode_transition(mode, warn, filt, safe):
-    """Escalate on hazard, recover only once SafeNow holds (hysteresis)."""
-    if filt:
-        return Mode.INTERVENTION
-    if warn:
-        return Mode.ADVISORY
-    if safe:
-        return Mode.NOMINAL
-    return mode
-
-
-def arbitrate(mode, driver_acc, cfg):
-    """Applied acceleration and controller action for the current mode."""
-    if mode == Mode.NOMINAL:
-        return driver_acc, ACTION_NONE
-    if mode == Mode.ADVISORY:
-        return driver_acc, ACTION_HINT
-    applied = min(max(driver_acc, cfg.acc_floor), cfg.acc_cap)
-    return applied, ACTION_OVERRIDE
+def arbitrate(action, driver_acc, cfg):
+    """Applied acceleration under `action`: an override clamps the driver's
+    acceleration into [acc_floor, acc_cap]; none and hint pass it through."""
+    if action == ACTION_OVERRIDE:
+        return min(max(driver_acc, cfg.acc_floor), cfg.acc_cap)
+    return driver_acc

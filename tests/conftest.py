@@ -19,6 +19,19 @@ def make_constant(output="0", inputs=("a",)):
     return MealyMachine(inputs, {0: {a: (0, output) for a in inputs}}, initial=0)
 
 
+class ConstantStrategy:
+    """Fixed-action strategy stub (baselines and mutation tests); not certified."""
+
+    certified = False
+
+    def __init__(self, action, variant="full"):
+        self.action = action
+        self.variant = variant
+
+    def action_for(self, state):
+        return self.action
+
+
 class MachineSUL:
     """SUL adapter over an explicit Mealy machine (for learner tests)."""
 

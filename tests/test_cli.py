@@ -1,4 +1,4 @@
-from sharedctrl.cli import EXIT_OK, EXIT_VALIDATION, main
+from sharedctrl.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from sharedctrl.game import Strategy, serialize_strategy
 from sharedctrl.mealy import serialize
 
@@ -32,3 +32,43 @@ def test_validate_rejects_a_needless_override(tmp_path, capsys, oracle_machine,
     err = capsys.readouterr().err
     assert "rejected" in err and "min_intervention=FAIL" in err
     assert not (out / "traces").exists()
+
+
+def test_validate_rejects_the_variant_flag(tmp_path, capsys, oracle_machine,
+                                           default_synthesis):
+    # the game is built for the variant in the strategy file's header
+    _arena, _region, strategy = default_synthesis
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text(serialize(oracle_machine), encoding="utf-8")
+    strategy_path = tmp_path / "strategy.txt"
+    strategy_path.write_text(serialize_strategy(strategy), encoding="utf-8")
+    code = main(["validate", "--variant", "no-override", "--hm", str(hm_path),
+                 "--strategy", str(strategy_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --variant no-override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_reads_a_scenario_file(tmp_path, oracle_machine, default_sc,
+                                     default_synthesis):
+    _arena, _region, strategy = default_synthesis
+    scenario_path = tmp_path / "default.scenario"
+    default_sc.to_file(scenario_path)
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text(serialize(oracle_machine), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--scenario", str(scenario_path), "--hm", str(hm_path),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / "strategy.txt").read_text(encoding="utf-8") == serialize_strategy(strategy)
+
+
+def test_synth_names_the_bad_line_of_a_scenario_file(tmp_path, capsys, oracle_machine):
+    scenario_path = tmp_path / "typo.scenario"
+    scenario_path.write_text("name=typo\nhorizon_epoch=5\n", encoding="utf-8")
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text(serialize(oracle_machine), encoding="utf-8")
+    code = main(["synth", "--scenario", str(scenario_path), "--hm", str(hm_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "line 2: unknown key 'horizon_epoch'" in capsys.readouterr().err

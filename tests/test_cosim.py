@@ -23,12 +23,14 @@ from sharedctrl.cosim import (
     TRACE_COLUMNS,
 )
 from sharedctrl.driver import CognitiveDriver, FULL_CHAIN, SHORT_CHAIN
-from sharedctrl.game import ConstantStrategy, Strategy
+from sharedctrl.game import Strategy
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent
 from sharedctrl.scenario import Scenario, default_scenario
-from sharedctrl.supervisor import Mode, safe_now
+from sharedctrl.supervisor import ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState
+
+from conftest import ConstantStrategy
 
 
 def run_once(strategy, scenario, params, hm, seed=0):
@@ -56,7 +58,7 @@ def test_execute_trace_row_consistency(default_synthesis, default_sc,
     cfg = default_sc.supervisor_config()
     trace = run_once(strategy, default_sc, driver_params, oracle_machine, seed=3)
     for row in trace.rows:
-        if row.mode == Mode.INTERVENTION.label:
+        if row.mode == ACTION_MODE[ACTION_OVERRIDE]:
             assert cfg.acc_floor <= row.applied_acc <= cfg.acc_cap
         else:
             assert row.applied_acc == row.driver_acc

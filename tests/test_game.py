@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from sharedctrl.driver import DriverParams
 from sharedctrl.game import (
     ArenaCapExceeded,
-    ConstantStrategy,
     GameArena,
     Strategy,
     StrategyRejected,
@@ -14,7 +13,6 @@ from sharedctrl.game import (
     TURN_ENV,
     Unrealizable,
     arena_stats_text,
-    arena_to_dot,
     build_arena,
     certify,
     check_templates,
@@ -28,6 +26,8 @@ from sharedctrl.game import (
 from sharedctrl.mealy import AlphabetMismatch, MealyMachine
 from sharedctrl.scenario import Scenario
 from sharedctrl.world import LeadProfile
+
+from conftest import ConstantStrategy
 
 
 def brute_force_region(arena):
@@ -282,12 +282,6 @@ def test_strategy_closure_stays_winning():
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-
-
-def test_fixture_dot_export():
-    dot = arena_to_dot(fixture_forced_loss())
-    assert dot.startswith("digraph")
-    assert "fillcolor" in dot
 
 
 # -- built arenas ------------------------------------------------------------

@@ -5,7 +5,6 @@ from sharedctrl.mealy import (
     AlphabetMismatch,
     FormatError,
     MealyMachine,
-    distinguishing_word,
     equivalent,
     minimize,
     parse,
@@ -211,6 +210,7 @@ def test_minimal_states_distinguished_within_bound(m):
         for s2 in mm.states:
             if s1 >= s2:
                 continue
-            word = distinguishing_word(mm, s1, s2)
-            assert word is not None
+            same, word = equivalent(MealyMachine(mm.inputs, mm.delta, initial=s1),
+                                    MealyMachine(mm.inputs, mm.delta, initial=s2))
+            assert not same
             assert len(word) < n

@@ -7,26 +7,20 @@ from sharedctrl.supervisor import (
     ACTION_NONE,
     ACTION_OVERRIDE,
     HazardThresholds,
-    Mode,
     SupervisorConfig,
     arbitrate,
-    mode_transition,
-    predict_risk,
-    risk_filter,
-    risk_warn,
     safe_now,
 )
-from sharedctrl.world import LeadProfile, VehicleState, WorldState
 
 TH = HazardThresholds()
 CFG = SupervisorConfig()
 
 
-def test_threshold_nesting_enforced():
+def test_thresholds_must_be_positive():
     with pytest.raises(ValueError):
-        HazardThresholds(thw_min=1.6)       # min >= warn
+        HazardThresholds(thw_safe=0.0)
     with pytest.raises(ValueError):
-        HazardThresholds(ttc_safe=1.0)      # safe < warn
+        HazardThresholds(ttc_safe=-1.0)
 
 
 def test_config_validation():
@@ -34,106 +28,23 @@ def test_config_validation():
         SupervisorConfig(acc_floor=-1.0, acc_cap=-3.0)
     with pytest.raises(ValueError):
         SupervisorConfig(acc_cap=0.5)
-    with pytest.raises(ValueError):
-        SupervisorConfig(lookahead_steps=3)
-
-
-def test_risk_warn_on_low_thw():
-    assert risk_warn(1.2, 5.0, TH)
-    assert not risk_warn(1.6, 5.0, TH)
 
 
 def test_predicates_at_infinity():
     assert safe_now(math.inf, math.inf, TH)
-    assert not risk_warn(math.inf, math.inf, TH)
-    assert not risk_filter(math.inf, math.inf, TH)
-
-
-def test_risk_filter_example():
-    assert risk_filter(0.4, 0.9, TH)
-    assert not risk_filter(0.9, 1.1, TH)
-
-
-def test_nested_thresholds_imply_warn_on_filter():
-    for thw in (0.2, 0.7, 1.1, 2.5):
-        for ttc in (0.5, 1.4, 2.2, 9.0):
-            if risk_filter(thw, ttc, TH):
-                assert risk_warn(thw, ttc, TH)
-
-
-def test_mode_transition_escalates_to_advisory():
-    assert mode_transition(Mode.NOMINAL, True, False, False) == Mode.ADVISORY
-
-
-def test_mode_transition_recovery_needs_safe():
-    assert mode_transition(Mode.INTERVENTION, False, False, True) == Mode.NOMINAL
-    assert mode_transition(Mode.INTERVENTION, False, False, False) == Mode.INTERVENTION
-
-
-def test_mode_transition_hysteresis():
-    assert mode_transition(Mode.ADVISORY, False, False, False) == Mode.ADVISORY
-
-
-def test_mode_transition_filter_dominates():
-    assert mode_transition(Mode.NOMINAL, True, True, False) == Mode.INTERVENTION
 
 
 def test_arbitrate_override_clamps_acceleration():
-    applied, action = arbitrate(Mode.INTERVENTION, 2, CFG)
-    assert applied == -1 and action == ACTION_OVERRIDE
+    assert arbitrate(ACTION_OVERRIDE, 2, CFG) == -1
 
 
 def test_arbitrate_nominal_passthrough():
-    applied, action = arbitrate(Mode.NOMINAL, -1, CFG)
-    assert applied == -1 and action == ACTION_NONE
+    assert arbitrate(ACTION_NONE, -1, CFG) == -1
 
 
 def test_arbitrate_override_keeps_in_range_value():
-    applied, action = arbitrate(Mode.INTERVENTION, -3, CFG)
-    assert applied == -3 and action == ACTION_OVERRIDE
+    assert arbitrate(ACTION_OVERRIDE, -3, CFG) == -3
 
 
 def test_arbitrate_advisory_hints():
-    applied, action = arbitrate(Mode.ADVISORY, 1, CFG)
-    assert applied == 1 and action == ACTION_HINT
-
-
-def _world(gap, lead_vel, follow_vel):
-    return WorldState(VehicleState(gap, lead_vel), VehicleState(0.0, follow_vel))
-
-
-def test_predict_risk_stationary_safe():
-    warn, filt = predict_risk(_world(100.0, 0.0, 0.0), 0.0, CFG)
-    assert (warn, filt) == (False, False)
-
-
-def test_predict_risk_flags_before_violation():
-    # gap 14 at closing 10: thw 1.4 is above thw_min now, but one rollout
-    # step drops the gap to 9 (thw 0.9 < 1.0... still above 0.8) and the
-    # second crosses the filter line
-    w = _world(14.0, 0.0, 10.0)
-    assert not risk_filter(1.4, 1.4, TH)
-    warn, filt = predict_risk(w, 0.0, SupervisorConfig(lookahead_steps=2))
-    assert warn and filt
-
-
-def test_predict_risk_warn_implies_filter_subset():
-    for gap in (5.0, 12.0, 25.0, 60.0):
-        for dacc in (-3.0, 0.0, 2.0):
-            warn, filt = predict_risk(_world(gap, 8.0, 12.0), dacc, CFG)
-            if filt:
-                assert warn
-
-
-def test_predict_risk_counts_predicted_overtake_as_hazard():
-    w = _world(2.0, 0.0, 20.0)
-    warn, filt = predict_risk(w, 0.0, CFG)
-    assert warn and filt
-
-
-def test_predict_risk_respects_profile():
-    profile = LeadProfile([(0.0, 3.0)])  # lead accelerates away
-    w = WorldState(VehicleState(12.0, 10.0), VehicleState(0.0, 12.0), 0.0)
-    warn_static, _ = predict_risk(w, 0.0, CFG)
-    warn_moving, _ = predict_risk(w, 0.0, CFG, profile=profile)
-    assert warn_static or not warn_moving  # profile never increases risk here
+    assert arbitrate(ACTION_HINT, 1, CFG) == 1
