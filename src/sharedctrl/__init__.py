@@ -16,10 +16,10 @@ from .game import (
     realizable,
     solve,
 )
-from .lstar import EqOracleConfig, LearningSession, learn
+from .lstar import EqOracleConfig, LearningSession
 from .mealy import MealyMachine, equivalent, minimize, parse, serialize, to_dot
 from .scenario import Scenario, braking_scenario, default_scenario, load_scenario
 from .supervisor import HazardThresholds, SupervisorConfig, arbitrate
-from .world import WorldState, compute_thw, compute_ttc, quantize_thw, step_world
+from .world import WorldState, quantize_thw, step_world
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Command-line pipeline: learn, synth, validate, refine, demo.
 
-Every subcommand is deterministic given the scenario, the flags, and the
-seed; all randomness is fanned out from the single `--seed` value.  Exit
-codes form a stable contract for scripting: 0 success, 1 usage/IO error,
-2 unrealizable specification, 3 validation failure (co-simulation, or a
-template check that rejects a synthesized or loaded strategy).
+Each subcommand accepts only the flags it reads.  `learn`, `validate`,
+`refine` and `demo` draw random numbers (the learner's equivalence oracle,
+the co-simulated sensor noise) and take `--seed`; all their randomness is
+fanned out from that one value.  `synth` is deterministic given its inputs
+and takes no seed.  Exit codes form a stable contract for scripting:
+0 success, 1 usage/IO error (including an arena that outgrows its state
+cap), 2 unrealizable specification, 3 validation failure (co-simulation, or
+a template check that rejects a synthesized or loaded strategy).
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ import argparse
 import os
 import sys
 
+from .config_text import read_file
 from .cosim import (
     RefineLoopConfig,
     derive_seed,
     execute,
     monitor,
     refine_loop,
+    synthesize,
     write_trace_csv,
 )
 from .driver import CognitiveDriver, DriverParams
@@ -29,14 +34,12 @@ from .game import (
     arena_stats_text,
     build_arena,
     certify,
-    extract_strategy,
     parse_strategy,
-    realizable,
     serialize_strategy,
     solve,
 )
 from .lstar import EqOracleConfig, LearningSession, RandomWalkOracle
-from .mealy import FormatError, parse, serialize, to_dot
+from .mealy import parse, serialize, to_dot
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -53,20 +56,29 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_inputs(args):
-    scenario = load_scenario(args.scenario)
-    params = DriverParams.from_file(args.driver_params) if args.driver_params \
+def _params(args):
+    return DriverParams.from_file(args.driver_params) if args.driver_params \
         else DriverParams()
-    return scenario, params
 
 
-def _oracle_config(args, seed_tag="oracle"):
+def _load_inputs(args):
+    return load_scenario(args.scenario), _params(args)
+
+
+def _oracle_config(args):
     return EqOracleConfig(
         num_walks=args.oracle_walks,
         max_walk_len=args.oracle_len,
         reset_prob=args.oracle_reset_prob,
-        rng_seed=derive_seed(args.seed, seed_tag),
+        rng_seed=derive_seed(args.seed, "oracle"),
     )
+
+
+def _learn(args, params):
+    """The driver abstraction and its learning stats."""
+    sul = CognitiveDriver(params)
+    return LearningSession(sul, params.levels(),
+                           RandomWalkOracle(sul, _oracle_config(args))).run()
 
 
 def _ensure_out(args):
@@ -75,13 +87,9 @@ def _ensure_out(args):
 
 
 def cmd_learn(args):
-    scenario, params = _load_inputs(args)
-    del scenario  # learning depends only on the driver configuration
+    params = _params(args)
     out = _ensure_out(args)
-    sul = CognitiveDriver(params)
-    session = LearningSession(sul, params.levels(),
-                              RandomWalkOracle(sul, _oracle_config(args)))
-    machine, stats = session.run()
+    machine, stats = _learn(args, params)
     _write(os.path.join(out, "hm.mealy"), serialize(machine))
     _write(os.path.join(out, "hm.dot"), to_dot(machine, "hm"))
     _write(os.path.join(out, "learn_report.txt"), stats.report_text())
@@ -96,25 +104,13 @@ def cmd_learn(args):
 def cmd_synth(args):
     scenario, params = _load_inputs(args)
     out = _ensure_out(args)
-    try:
-        with open(args.hm, "r", encoding="utf-8") as fh:
-            hm = parse(fh.read())
-    except (OSError, FormatError) as exc:
-        print(f"cannot load abstraction: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        arena = build_arena(hm, scenario, params=params, variant=args.variant)
-    except ArenaCapExceeded as exc:
-        print(f"arena build failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    region = solve(arena)
-    _write(os.path.join(out, "arena_stats.txt"), arena_stats_text(arena, region))
-    if not realizable(arena, region):
+    syn = synthesize(read_file(args.hm, parse), scenario, params, args.variant)
+    arena, strategy = syn.arena, syn.strategy
+    _write(os.path.join(out, "arena_stats.txt"), arena_stats_text(arena, arena.region))
+    if strategy is None:
         print(f"unrealizable for variant {args.variant!r} "
               f"(initial state lost, {arena.n_states} states explored)", file=sys.stderr)
         return EXIT_UNREALIZABLE
-    strategy = extract_strategy(arena, region)
-    certify(arena, strategy, region)
     _write(os.path.join(out, "strategy.txt"), serialize_strategy(strategy))
     print(f"synthesized strategy with {len(strategy.actions)} entries "
           f"({arena.n_states} arena states explored)")
@@ -124,20 +120,10 @@ def cmd_synth(args):
 def cmd_validate(args):
     scenario, params = _load_inputs(args)
     out = _ensure_out(args)
-    try:
-        with open(args.hm, "r", encoding="utf-8") as fh:
-            hm = parse(fh.read())
-        with open(args.strategy, "r", encoding="utf-8") as fh:
-            strategy = parse_strategy(fh.read())
-    except (OSError, FormatError, ValueError) as exc:
-        print(f"cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    hm = read_file(args.hm, parse)
+    strategy = read_file(args.strategy, parse_strategy)
     # the file is trusted only once the game certifies it
-    try:
-        arena = build_arena(hm, scenario, params=params, variant=strategy.variant)
-    except ArenaCapExceeded as exc:
-        print(f"arena build failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    arena = build_arena(hm, scenario, params=params, variant=strategy.variant)
     certify(arena, strategy, solve(arena))
     cfg = scenario.supervisor_config()
     traces_dir = os.path.join(out, "traces")
@@ -205,25 +191,16 @@ def _fmt_metric(value):
 
 def cmd_demo(args):
     scenario, params = _load_inputs(args)
-    sul = CognitiveDriver(params)
-    session = LearningSession(sul, params.levels(),
-                              RandomWalkOracle(sul, _oracle_config(args)))
-    hm, stats = session.run()
+    hm, stats = _learn(args, params)
     print(f"[1/3] learned driver abstraction: {stats.states} states, "
           f"{stats.transitions} transitions")
-    try:
-        arena = build_arena(hm, scenario, params=params, variant=args.variant)
-    except ArenaCapExceeded as exc:
-        print(f"arena build failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    region = solve(arena)
-    if not realizable(arena, region):
+    syn = synthesize(hm, scenario, params, args.variant)
+    strategy = syn.strategy
+    if strategy is None:
         print(f"[2/3] unrealizable for variant {args.variant!r}")
         return EXIT_UNREALIZABLE
-    strategy = extract_strategy(arena, region)
-    certify(arena, strategy, region)
     print(f"[2/3] synthesized strategy: {len(strategy.actions)} entries, "
-          f"{arena.n_states} arena states explored")
+          f"{syn.arena.n_states} arena states explored")
     cfg = scenario.supervisor_config()
     run_sul = CognitiveDriver(params)
     trace = execute(strategy, run_sul, scenario, cfg,
@@ -245,47 +222,51 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True, variant=True):
-        p.add_argument("--scenario", default="default",
-                       help="builtin name (default, braking) or scenario file path")
-        p.add_argument("--driver-params", default=None,
-                       help="optional driver parameter file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        if variant:
-            p.add_argument("--variant", default="full", choices=sorted(VARIANT_ACTIONS))
-        p.add_argument("--oracle-walks", type=int, default=500)
-        p.add_argument("--oracle-len", type=int, default=20)
-        p.add_argument("--oracle-reset-prob", type=float, default=0.09)
+    # flags that several subcommands read, each with its argparse settings
+    shared = {
+        "scenario": [("--scenario", dict(
+            default="default", help="builtin name (default, braking) or scenario file path"))],
+        "params": [("--driver-params", dict(
+            default=None, help="optional driver parameter file"))],
+        "out": [("--out", dict(required=True, help="output directory"))],
+        "seed": [("--seed", dict(type=int, default=0))],
+        "variant": [("--variant", dict(default="full", choices=sorted(VARIANT_ACTIONS)))],
+        "oracle": [("--oracle-walks", dict(type=int, default=500)),
+                   ("--oracle-len", dict(type=int, default=20)),
+                   ("--oracle-reset-prob", dict(type=float, default=0.09))],
+    }
 
-    p = sub.add_parser("learn", help="learn the driver abstraction")
-    common(p, variant=False)
-    p.set_defaults(func=cmd_learn)
+    def command(name, func, help, *groups):
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            for flag, settings in shared[group]:
+                p.add_argument(flag, **settings)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="build the game and extract a strategy")
-    common(p)
+    command("learn", cmd_learn, "learn the driver abstraction",
+            "params", "out", "seed", "oracle")
+
+    p = command("synth", cmd_synth, "build the game and extract a strategy",
+                "scenario", "params", "out", "variant")
     p.add_argument("--hm", required=True, help="learned abstraction file")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("validate", help="co-simulate a strategy against the driver")
-    common(p, variant=False)  # the game is built for the variant in the file
+    # the game is built for the variant in the strategy file
+    p = command("validate", cmd_validate, "co-simulate a strategy against the driver",
+                "scenario", "params", "out", "seed")
     p.add_argument("--hm", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--runs", type=int, default=25)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("refine", help="run the full learn/synthesize/validate loop")
-    common(p)
+    p = command("refine", cmd_refine, "run the full learn/synthesize/validate loop",
+                "scenario", "params", "out", "seed", "variant", "oracle")
     p.add_argument("--runs", type=int, default=25)
     p.add_argument("--max-iter", type=int, default=10)
     p.add_argument("--expand-variants", action="store_true",
                    help="grow the controllable action set when unrealizable")
-    p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("demo", help="narrated single pass over the pipeline")
-    common(p, needs_out=False)
-    p.set_defaults(func=cmd_demo)
+    command("demo", cmd_demo, "narrated single pass over the pipeline",
+            "scenario", "params", "seed", "variant", "oracle")
     return parser
 
 
@@ -299,6 +280,9 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArenaCapExceeded as exc:
+        print(f"arena build failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StrategyRejected as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ from the dataclass's own defaults, so the empty text gives the default
 object, and each value must have the type of its field's default.  Blank
 lines and `#` comments are skipped.  Any other line must be `key=value` with
 a known key, or start with one of the row words the caller names (such as
-`profile t acc`).  Every error names the line at fault.
+`profile t acc`).  Every error names the line at fault, and the file when
+the text was read from one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 
 
 class ConfigError(ValueError):
-    """A config text line that does not parse; the message names the line."""
+    """Text that does not give a valid object.  A line that does not parse
+    is named in the message; `read_file` adds the file."""
 
 
 def _defaults(cls):
@@ -98,3 +100,14 @@ def parse_config(cls, text, rows=()):
         values[name] = replace(value, **{key: values.pop(key) for key, (parent, _) in
                                          keys.items() if parent == name and key in values})
     return values, found
+
+
+def read_file(path, parse_text):
+    """`parse_text` of the text of the file at `path`.  A `ValueError` it
+    raises comes back as a `ConfigError` whose message starts with the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_text(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

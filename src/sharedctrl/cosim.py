@@ -1,4 +1,8 @@
-"""Closed-loop validation of synthesized strategies against the full driver.
+"""Synthesis and closed-loop validation of strategies against the full driver.
+
+`synthesize` is the one synthesis path: build the arena, solve it, and
+extract and certify a strategy when the initial state wins.  The CLI and
+`refine_loop` both call it.
 
 A strategy is executed with the stateful cognitive driver in the loop (not
 the learned abstraction), while a mirror of the abstraction tracks which
@@ -203,7 +207,29 @@ def monitor(trace, dest, thresholds):
     return Verdict(STATUS_PASS, None)
 
 
-def refine(session, traces, params=None):
+@dataclass
+class Synthesis:
+    """What `synthesize` found: the explored arena (its winning region is
+    `arena.region`), and the certified strategy with its template report,
+    or None for both when the initial state is lost."""
+
+    arena: object
+    strategy: object = None
+    report: object = None
+
+
+def synthesize(hm, scenario, params, variant):
+    """Build and solve the game, then extract and certify a strategy if the
+    initial state wins.  Raises `StrategyRejected` if `certify` refuses it."""
+    arena = build_arena(hm, scenario, params=params, variant=variant)
+    region = solve(arena)
+    if not realizable(arena, region):
+        return Synthesis(arena)
+    strategy = extract_strategy(arena, region)
+    return Synthesis(arena, strategy, certify(arena, strategy, region))
+
+
+def refine(session, traces):
     """Inject the stimulus words of violating traces as counterexamples.
 
     Each word is first checked to actually distinguish driver and current
@@ -242,7 +268,6 @@ class RefineLoopConfig:
     max_iterations: int = 10
     initial_state_cap: int = None
     expand_on_unrealizable: bool = False
-    arena_state_cap: int = 2_000_000
 
 
 @dataclass
@@ -289,11 +314,12 @@ class IterationArtifacts:
 def refine_loop(scenario, cfg):
     """Learn, synthesize, validate, refine until the objectives hold.
 
-    Stops on all-pass, on the iteration cap, on abstraction stability, or on
-    an unrealizable arena (unless variant expansion is enabled and a larger
-    controllable action set is available).  Raises `StrategyRejected` if the
-    template check refuses an extracted strategy.  Returns `(report, artifacts)`
-    where artifacts carry per-iteration machines, strategies, and traces.
+    Stops on all-pass (every episode passed without a strategy lookup miss),
+    on the iteration cap, on abstraction stability, or on an unrealizable
+    arena (unless variant expansion is enabled and a larger controllable
+    action set is available).  Raises `StrategyRejected` if the template
+    check refuses an extracted strategy.  Returns `(report, artifacts)` where
+    artifacts carry per-iteration machines, strategies, and traces.
     """
     params = cfg.params
     sup = scenario.supervisor_config()
@@ -308,10 +334,9 @@ def refine_loop(scenario, cfg):
     reason = "max-iterations"
     it = 0
     while it < cfg.max_iterations:
-        arena = build_arena(hm, scenario, sup, params, variant, cfg.arena_state_cap)
-        region = solve(arena)
-        record = IterationRecord(it, len(hm.states), realizable(arena, region), variant)
-        art = IterationArtifacts(hm)
+        strategy = synthesize(hm, scenario, params, variant).strategy
+        record = IterationRecord(it, len(hm.states), strategy is not None, variant)
+        art = IterationArtifacts(hm, strategy)
         records.append(record)
         artifacts.append(art)
         if not record.realizable:
@@ -323,9 +348,6 @@ def refine_loop(scenario, cfg):
                 continue
             reason = "unrealizable"
             break
-        strategy = extract_strategy(arena, region)
-        certify(arena, strategy, region)
-        art.strategy = strategy
         violating = []
         for r in range(cfg.runs):
             run_sul = CognitiveDriver(params)
@@ -337,7 +359,7 @@ def refine_loop(scenario, cfg):
             art.traces.append((trace, verdict))
             if not verdict.passed or trace.lookup_misses:
                 violating.append(trace)
-        if all(v.passed for v in record.verdicts):
+        if not violating:
             reason = "all-pass"
             break
         new_hm, injected, skipped = refine(session, violating)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config_text import config_lines, parse_config
+from .config_text import config_lines, parse_config, read_file
 from .mealy import MealyMachine
 
 FULL_CHAIN = ("attend", "read", "encode", "retrieve", "decide")
@@ -72,8 +72,7 @@ class DriverParams:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return read_file(path, cls.from_text)
 
 
 def decide_acceleration(thw, prev_thw, dt, params, prev_acc):

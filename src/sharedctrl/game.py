@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .driver import DriverParams, decide_acceleration, FULL_CHAIN
 from .mealy import AlphabetMismatch
@@ -507,7 +507,6 @@ class Strategy:
 
     actions: dict
     variant: str = "full"
-    meta: dict = field(default_factory=dict)
     certified = True
 
     def action_for(self, state):
@@ -546,8 +545,7 @@ def extract_strategy(arena, region):
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return Strategy(mapping, arena.meta.get("variant", "full"),
-                    {"scenario": getattr(arena.meta.get("scenario"), "name", "?")})
+    return Strategy(mapping, arena.meta.get("variant", "full"))
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Classic observation-table learning: fill the table by membership queries,
 repair closedness and consistency, build a hypothesis, then ask an
 equivalence oracle.  Counterexamples are processed by adding all their
-prefixes to the access-word set.  The default oracle is seeded random-walk
-conformance testing; an exact oracle can be substituted when a ground-truth
-machine is available.
+prefixes to the access-word set.  The oracle is any callable that returns a
+counterexample word or None; the pipeline uses seeded random-walk
+conformance testing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .mealy import MealyMachine, equivalent
+from .mealy import MealyMachine
 
 
 class NotDistinguishing(ValueError):
@@ -267,19 +267,6 @@ class RandomWalkOracle:
         return random_walk_eq(self.sul, hypothesis, self.cfg, stats)
 
 
-class ExactOracle:
-    """Equivalence against a known ground-truth machine (product BFS)."""
-
-    def __init__(self, reference):
-        self.reference = reference
-
-    def __call__(self, hypothesis, stats=None):
-        if stats is not None:
-            stats.equivalence_queries += 1
-        same, ce = equivalent(self.reference, hypothesis)
-        return None if same else ce
-
-
 class LearningSession:
     """One learner bound to one SUL; supports external counterexamples.
 
@@ -337,14 +324,3 @@ class LearningSession:
         self.state_cap = None
         process_counterexample(self.table, tuple(word), self.sul, self.machine, self.stats)
 
-
-def learn(sul, alphabet, cfg=None, oracle=None, max_rounds=100):
-    """Learn a Mealy machine for `sul`; returns `(machine, stats)`.
-
-    `oracle` defaults to a random-walk oracle built from `cfg` (or from
-    default settings when both are omitted).
-    """
-    if oracle is None:
-        oracle = RandomWalkOracle(sul, cfg if cfg is not None else EqOracleConfig())
-    session = LearningSession(sul, alphabet, oracle, max_rounds=max_rounds)
-    return session.run()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config_text import ConfigError, config_lines, parse_config
+from .config_text import ConfigError, config_lines, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
 from .world import LeadProfile, SensorErrorModel, VehicleState, WorldState
 
@@ -41,6 +41,7 @@ class Scenario:
             raise ValueError("epoch must be positive, horizon non-negative")
         if self.sensor_offset < 0:
             raise ValueError("sensor_offset must be >= 0")
+        self.supervisor_config()  # checks the override clamp
 
     def initial_world(self):
         return WorldState(
@@ -81,8 +82,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return read_file(path, cls.from_text)
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -103,18 +103,6 @@ def headway_metrics(lead_pos, lead_vel, follow_pos, follow_vel):
     return thw, ttc
 
 
-def compute_thw(world):
-    """Time headway: gap over follower speed (+inf when stationary)."""
-    return headway_metrics(world.lead.pos, world.lead.vel,
-                           world.follow.pos, world.follow.vel)[0]
-
-
-def compute_ttc(world):
-    """Time to collision: gap over closing speed (+inf when not closing)."""
-    return headway_metrics(world.lead.pos, world.lead.vel,
-                           world.follow.pos, world.follow.vel)[1]
-
-
 def quantize_thw(thw, boundaries):
     """Stimulus level for a headway value; half-open bins, +inf in the top bin."""
     if thw < 0:

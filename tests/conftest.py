@@ -2,7 +2,7 @@ import pytest
 
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import build_arena, extract_strategy, solve
-from sharedctrl.mealy import MealyMachine, minimize
+from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import braking_scenario, default_scenario
 
 
@@ -30,6 +30,19 @@ class ConstantStrategy:
 
     def action_for(self, state):
         return self.action
+
+
+class ExactOracle:
+    """Equivalence oracle against a known ground-truth machine (product BFS)."""
+
+    def __init__(self, reference):
+        self.reference = reference
+
+    def __call__(self, hypothesis, stats=None):
+        if stats is not None:
+            stats.equivalence_queries += 1
+        same, ce = equivalent(self.reference, hypothesis)
+        return None if same else ce
 
 
 class MachineSUL:

@@ -1,5 +1,8 @@
-from sharedctrl.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from sharedctrl.game import Strategy, serialize_strategy
+import pytest
+
+from sharedctrl import cosim
+from sharedctrl.cli import EXIT_OK, EXIT_UNREALIZABLE, EXIT_USAGE, EXIT_VALIDATION, main
+from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
 from sharedctrl.mealy import serialize
 
 
@@ -72,3 +75,79 @@ def test_synth_names_the_bad_line_of_a_scenario_file(tmp_path, capsys, oracle_ma
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
     assert "line 2: unknown key 'horizon_epoch'" in capsys.readouterr().err
+
+
+def write_hm(tmp_path, hm):
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text(serialize(hm), encoding="utf-8")
+    return hm_path
+
+
+def test_learn_writes_the_abstraction(tmp_path):
+    out = tmp_path / "out"
+    assert main(["learn", "--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert (out / "hm.mealy").is_file()
+
+
+def test_synth_unrealizable_writes_stats_only(tmp_path, oracle_machine):
+    out = tmp_path / "out"
+    code = main(["synth", "--scenario", "braking", "--variant", "no-override",
+                 "--hm", str(write_hm(tmp_path, oracle_machine)), "--out", str(out)])
+    assert code == EXIT_UNREALIZABLE
+    assert "realizable=false" in (out / "arena_stats.txt").read_text(encoding="utf-8")
+    assert not (out / "strategy.txt").exists()
+
+
+def test_demo_reaches_the_destination(capsys):
+    assert main(["demo"]) == EXIT_OK
+    assert "verdict: safe-and-reached" in capsys.readouterr().out
+
+
+def test_refine_passes_on_default(tmp_path):
+    assert main(["refine", "--runs", "2", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_refine_reports_an_arena_cap_error(tmp_path, capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise ArenaCapExceeded("arena exceeded 10 states")
+
+    monkeypatch.setattr(cosim, "build_arena", capped)
+    code = main(["refine", "--runs", "2", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "arena build failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("learn", "--scenario", "default"),
+    ("synth", "--seed", "7"),
+    ("synth", "--oracle-walks", "10"),
+    ("synth", "--oracle-len", "5"),
+    ("synth", "--oracle-reset-prob", "0.5"),
+    ("validate", "--oracle-walks", "10"),
+    ("validate", "--oracle-len", "5"),
+    ("validate", "--oracle-reset-prob", "0.5"),
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag,
+                                                   value):
+    # each subcommand takes only the flags it reads
+    out = tmp_path / "out"
+    required = {
+        "learn": [],
+        "synth": ["--hm", "hm.mealy"],
+        "validate": ["--hm", "hm.mealy", "--strategy", "strategy.txt"],
+    }[command]
+    code = main([command, flag, value, "--out", str(out)] + required)
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_names_the_bad_driver_params_file(tmp_path, capsys, oracle_machine):
+    params_path = tmp_path / "bad.params"
+    params_path.write_text("k1=fast\n", encoding="utf-8")
+    code = main(["synth", "--driver-params", str(params_path),
+                 "--hm", str(write_hm(tmp_path, oracle_machine)),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(params_path) in err and "line 1: bad value for 'k1'" in err

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from sharedctrl import cosim
 from sharedctrl.cosim import (
     RefineLoopConfig,
     SimTrace,
@@ -14,6 +15,7 @@ from sharedctrl.cosim import (
     monitor,
     refine,
     refine_loop,
+    synthesize,
     write_trace_csv,
     STATUS_GOAL,
     STATUS_MIN_INTERVENTION,
@@ -297,6 +299,35 @@ def test_refine_loop_variant_expansion(braking_sc):
     variants = [r.variant for r in report.iterations]
     assert variants[0] == "no-override"
     assert variants[-1] == "full"
+
+
+def test_refine_loop_does_not_pass_a_fallback_episode(default_sc, monkeypatch):
+    # every verdict passes, but the fail-safe fallback fired: not all-pass
+    real_execute = cosim.execute
+
+    def one_miss(*args, **kwargs):
+        trace = real_execute(*args, **kwargs)
+        trace.lookup_misses = 1
+        return trace
+
+    monkeypatch.setattr(cosim, "execute", one_miss)
+    report, _ = refine_loop(default_sc, RefineLoopConfig(seed=0, runs=2))
+    record = report.iterations[0]
+    assert all(v.passed for v in record.verdicts)
+    assert record.lookup_misses == 2
+    assert report.termination_reason != "all-pass"
+    # the exact abstraction agrees with the driver, so nothing is injected
+    assert report.termination_reason == "stable" and record.injected == 0
+
+
+def test_synthesize_certifies_or_reports_a_lost_initial_state(
+        oracle_machine, default_sc, braking_sc, driver_params, default_synthesis):
+    won = synthesize(oracle_machine, default_sc, driver_params, "full")
+    assert won.strategy.actions == default_synthesis[2].actions
+    assert won.report.safety_ok and won.report.min_intervention_ok
+    lost = synthesize(oracle_machine, braking_sc, driver_params, "no-override")
+    assert lost.strategy is None and lost.report is None
+    assert lost.arena.initial not in lost.arena.region
 
 
 def test_report_text_is_stable(default_sc):

@@ -5,7 +5,6 @@ import pytest
 from sharedctrl.driver import CognitiveDriver
 from sharedctrl.lstar import (
     EqOracleConfig,
-    ExactOracle,
     LearningSession,
     NotDistinguishing,
     ObservationTable,
@@ -17,14 +16,13 @@ from sharedctrl.lstar import (
     find_inconsistency,
     is_closed,
     is_consistent,
-    learn,
     make_consistent,
     process_counterexample,
     random_walk_eq,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 
-from conftest import MachineSUL, make_toggle
+from conftest import ExactOracle, MachineSUL, make_toggle
 
 
 def make_three_state():
@@ -187,7 +185,7 @@ def test_hypothesis_agrees_with_table(fresh_driver):
 
 def test_constant_sul_gives_single_state():
     m = MealyMachine(("a", "b"), {0: {"a": (0, "x"), "b": (0, "x")}})
-    machine, stats = learn(MachineSUL(m), ("a", "b"), oracle=ExactOracle(m))
+    machine, stats = LearningSession(MachineSUL(m), ("a", "b"), ExactOracle(m)).run()
     assert len(machine.states) == 1
     assert stats.converged
 
@@ -239,8 +237,9 @@ def test_random_walk_eq_deterministic(fresh_driver):
 
 
 def test_learn_toggle():
-    machine, stats = learn(MachineSUL(make_toggle()), ("a",),
-                           EqOracleConfig(rng_seed=3))
+    sul = MachineSUL(make_toggle())
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=3))
+    machine, stats = LearningSession(sul, ("a",), oracle).run()
     assert len(machine.states) == 2
     assert stats.rounds <= 2
     assert equivalent(machine, make_toggle()) == (True, None)
@@ -248,21 +247,23 @@ def test_learn_toggle():
 
 def test_learn_driver_with_exact_oracle(driver_params, oracle_machine):
     sul = CognitiveDriver(driver_params)
-    machine, stats = learn(sul, sul.alphabet, oracle=ExactOracle(oracle_machine))
+    machine, stats = LearningSession(sul, sul.alphabet, ExactOracle(oracle_machine)).run()
     assert stats.converged
     assert equivalent(machine, oracle_machine) == (True, None)
 
 
 def test_learn_driver_with_random_walks(driver_params, oracle_machine):
     sul = CognitiveDriver(driver_params)
-    machine, stats = learn(sul, sul.alphabet, EqOracleConfig(rng_seed=11))
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=11))
+    machine, stats = LearningSession(sul, sul.alphabet, oracle).run()
     assert equivalent(machine, oracle_machine) == (True, None)
     assert stats.transitions == len(machine.states) * 4
 
 
 def test_learned_machine_input_complete(driver_params):
     sul = CognitiveDriver(driver_params)
-    machine, _ = learn(sul, sul.alphabet, EqOracleConfig(rng_seed=2))
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=2))
+    machine, _ = LearningSession(sul, sul.alphabet, oracle).run()
     for state in machine.states:
         assert set(machine.delta[state]) == set(sul.alphabet)
 
@@ -296,7 +297,8 @@ def test_capped_session_builds_coarse_machine(driver_params, oracle_machine):
 
 def test_stats_report_text(driver_params):
     sul = CognitiveDriver(driver_params)
-    _, stats = learn(sul, sul.alphabet, EqOracleConfig(rng_seed=0))
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=0))
+    _, stats = LearningSession(sul, sul.alphabet, oracle).run()
     text = stats.report_text()
     assert "membership_queries=" in text
     assert "converged=true" in text

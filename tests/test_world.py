@@ -9,8 +9,6 @@ from sharedctrl.world import (
     SensorErrorModel,
     VehicleState,
     WorldState,
-    compute_thw,
-    compute_ttc,
     headway_metrics,
     quantize_thw,
     sensor_perturb,
@@ -23,6 +21,16 @@ BOUNDS = (1.0, 2.0, 3.0)
 def make_world(lead_pos, lead_vel, follow_pos, follow_vel, dest=300.0):
     return WorldState(VehicleState(lead_pos, lead_vel),
                       VehicleState(follow_pos, follow_vel), 0.0, dest)
+
+
+def thw_of(world):
+    return headway_metrics(world.lead.pos, world.lead.vel,
+                           world.follow.pos, world.follow.vel)[0]
+
+
+def ttc_of(world):
+    return headway_metrics(world.lead.pos, world.lead.vel,
+                           world.follow.pos, world.follow.vel)[1]
 
 
 def test_step_world_at_rest():
@@ -71,39 +79,39 @@ def test_positions_never_regress():
 
 
 def test_compute_thw():
-    assert compute_thw(make_world(40.0, 0.0, 10.0, 10.0)) == 3.0
+    assert thw_of(make_world(40.0, 0.0, 10.0, 10.0)) == 3.0
 
 
 def test_compute_thw_stationary_is_infinite():
-    assert compute_thw(make_world(40.0, 0.0, 10.0, 0.0)) == math.inf
+    assert thw_of(make_world(40.0, 0.0, 10.0, 0.0)) == math.inf
 
 
 def test_compute_thw_zero_gap():
-    assert compute_thw(make_world(10.0, 0.0, 10.0, 5.0)) == 0.0
+    assert thw_of(make_world(10.0, 0.0, 10.0, 5.0)) == 0.0
 
 
 def test_compute_ttc():
-    assert compute_ttc(make_world(30.0, 10.0, 10.0, 15.0)) == 4.0
+    assert ttc_of(make_world(30.0, 10.0, 10.0, 15.0)) == 4.0
 
 
 def test_compute_ttc_not_closing():
-    assert compute_ttc(make_world(30.0, 10.0, 10.0, 10.0)) == math.inf
-    assert compute_ttc(make_world(30.0, 12.0, 10.0, 10.0)) == math.inf
+    assert ttc_of(make_world(30.0, 10.0, 10.0, 10.0)) == math.inf
+    assert ttc_of(make_world(30.0, 12.0, 10.0, 10.0)) == math.inf
 
 
 def test_negative_gap_raises():
     w = make_world(5.0, 0.0, 10.0, 5.0)
     with pytest.raises(CollisionState):
-        compute_thw(w)
+        thw_of(w)
     with pytest.raises(CollisionState):
-        compute_ttc(w)
+        ttc_of(w)
 
 
 def test_headway_metrics_matches_single_calls():
-    w = make_world(30.0, 10.0, 10.0, 15.0)
+    # gap over follower speed, and gap over closing speed
     thw, ttc = headway_metrics(30.0, 10.0, 10.0, 15.0)
-    assert thw == compute_thw(w)
-    assert ttc == compute_ttc(w)
+    assert thw == 20.0 / 15.0
+    assert ttc == 20.0 / 5.0
 
 
 def test_quantize_bins():
@@ -173,6 +181,14 @@ def test_scenario_text_round_trip():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(lead_pos=0.0, follow_pos=10.0)
+
+
+def test_scenario_checks_the_override_clamp_when_built():
+    # the clamp must satisfy acc_floor <= acc_cap < 0 before any game is built
+    with pytest.raises(ValueError, match="acc_cap"):
+        Scenario.from_text("acc_cap=1.0\n")
+    with pytest.raises(ValueError, match="acc_cap"):
+        Scenario(acc_floor=-1.0, acc_cap=-2.0)
 
 
 def test_load_scenario_builtins(tmp_path):
