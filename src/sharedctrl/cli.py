@@ -118,6 +118,8 @@ def cmd_synth(args):
 
 
 def cmd_validate(args):
+    if args.runs < 0:
+        raise ValueError("--runs must be >= 0")
     scenario, params = _load_inputs(args)
     out = _ensure_out(args)
     hm = read_file(args.hm, parse)
@@ -150,7 +152,6 @@ def cmd_validate(args):
 
 def cmd_refine(args):
     scenario, params = _load_inputs(args)
-    out = _ensure_out(args)
     cfg = RefineLoopConfig(
         oracle=_oracle_config(args),
         params=params,
@@ -160,6 +161,7 @@ def cmd_refine(args):
         max_iterations=args.max_iter,
         expand_on_unrealizable=args.expand_variants,
     )
+    out = _ensure_out(args)
     report, artifacts = refine_loop(scenario, cfg)
     _write(os.path.join(out, "refinement_report.txt"), report.text())
     for record, art in zip(report.iterations, artifacts):

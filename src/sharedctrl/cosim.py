@@ -269,6 +269,10 @@ class RefineLoopConfig:
     initial_state_cap: int = None
     expand_on_unrealizable: bool = False
 
+    def __post_init__(self):
+        if self.runs < 1 or self.max_iterations < 1:
+            raise ValueError("runs and max_iterations must be >= 1")
+
 
 @dataclass
 class IterationRecord:

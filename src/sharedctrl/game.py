@@ -339,15 +339,7 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
         return [(action, (TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, hinted))
                 for action, dv, hinted in moves]
 
-    meta = {
-        "scenario": scenario,
-        "cfg": cfg,
-        "params": params,
-        "variant": variant,
-        "hm": hm,
-        "driver": driver,
-        "lead": lead,
-    }
+    meta = {"scenario": scenario, "variant": variant, "driver": driver}
     arena = GameArena(classify, expand, state_cap, meta)
     arena.initial = arena.intern(
         (TURN_ENV, 0,

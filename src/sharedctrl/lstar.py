@@ -1,11 +1,12 @@
 """Active learning of Mealy machines from a resettable system under learning.
 
-Classic observation-table learning: fill the table by membership queries,
-repair closedness and consistency, build a hypothesis, then ask an
-equivalence oracle.  Counterexamples are processed by adding all their
-prefixes to the access-word set.  The oracle is any callable that returns a
-counterexample word or None; the pipeline uses seeded random-walk
-conformance testing.
+Observation-table learning: fill the table by membership queries, close it,
+build a hypothesis, then ask an equivalence oracle.  A counterexample adds
+one distinguishing suffix to E (Rivest & Schapire, Inf. & Comp. 1993), and
+the access-word set S grows only by closing, so the rows of S stay pairwise
+distinct and the table cannot be inconsistent.  The oracle is any callable
+that returns a counterexample word or None; the pipeline uses seeded
+random-walk conformance testing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class NotDistinguishing(ValueError):
 
 
 class TableNotReady(RuntimeError):
-    """Hypothesis requested from a table that is not closed and consistent."""
+    """Hypothesis requested from a table that is not closed."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,10 @@ class LearnStats:
 class ObservationTable:
     """Prefix set S, suffix set E, and the observed output map T.
 
-    S is kept prefix-closed; E starts as all length-1 suffixes so outputs are
-    defined from the first round.  `T[(s, e)]` holds the tuple of outputs the
-    SUL emits while reading `e` after `s`.
+    S is kept prefix-closed, with pairwise-distinct rows; E starts as all
+    length-1 suffixes so outputs are defined from the first round.
+    `T[(s, e)]` holds the tuple of outputs the SUL emits while reading `e`
+    after `s`.
     """
 
     def __init__(self, alphabet):
@@ -91,15 +93,6 @@ class ObservationTable:
                     ext.append(word)
         return ext
 
-    def add_prefixes(self, word):
-        """Add every prefix of `word` to S (keeps S prefix-closed)."""
-        in_s = set(self.S)
-        for i in range(1, len(word) + 1):
-            prefix = word[:i]
-            if prefix not in in_s:
-                self.S.append(prefix)
-                in_s.add(prefix)
-
 
 def membership_query(sul, prefix, suffix, stats=None):
     """Reset, replay `prefix`, then record the outputs along `suffix`."""
@@ -121,113 +114,85 @@ def fill(table, sul, stats=None):
     return table
 
 
+def unmatched(table):
+    """First word of S * Sigma whose row is no row of S, or None."""
+    s_rows = {table.row(s) for s in table.S}
+    return next((w for w in table.extensions() if table.row(w) not in s_rows), None)
+
+
 def close(table, sul, stats=None, state_cap=None):
     """Move unmatched successor rows into S until the table is closed.
 
+    Only rows new to S join it, so S's rows stay pairwise distinct.
     `state_cap` bounds |S| to build a deliberately coarse table; closing
     stops early once the cap is reached and the caller must then build the
     hypothesis with `allow_partial`.
     """
-    while True:
-        if state_cap is not None and len(table.S) >= state_cap:
-            return table
-        s_rows = {table.row(s) for s in table.S}
-        moved = None
-        for word in table.extensions():
-            if table.row(word) not in s_rows:
-                moved = word
-                break
-        if moved is None:
-            return table
-        table.S.append(moved)
+    while state_cap is None or len(table.S) < state_cap:
+        word = unmatched(table)
+        if word is None:
+            break
+        table.S.append(word)
         fill(table, sul, stats)
-
-
-def find_inconsistency(table):
-    """First suffix `(a,) + e` that separates the successors of two prefixes
-    with equal rows, or None when the table is consistent.
-
-    The clash is the first in the order (s1, s2, a, e) over S, S, alphabet
-    and E.  Each row is computed once, and only prefixes with equal rows are
-    compared: if two prefixes of a group of equal rows clash, one of them
-    clashes with the group's first prefix, so the first clash involves it.
-    """
-    rows = {w: table.row(w) for w in table.S + table.extensions()}
-    groups = {}  # row -> prefixes with that row, in S order
-    for s in table.S:
-        groups.setdefault(rows[s], []).append(s)
-    for first, *others in groups.values():
-        for s2 in others:
-            for a in table.alphabet:
-                r1, r2 = rows[first + (a,)], rows[s2 + (a,)]
-                if r1 != r2:
-                    e = next(e for e, o1, o2 in zip(table.E, r1, r2) if o1 != o2)
-                    return (a,) + e
-    return None
-
-
-def make_consistent(table, sul, stats=None):
-    """Add distinguishing suffixes until equal rows have equal successor rows."""
-    while True:
-        clash = find_inconsistency(table)
-        if clash is None:
-            return table
-        table.E.append(clash)
-        fill(table, sul, stats)
+    return table
 
 
 def is_closed(table):
-    s_rows = {table.row(s) for s in table.S}
-    return all(table.row(w) in s_rows for w in table.extensions())
-
-
-def is_consistent(table):
-    return find_inconsistency(table) is None
+    return unmatched(table) is None
 
 
 def build_hypothesis(table, allow_partial=False):
-    """Hypothesis machine: states are the distinct rows over S.
+    """Hypothesis machine: one state per word of S, whose rows are distinct.
 
-    With `allow_partial`, successor rows that closing never matched (possible
-    only under a state cap) fall back to the initial state's row, producing a
-    deliberately coarse but well-formed machine.
+    The table must be closed.  With `allow_partial`, successor rows that
+    closing never matched (possible only under a state cap) fall back to the
+    initial state, producing a deliberately coarse but well-formed machine.
     """
-    if not allow_partial and (not is_closed(table) or not is_consistent(table)):
-        raise TableNotReady("table must be closed and consistent")
-    row_ids = {}
-    rep = {}
-    for s in table.S:
-        r = table.row(s)
-        if r not in row_ids:
-            row_ids[r] = len(row_ids)
-            rep[row_ids[r]] = s
-    delta = {}
-    for q, s in rep.items():
-        suffix_of = {e[0]: e for e in table.E if len(e) == 1}
-        table_q = {}
-        for a in table.alphabet:
-            succ_row = table.row(s + (a,))
-            if succ_row in row_ids:
-                dst = row_ids[succ_row]
-            elif allow_partial:
-                dst = 0
-            else:
-                raise TableNotReady(f"successor row of {s + (a,)!r} not in S")
-            out = table.T[(s, suffix_of[a])][0]
-            table_q[a] = (dst, out)
-        delta[q] = table_q
-    machine = MealyMachine(table.alphabet, delta, initial=0)
-    return machine.relabeled()
+    if not allow_partial and not is_closed(table):
+        raise TableNotReady("table must be closed")
+    state_of = {table.row(s): q for q, s in enumerate(table.S)}
+    delta = {q: {a: (state_of.get(table.row(s + (a,)), 0), table.T[(s, (a,))][0])
+                 for a in table.alphabet}
+             for q, s in enumerate(table.S)}
+    return MealyMachine(table.alphabet, delta, initial=0).relabeled()
 
 
 def process_counterexample(table, ce, sul, hypothesis, stats=None):
-    """Fold a distinguishing word into the table (all prefixes join S)."""
-    actual = membership_query(sul, (), ce, stats)
+    """Add the one suffix of `ce` that splits a hypothesis state to E.
+
+    `hypothesis` must have been built from this table's S (E may have grown
+    since).  Rivest-Schapire search: with u_i the access word in S of the
+    state the hypothesis reaches after ce[:i], find by binary search an i
+    where the SUL's outputs on ce[i:] after u_i disagree with the hypothesis
+    but those on ce[i+1:] after u_(i+1) agree.  Then v = ce[i+1:] separates
+    u_i + ce[i] from u_(i+1), whose rows the hypothesis merged.  Raises
+    `NotDistinguishing` if `ce` does not separate hypothesis and SUL.
+    """
+    def reached(word):
+        state = hypothesis.initial
+        for a in word:
+            state = hypothesis.step(state, a)[0]
+        return state
+
+    access = {reached(s): s for s in table.S}
     predicted = hypothesis.run(ce)
-    if actual == predicted:
+
+    def agrees(i):
+        return membership_query(sul, access[reached(ce[:i])], ce[i:], stats) == predicted[i:]
+
+    if agrees(0):
         raise NotDistinguishing(f"word {ce!r} does not separate hypothesis and SUL")
-    table.add_prefixes(ce)
-    fill(table, sul, stats)
+    lo, hi = 0, len(ce)  # agrees(lo) is false, agrees(hi) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if agrees(mid):
+            hi = mid
+        else:
+            lo = mid
+    suffix = ce[hi:]
+    if suffix not in table.E:
+        table.E.append(suffix)
+        fill(table, sul, stats)
     return table
 
 
@@ -272,6 +237,9 @@ class LearningSession:
 
     The refinement loop keeps a session alive across iterations so that
     violating traces can be injected and learning resumed on the same table.
+    Oracle and injected counterexamples both go through
+    `process_counterexample`, each adding at most one suffix to E; S grows
+    only by closing.
     """
 
     def __init__(self, sul, alphabet, oracle, max_rounds=100, state_cap=None):
@@ -283,24 +251,15 @@ class LearningSession:
         self.stats = LearnStats()
         self.machine = None
 
-    def _stabilize(self):
-        fill(self.table, self.sul, self.stats)
-        while True:
-            close(self.table, self.sul, self.stats, self.state_cap)
-            if self.state_cap is not None and len(self.table.S) >= self.state_cap:
-                break
-            make_consistent(self.table, self.sul, self.stats)
-            if is_closed(self.table):
-                break
-
     def _hypothesis(self):
+        fill(self.table, self.sul, self.stats)
+        close(self.table, self.sul, self.stats, self.state_cap)
         return build_hypothesis(self.table, allow_partial=self.state_cap is not None)
 
     def run(self):
-        """Iterate table repair / hypothesis / oracle until the oracle passes."""
+        """Iterate closing / hypothesis / oracle until the oracle passes."""
         for _ in range(self.max_rounds):
             self.stats.rounds += 1
-            self._stabilize()
             hypothesis = self._hypothesis()
             self.machine = hypothesis
             if self.state_cap is not None:
@@ -310,8 +269,7 @@ class LearningSession:
             if ce is None:
                 self.stats.converged = True
                 break
-            self.table.add_prefixes(ce)
-            fill(self.table, self.sul, self.stats)
+            process_counterexample(self.table, ce, self.sul, hypothesis, self.stats)
         self.stats.states = len(self.machine.states)
         self.stats.transitions = len(self.machine.states) * len(self.machine.inputs)
         return self.machine, self.stats

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import build_arena, extract_strategy, solve
@@ -13,6 +14,23 @@ def make_toggle():
         1: {"a": (0, "1")},
     }
     return MealyMachine(("a",), delta, initial=0)
+
+
+@st.composite
+def random_machine(draw, max_states=5):
+    """Random input-complete machine: 1..max_states states, 1-3 inputs and outputs."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    n_sym = draw(st.integers(min_value=1, max_value=3))
+    inputs = tuple(f"i{k}" for k in range(n_sym))
+    n_out = draw(st.integers(min_value=1, max_value=3))
+    delta = {}
+    for s in range(n):
+        delta[s] = {}
+        for a in inputs:
+            succ = draw(st.integers(min_value=0, max_value=n - 1))
+            out = draw(st.integers(min_value=0, max_value=n_out - 1))
+            delta[s][a] = (succ, f"o{out}")
+    return MealyMachine(inputs, delta)
 
 
 def make_constant(output="0", inputs=("a",)):

@@ -6,14 +6,14 @@ from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
 from sharedctrl.mealy import serialize
 
 
-def validate(tmp_path, hm, strategy, name):
+def validate(tmp_path, hm, strategy, name, runs=2):
     hm_path = tmp_path / "hm.mealy"
     hm_path.write_text(serialize(hm), encoding="utf-8")
     strategy_path = tmp_path / f"{name}.txt"
     strategy_path.write_text(serialize_strategy(strategy), encoding="utf-8")
     out = tmp_path / name
     code = main(["validate", "--scenario", "default", "--hm", str(hm_path),
-                 "--strategy", str(strategy_path), "--out", str(out), "--runs", "2"])
+                 "--strategy", str(strategy_path), "--out", str(out), "--runs", str(runs)])
     return code, out
 
 
@@ -105,6 +105,23 @@ def test_demo_reaches_the_destination(capsys):
 
 def test_refine_passes_on_default(tmp_path):
     assert main(["refine", "--runs", "2", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--max-iter"])
+def test_refine_rejects_a_count_below_one(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["refine", flag, "0", "--out", str(out)]) == EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_rejects_negative_runs(tmp_path, capsys, oracle_machine,
+                                        default_synthesis):
+    _arena, _region, strategy = default_synthesis
+    code, out = validate(tmp_path, oracle_machine, strategy, "negative", runs=-2)
+    assert code == EXIT_USAGE
+    assert "--runs must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_refine_reports_an_arena_cap_error(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,6 @@ import csv
 import math
 from dataclasses import replace
 
-import pytest
-
 from sharedctrl import cosim
 from sharedctrl.cosim import (
     RefineLoopConfig,

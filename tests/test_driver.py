@@ -11,7 +11,7 @@ from sharedctrl.driver import (
     explicit_machine,
     initial_driver_state,
 )
-from sharedctrl.mealy import equivalent, minimize
+from sharedctrl.mealy import minimize
 
 
 def test_params_validation():

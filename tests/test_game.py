@@ -3,7 +3,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sharedctrl.driver import DriverParams
 from sharedctrl.game import (
     ArenaCapExceeded,
     GameArena,

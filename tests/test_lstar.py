@@ -1,6 +1,5 @@
-import random
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharedctrl.driver import CognitiveDriver
 from sharedctrl.lstar import (
@@ -13,16 +12,13 @@ from sharedctrl.lstar import (
     build_hypothesis,
     close,
     fill,
-    find_inconsistency,
     is_closed,
-    is_consistent,
-    make_consistent,
     process_counterexample,
     random_walk_eq,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 
-from conftest import ExactOracle, MachineSUL, make_toggle
+from conftest import ExactOracle, MachineSUL, make_toggle, random_machine
 
 
 def make_three_state():
@@ -99,60 +95,17 @@ def test_close_never_shrinks_s(fresh_driver):
     assert sizes[1] >= sizes[0]
 
 
-def test_make_consistent_adds_suffix():
-    sul = MachineSUL(make_three_state())
-    table = ObservationTable(("a", "b"))
-    # seed S with the colliding prefixes directly
-    table.S = [(), ("a",)]
-    fill(table, sul)
-    assert table.row(()) == table.row(("a",))
-    assert not is_consistent(table)
-    before = len(table.E)
-    make_consistent(table, sul)
-    assert len(table.E) == before + 1
-    assert is_consistent(table)
-
-
-def reference_inconsistency(table):
-    """The pairwise scan: first (s1, s2, a, e) whose cells differ."""
-    for i, s1 in enumerate(table.S):
-        for s2 in table.S[i + 1:]:
-            if table.row(s1) != table.row(s2):
-                continue
-            for a in table.alphabet:
-                for e in table.E:
-                    if table.T[(s1 + (a,), e)] != table.T[(s2 + (a,), e)]:
-                        return (a,) + e
-    return None
-
-
-def test_find_inconsistency_matches_pairwise_scan():
-    rng = random.Random(7)
-    clashes = 0
-    for _ in range(2000):
-        table = ObservationTable(rng.choice(("ab", "abc")))
-        for _ in range(rng.randint(0, 8)):
-            table.add_prefixes(tuple(rng.choice(table.alphabet)
-                                     for _ in range(rng.randint(1, 3))))
-        table.E += [tuple(rng.choice(table.alphabet) for _ in range(2))
-                    for _ in range(rng.randint(0, 2))]
-        outputs = rng.randint(1, 3)
-        for word in table.S + table.extensions():
-            for e in table.E:
-                table.T[(word, e)] = rng.randrange(outputs)
-        expected = reference_inconsistency(table)
-        assert find_inconsistency(table) == expected
-        clashes += expected is not None
-    assert 0 < clashes < 2000
-
-
-def test_make_consistent_noop_when_rows_injective(fresh_driver):
-    table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
-    close(table, fresh_driver)
-    before = list(table.E)
-    make_consistent(table, fresh_driver)
-    assert table.E == before
+def test_counterexample_splits_rows_equal_on_single_symbols():
+    truth = make_three_state()
+    sul = MachineSUL(truth)
+    session = LearningSession(sul, ("a", "b"), ExactOracle(truth))
+    machine, stats = session.run()
+    # () and (a,) agree on E's single symbols: one counterexample adds the
+    # suffix "aa" that separates them, and closing then finds all three states
+    assert session.table.E == [("a",), ("b",), ("a", "a")]
+    assert session.table.S == [(), ("a",), ("a", "a")]
+    assert stats.equivalence_queries == 2
+    assert equivalent(machine, truth) == (True, None)
 
 
 def test_build_hypothesis_requires_closed():
@@ -176,7 +129,6 @@ def test_hypothesis_agrees_with_table(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
     fill(table, fresh_driver)
     close(table, fresh_driver)
-    make_consistent(table, fresh_driver)
     hyp = build_hypothesis(table)
     for s in table.S:
         for e in table.E:
@@ -200,7 +152,7 @@ def test_process_counterexample_rejects_agreeing_word():
         process_counterexample(table, ("a",), sul, hyp)
 
 
-def test_process_counterexample_adds_prefixes():
+def test_process_counterexample_adds_one_suffix():
     truth = make_three_state()
     sul = MachineSUL(truth)
     table = ObservationTable(("a", "b"))
@@ -209,9 +161,13 @@ def test_process_counterexample_adds_prefixes():
     hyp = build_hypothesis(table)
     same, ce = equivalent(hyp, truth)
     assert not same
+    S, E = list(table.S), list(table.E)
     process_counterexample(table, ce, sul, hyp)
-    for i in range(1, len(ce) + 1):
-        assert ce[:i] in table.S
+    assert table.S == S
+    (suffix,) = table.E[len(E):]
+    assert table.E[:len(E)] == E
+    assert ce[-len(suffix):] == suffix
+    assert not is_closed(table)  # the suffix splits a row the hypothesis merged
 
 
 def test_random_walk_eq_passes_on_exact_machine(fresh_driver, oracle_machine):
@@ -268,15 +224,19 @@ def test_learned_machine_input_complete(driver_params):
         assert set(machine.delta[state]) == set(sul.alphabet)
 
 
+def table_invariants(table):
+    """S is prefix-closed and its rows are pairwise distinct."""
+    words = set(table.S)
+    assert all(s[:i] in words for s in table.S for i in range(len(s)))
+    assert len({table.row(s) for s in table.S}) == len(table.S)
+
+
 def test_prefix_closure_invariant(driver_params):
     sul = CognitiveDriver(driver_params)
     oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=4))
     session = LearningSession(sul, sul.alphabet, oracle)
     session.run()
-    words = set(session.table.S)
-    for s in session.table.S:
-        for i in range(len(s)):
-            assert s[:i] in words
+    table_invariants(session.table)
     assert session.table.E
 
 
@@ -302,3 +262,48 @@ def test_stats_report_text(driver_params):
     text = stats.report_text()
     assert "membership_queries=" in text
     assert "converged=true" in text
+
+
+class SuffixCounter:
+    """Oracle wrapper that records |E| at every equivalence query."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.sizes = []
+        self.session = None
+
+    def __call__(self, hypothesis, stats=None):
+        self.sizes.append(len(self.session.table.E))
+        return self.oracle(hypothesis, stats)
+
+
+def learn_counting_suffixes(truth, cap):
+    """Learn `truth` with an exact oracle, injecting one counterexample after
+    a capped first run; returns the machine and the session."""
+    oracle = SuffixCounter(ExactOracle(truth))
+    session = LearningSession(MachineSUL(truth), truth.inputs, oracle, state_cap=cap)
+    oracle.session = session
+    machine, _ = session.run()
+    table_invariants(session.table)
+    if cap is not None:
+        assert len(machine.states) <= cap
+        same, ce = equivalent(truth, machine)
+        if not same:
+            E = len(session.table.E)
+            session.inject_counterexample(ce)
+            assert len(session.table.E) - E <= 1
+            table_invariants(session.table)
+        machine, _ = session.run()
+    assert all(b - a <= 1 for a, b in zip(oracle.sizes, oracle.sizes[1:]))
+    return machine, session
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_machine(max_states=9), st.integers(min_value=1, max_value=2))
+def test_learns_minimal_machine_one_suffix_per_counterexample(truth, cap):
+    n_min = len(minimize(truth).states)
+    for state_cap in (None, cap):
+        machine, session = learn_counting_suffixes(truth, state_cap)
+        assert equivalent(machine, truth) == (True, None)
+        assert len(machine.states) == n_min
+        table_invariants(session.table)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from sharedctrl.mealy import (
     AlphabetMismatch,
@@ -12,7 +12,7 @@ from sharedctrl.mealy import (
     to_dot,
 )
 
-from conftest import make_constant, make_toggle
+from conftest import make_constant, make_toggle, random_machine
 
 
 def test_step_toggle():
@@ -165,22 +165,6 @@ def test_to_dot_toggle_labels(toggle):
 
 
 # -- property tests over random machines ------------------------------------
-
-@st.composite
-def random_machine(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    n_sym = draw(st.integers(min_value=1, max_value=3))
-    inputs = tuple(f"i{k}" for k in range(n_sym))
-    n_out = draw(st.integers(min_value=1, max_value=3))
-    delta = {}
-    for s in range(n):
-        delta[s] = {}
-        for a in inputs:
-            succ = draw(st.integers(min_value=0, max_value=n - 1))
-            out = draw(st.integers(min_value=0, max_value=n_out - 1))
-            delta[s][a] = (succ, f"o{out}")
-    return MealyMachine(inputs, delta)
-
 
 @settings(max_examples=60, deadline=None)
 @given(random_machine())
