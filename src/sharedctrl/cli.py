@@ -6,8 +6,9 @@ the co-simulated sensor noise) and take `--seed`; all their randomness is
 fanned out from that one value.  `synth` is deterministic given its inputs
 and takes no seed.  Exit codes form a stable contract for scripting:
 0 success, 1 usage/IO error (including an arena that outgrows its state
-cap), 2 unrealizable specification, 3 validation failure (co-simulation, or
-a template check that rejects a synthesized or loaded strategy).
+cap), 2 unrealizable specification, 3 validation failure (a co-simulated
+run that fails an objective or takes the fail-safe fallback, or a template
+check that rejects a synthesized or loaded strategy).
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ def cmd_validate(args):
         write_trace_csv(trace, os.path.join(traces_dir, f"run_{r:03d}.csv"))
         lines.append(f"run={r} status={verdict.status} "
                      f"witness={verdict.witness} misses={trace.lookup_misses}")
-        all_pass = all_pass and verdict.passed
+        # a fail-safe fallback means the strategy lost track of the driver
+        all_pass = all_pass and verdict.passed and not trace.lookup_misses
     _write(os.path.join(out, "verdicts.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_VALIDATION

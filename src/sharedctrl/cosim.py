@@ -59,8 +59,11 @@ def derive_seed(seed, tag):
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
+    """One co-simulation epoch; slotted like the world states, since every
+    epoch builds one, and never mutated once `execute` has built it."""
+
     t: float
     lead_pos: float
     lead_vel: float
@@ -127,6 +130,8 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     mirror = AbstractDriver(hm, params)
     rng = random.Random(seed)
     model = scenario.sensor_model()
+    perceivable = {level: sensor_perturb(level, model, params.num_levels)
+                   for level in params.levels()}
     eps = scenario.epoch
     sul.reset()
     world = scenario.initial_world()
@@ -143,7 +148,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
         thw, ttc = headway_metrics(world.lead.pos, world.lead.vel,
                                    world.follow.pos, world.follow.vel)
         level = quantize_thw(thw, params.thw_levels)
-        perceived = rng.choice(sensor_perturb(level, model, params.num_levels))
+        perceived = rng.choice(perceivable[level])
         chain, dacc = sul.query(perceived)
         q, _dacc_pred, _full = mirror.step(q, hinted, perceived)
         key = (TURN_CTRL, k,
@@ -233,11 +238,16 @@ def refine(session, traces):
     """Inject the stimulus words of violating traces as counterexamples.
 
     Each word is first checked to actually distinguish driver and current
-    abstraction; non-distinguishing traces are skipped (their violation
-    stems from the arena or scenario, not from abstraction fidelity).
-    Returns `(machine, injected, skipped)`.
+    abstraction; empty, repeated and non-distinguishing words are skipped
+    (a violation no word explains stems from the arena or scenario, not from
+    abstraction fidelity).  Every distinguishing word is processed against
+    the abstraction from before the batch, so its splitting suffix may be
+    in E already.  Returns `(machine, injected, skipped)`, where `injected`
+    counts the words that added a suffix to E; the other
+    `len(traces) - injected - skipped` distinguished but added none.
     """
     injected = 0
+    distinguishing = 0
     skipped = 0
     seen = set()
     for trace in traces:
@@ -247,11 +257,12 @@ def refine(session, traces):
             continue
         seen.add(word)
         try:
-            session.inject_counterexample(word)
-            injected += 1
+            if session.inject_counterexample(word):
+                injected += 1
+            distinguishing += 1
         except NotDistinguishing:
             skipped += 1
-    if injected:
+    if distinguishing:
         machine, _stats = session.run()
     else:
         machine = session.machine
@@ -282,8 +293,9 @@ class IterationRecord:
     variant: str
     verdicts: list = field(default_factory=list)
     lookup_misses: int = 0
-    injected: int = 0
-    skipped: int = 0
+    injected: int = 0    # distinguishing words that added a suffix to E
+    redundant: int = 0   # distinguishing words whose suffix E already held
+    skipped: int = 0     # empty, repeated or non-distinguishing words
 
     def line(self):
         counts = {}
@@ -294,7 +306,8 @@ class IterationRecord:
                 f"variant={self.variant} "
                 f"realizable={'true' if self.realizable else 'false'} "
                 f"verdicts={verdict_text} misses={self.lookup_misses} "
-                f"injected={self.injected} skipped={self.skipped}")
+                f"injected={self.injected} redundant={self.redundant} "
+                f"skipped={self.skipped}")
 
 
 @dataclass
@@ -366,9 +379,8 @@ def refine_loop(scenario, cfg):
         if not violating:
             reason = "all-pass"
             break
-        new_hm, injected, skipped = refine(session, violating)
-        record.injected = injected
-        record.skipped = skipped
+        new_hm, record.injected, record.skipped = refine(session, violating)
+        record.redundant = len(violating) - record.injected - record.skipped
         if serialize(minimize(new_hm)) == serialize(minimize(hm)):
             reason = "stable"
             break

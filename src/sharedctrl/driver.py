@@ -33,6 +33,9 @@ class DriverParams:
     thw_levels: tuple = (1.0, 2.0, 3.0)         # quantization boundaries, s
 
     def __post_init__(self):
+        # tuples keep the params hashable: they key the driver's transition table
+        for name in ("acc_set", "thw_levels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.k1 <= 0 or self.k2 <= 0:
             raise ValueError("k1 and k2 must be positive")
         if self.thw_follow <= 0 or self.decision_epoch <= 0:
@@ -110,11 +113,20 @@ class CognitiveDriver:
 
     One instance is single-owner mutable state: interleaved queries from
     concurrent callers are not supported, but independent instances are.
+    Since `driver_step` is pure, its results are kept in one transition
+    table per `DriverParams`, shared by every instance built with equal
+    params: a driver made for one episode starts with what earlier ones
+    computed.  A table holds at most one entry per reachable internal state
+    and level, and an entry never changes once written, so instances in
+    different threads at worst compute one twice.
     """
+
+    _tables = {}  # DriverParams -> {(state, level): (state', response)}
 
     def __init__(self, params=None):
         self.params = params if params is not None else DriverParams()
         self._level_set = set(self.params.levels())
+        self._table = self._tables.setdefault(self.params, {})
         self.reset()
 
     @property
@@ -132,7 +144,11 @@ class CognitiveDriver:
         """Deliberate on one stimulus; returns the `(rule_chain, acc)` response."""
         if level not in self._level_set:
             raise ValueError(f"stimulus level {level!r} out of range")
-        self._state, response = driver_step(self._state, level, self.params)
+        key = (self._state, level)
+        step = self._table.get(key)
+        if step is None:
+            step = self._table[key] = driver_step(self._state, level, self.params)
+        self._state, response = step
         return response
 
     def apply_hint(self):

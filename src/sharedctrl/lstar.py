@@ -165,8 +165,10 @@ def process_counterexample(table, ce, sul, hypothesis, stats=None):
     state the hypothesis reaches after ce[:i], find by binary search an i
     where the SUL's outputs on ce[i:] after u_i disagree with the hypothesis
     but those on ce[i+1:] after u_(i+1) agree.  Then v = ce[i+1:] separates
-    u_i + ce[i] from u_(i+1), whose rows the hypothesis merged.  Raises
-    `NotDistinguishing` if `ce` does not separate hypothesis and SUL.
+    u_i + ce[i] from u_(i+1), whose rows the hypothesis merged.  Returns
+    whether v was new to E: it is not when E gained it after `hypothesis`
+    was built, or when a state cap kept S from telling the rows apart.
+    Raises `NotDistinguishing` if `ce` does not separate hypothesis and SUL.
     """
     def reached(word):
         state = hypothesis.initial
@@ -190,10 +192,11 @@ def process_counterexample(table, ce, sul, hypothesis, stats=None):
         else:
             lo = mid
     suffix = ce[hi:]
-    if suffix not in table.E:
-        table.E.append(suffix)
-        fill(table, sul, stats)
-    return table
+    if suffix in table.E:
+        return False
+    table.E.append(suffix)
+    fill(table, sul, stats)
+    return True
 
 
 def random_walk_eq(sul, hypothesis, cfg, stats=None):
@@ -278,7 +281,8 @@ class LearningSession:
         """Fold an externally found distinguishing word into the table.
 
         Lifts any state cap: refinement is the point where coarseness ends.
+        Returns whether the word added a suffix to E.
         """
         self.state_cap = None
-        process_counterexample(self.table, tuple(word), self.sul, self.machine, self.stats)
+        return process_counterexample(self.table, tuple(word), self.sul, self.machine, self.stats)
 

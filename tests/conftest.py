@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import build_arena, extract_strategy, solve
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
@@ -116,6 +117,13 @@ def default_synthesis(oracle_machine, default_sc, driver_params):
     region = solve(arena)
     strategy = extract_strategy(arena, region)
     return arena, region, strategy
+
+
+@pytest.fixture(scope="session")
+def braking_synthesis(oracle_machine, braking_sc, driver_params):
+    """Arena, winning region, and strategy for the braking scenario."""
+    syn = synthesize(oracle_machine, braking_sc, driver_params, "full")
+    return syn.arena, syn.arena.region, syn.strategy
 
 
 @pytest.fixture

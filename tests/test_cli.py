@@ -1,6 +1,6 @@
 import pytest
 
-from sharedctrl import cosim
+from sharedctrl import cli, cosim
 from sharedctrl.cli import EXIT_OK, EXIT_UNREALIZABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
 from sharedctrl.mealy import serialize
@@ -22,6 +22,26 @@ def test_validate_runs_a_synthesized_strategy(tmp_path, oracle_machine, default_
     code, out = validate(tmp_path, oracle_machine, strategy, "synthesized")
     assert code == EXIT_OK
     assert len(list((out / "traces").iterdir())) == 2
+
+
+def test_validate_fails_a_fallback_episode(tmp_path, monkeypatch, oracle_machine,
+                                          default_synthesis):
+    # the verdict passes, but the fail-safe fallback fired once: exit 3
+    real_execute = cli.execute
+    misses = iter([1])
+
+    def one_miss(*args, **kwargs):
+        trace = real_execute(*args, **kwargs)
+        trace.lookup_misses = next(misses, trace.lookup_misses)
+        return trace
+
+    monkeypatch.setattr(cli, "execute", one_miss)
+    _arena, _region, strategy = default_synthesis
+    code, out = validate(tmp_path, oracle_machine, strategy, "fallback")
+    assert code == EXIT_VALIDATION
+    lines = (out / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    assert lines == [f"run={r} status=safe-and-reached witness=None misses={1 - r}"
+                     for r in range(2)]
 
 
 def test_validate_rejects_a_needless_override(tmp_path, capsys, oracle_machine,

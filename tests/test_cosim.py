@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import math
 from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharedctrl import cosim
 from sharedctrl.cosim import (
@@ -23,11 +27,13 @@ from sharedctrl.cosim import (
     TRACE_COLUMNS,
 )
 from sharedctrl.driver import CognitiveDriver, FULL_CHAIN, SHORT_CHAIN
-from sharedctrl.game import Strategy
+from sharedctrl.game import (
+    AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE,
+)
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent
 from sharedctrl.scenario import Scenario, default_scenario
-from sharedctrl.supervisor import ACTION_MODE, ACTION_OVERRIDE, safe_now
+from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState
 
 from conftest import ConstantStrategy
@@ -229,6 +235,77 @@ def test_write_trace_csv(tmp_path, default_synthesis, default_sc,
     assert rows[1][0] == "0.0"
 
 
+# sha256 of the `write_trace_csv` files of seeds 0-19, exact abstraction,
+# `full` strategy: every float of these traces is pinned
+PINNED_TRACES = {
+    "default": "6234c55c6425d1369072e47f7ea772e9a97065ce34498ce68b114dae51c595cc",
+    "braking": "69e7345f6d115128436acaad7408ad5a892d139227649a350ae6b18fa0039882",
+}
+
+
+@pytest.fixture(scope="module")
+def synthesized(default_sc, braking_sc, default_synthesis, braking_synthesis):
+    """Scenario, arena and strategy of each built-in scenario, by name."""
+    return {
+        "default": (default_sc, default_synthesis[0], default_synthesis[2]),
+        "braking": (braking_sc, braking_synthesis[0], braking_synthesis[2]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_trace_files_are_pinned(tmp_path, synthesized, driver_params,
+                                oracle_machine, name):
+    scenario, _arena, strategy = synthesized[name]
+    digest = hashlib.sha256()
+    for seed in range(20):
+        path = tmp_path / f"run_{seed:03d}.csv"
+        write_trace_csv(run_once(strategy, scenario, driver_params, oracle_machine, seed),
+                        path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_TRACES[name]
+
+
+def _env_state(k, pos, vel, q, hinted):
+    """The arena's environment state of a follower on the lattice."""
+    for value, scale in ((pos, POS_SCALE), (vel, VEL_SCALE)):
+        assert math.isclose(value * scale, round(value * scale), rel_tol=0.0, abs_tol=1e-9)
+    return (TURN_ENV, k, round(pos * POS_SCALE), round(vel * VEL_SCALE), q, hinted)
+
+
+def _explored(arena, state):
+    """Edges of an arena state that synthesis already explored, as
+    `{label: successor state}`, without exploring any further."""
+    edges = arena.edges[arena.index[state]]
+    assert edges is not None, f"{state} was never explored"
+    return {label: arena.states[succ] for label, succ in edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("default", "braking")),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_machine,
+                                          name, seed):
+    # the gridded game matches the float simulation exactly: each row sits on
+    # the lattice, and its strategy key, under its action, leads to the
+    # environment state whose perception gives the next row's key
+    scenario, arena, strategy = synthesized[name]
+    trace = run_once(strategy, scenario, driver_params, oracle_machine, seed)
+    assert trace.lookup_misses == 0
+    mirror = AbstractDriver(oracle_machine, driver_params)
+    q, hinted = oracle_machine.initial, 0
+    env = arena.states[arena.initial]  # where the previous row's action led
+    for k, row in enumerate(trace.rows):
+        assert env == _env_state(k, row.follow_pos, row.follow_vel, q, hinted)
+        q, _acc, _full = mirror.step(q, hinted, row.perceived_level)
+        key = (TURN_CTRL, k, env[2], env[3], q, row.driver_acc)
+        assert _explored(arena, env)[row.perceived_level] == key
+        assert strategy.action_for(key) == row.action
+        env = _explored(arena, key)[row.action]
+        hinted = 1 if row.action == ACTION_HINT else 0
+    final = trace.final_world.follow
+    assert env == _env_state(len(trace.rows), final.pos, final.vel, q, hinted)
+
+
 def make_session(params, seed=0, state_cap=None):
     sul = CognitiveDriver(params)
     oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=seed))
@@ -273,6 +350,16 @@ def test_refine_loop_truncated_start_recovers(default_sc):
     sizes = [r.hm_states for r in report.iterations]
     assert sizes[1] > sizes[0]
     assert report.iterations[0].injected > 0
+
+
+def test_refine_counts_only_words_that_add_a_suffix(default_sc):
+    # 25 distinguishing words, but 21 of them find their suffix in E already
+    cfg = RefineLoopConfig(seed=0, runs=25, initial_state_cap=2)
+    report, _ = refine_loop(default_sc, cfg)
+    first = report.iterations[0]
+    assert (first.injected, first.redundant, first.skipped) == (4, 21, 0)
+    assert "injected=4 redundant=21 skipped=0" in first.line()
+    assert report.termination_reason == "all-pass"
 
 
 def test_refine_loop_iteration_cap(default_sc):

@@ -151,6 +151,40 @@ def test_driver_step_is_pure(driver_params):
     assert once == again
 
 
+OTHER_PARAMS = DriverParams(k1=2.0, k2=1.0, thw_follow=1.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                              st.sampled_from((1, 2, 3, 4, "hint"))),
+                    max_size=40))
+def test_shared_transition_table_matches_driver_step(driver_params, ops):
+    # two drivers share the default params' table, a third has its own
+    drivers = [CognitiveDriver(driver_params), CognitiveDriver(DriverParams()),
+               CognitiveDriver(OTHER_PARAMS)]
+    states = [initial_driver_state(d.params) for d in drivers]
+    for which, op in ops:
+        driver, state = drivers[which], states[which]
+        if op == "hint":
+            driver.apply_hint()
+            states[which] = (None, state[1], state[2])
+        else:
+            states[which], expected = driver_step(state, op, driver.params)
+            assert driver.query(op) == expected
+        assert driver.state == states[which]
+    tables = CognitiveDriver._tables
+    assert tables[driver_params] is not tables[OTHER_PARAMS]
+    for params in (driver_params, OTHER_PARAMS):
+        for (state, level), step in tables[params].items():
+            assert step == driver_step(state, level, params)
+
+
+def test_params_hold_tuples():
+    params = DriverParams(acc_set=[-1, 0, 1], thw_levels=[1.0, 2.0])
+    assert params == DriverParams(acc_set=(-1, 0, 1), thw_levels=(1.0, 2.0))
+    assert CognitiveDriver(params).query(3) == (FULL_CHAIN, 1)
+
+
 def test_explicit_machine_matches_live_driver(driver_params):
     machine = explicit_machine(driver_params)
     sul = CognitiveDriver(driver_params)
