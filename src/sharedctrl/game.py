@@ -7,14 +7,14 @@ environment move (sensor level choice plus the deterministic driver
 response) followed by one controller move (pick an action; physics then
 advances deterministically).
 
-The arena is explored on demand, not enumerated.  A local solver (after Liu
-& Smolka, ICALP 1998, and the OTFUR algorithm of Cassez et al., CONCUR 2005)
+The arena is explored on demand, not enumerated.  A depth-first solver
 walks forward from the initial state through the successor logic and
 expands only the states that deciding it needs: a controller state stops at
 its first winning action in severity order, an environment state at its
-first losing perception.  Every controller move advances the epoch, so a
-built arena is a DAG of depth 2·horizon; the solver is exact on cyclic
-(hand-written) arenas too.
+first losing perception.  An environment edge leads from epoch `k` to the
+controller turn at `k`, a controller edge to the environment turn at
+`k + 1`, so a built arena is a DAG of depth 2·horizon.  The solver needs
+the arena to be acyclic and raises `ValueError` on a cycle.
 
 Positions and velocities are held on an exact lattice (0.25 m, 0.5 m/s
 units) so that the gridded game dynamics coincide bit-for-bit with the
@@ -34,7 +34,6 @@ checked properties unchanged while keeping the product tractable.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -354,12 +353,13 @@ class WinningRegion:
     """The states from which the controller wins the weak-until objective,
     decided one state at a time as they are asked about.
 
-    `i in region` runs the local solver from `i` unless `i` is already
-    decided.  Bad states lose (even past the destination), non-bad goal
-    states win unconditionally, and terminal non-bad states (horizon reached
-    without overtaking) are safe.  `len(region)` counts the states decided
-    winning so far; `members` decides every state, exploring the rest of
-    the arena to do so.  `iterations` counts the states the solver expanded.
+    `i in region` runs the solver from `i` unless `i` is already decided;
+    the arena must be acyclic.  Bad states lose (even past the
+    destination), non-bad goal states win unconditionally, and terminal
+    non-bad states (horizon reached without overtaking) are safe.
+    `len(region)` counts the states decided winning so far; `members`
+    decides every state, exploring the rest of the arena to do so.
+    `iterations` counts the states the solver expanded.
     """
 
     def __init__(self, arena):
@@ -383,85 +383,52 @@ class WinningRegion:
         return frozenset(i for i, won in self.won.items() if won)
 
     def _decide(self, root):
-        """Depth-first walk from `root` with an explicit stack.
+        """Depth-first walk of the acyclic arena from `root` with an
+        explicit stack.
 
         A controller state tries its edges in order (severity order) and
         stops at the first winning one; an environment state stops at the
-        first losing one.  A state met again while on the stack is assumed
-        winning.  A loss never rests on an assumption and is recorded at
-        once.  A win that does waits in `log`, with `low`, the depth of the
-        shallowest frame it assumed, passed up to its parent.  When a frame
-        finishes, the wins waiting since it was pushed are recorded if it
-        wins on its own (`low` no shallower than itself), since together
-        they keep the play out of the bad states; they are dropped if it
-        loses; otherwise they keep waiting, with it.  A state whose win is
-        waiting is decided afresh if met again.  Built arenas are acyclic,
-        so there every result is recorded as soon as it is known.
+        first losing one.  Each state's result is recorded as soon as its
+        frame finishes.  The stack is a path of distinct states unless the
+        arena has a cycle, so a stack holding as many frames as the arena
+        has explored states raises `ValueError`.
         """
         arena, won = self.arena, self.won
-        turn, bad, terminal = arena.turn, arena.bad, arena.terminal
+        states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
         if terminal[root]:
             won[root] = not bad[root]
             return won[root]
-        free = sys.maxsize   # `low` of a result that rests on no assumption
-        depth_of = {root: 0}  # states on the stack
-        log = []             # wins that rest on an assumption, in order
-        # frame: [state, edges, next edge, low, len(log) when pushed]
-        stack = [[root, arena.successors(root), 0, free, 0]]
+        stack = [[root, arena.successors(root), 0]]  # frame: [state, edges, next edge]
         self.iterations += 1
-        result = None        # (won, low) of the frame that just finished
+        result = None  # whether the frame that just finished wins
         while True:
             frame = stack[-1]
-            i, edges, pos, low, mark = frame
+            i, edges, pos = frame
             ctrl = turn[i] == TURN_CTRL
-            decided = None
-            if result is not None:
-                if result[1] < low:
-                    low = result[1]
-                if result[0] == ctrl:
-                    decided = ctrl
-                result = None
-            while decided is None and pos < len(edges):
+            decided = result == ctrl
+            while not decided and pos < len(edges):
                 j = edges[pos][1]
                 pos += 1
                 r = won.get(j)
                 if r is None:
-                    d = depth_of.get(j)
-                    if d is not None:
-                        r = True
-                        if d < low:
-                            low = d
-                    elif terminal[j]:
-                        r = won[j] = not bad[j]
-                    else:
+                    if not terminal[j]:
                         break
-                if r == ctrl:
-                    decided = ctrl
+                    r = won[j] = not bad[j]
+                decided = r == ctrl
             else:
-                if decided is None:
-                    decided = not ctrl  # no winning action / no losing perception
+                # decided: i wins iff it is the controller's; otherwise no
+                # winning action / no losing perception
+                result = won[i] = ctrl if decided else not ctrl
                 stack.pop()
-                del depth_of[i]
-                if not decided:
-                    won[i] = False
-                    del log[mark:]
-                    result = (False, free)
-                elif low >= len(stack):  # rests on no frame still on the stack
-                    won[i] = True
-                    for s in log[mark:]:
-                        won[s] = True
-                    del log[mark:]
-                    result = (True, free)
-                else:
-                    log.append(i)
-                    result = (True, low)
                 if not stack:
-                    return decided
+                    return result
                 continue
-            frame[2], frame[3] = pos, low
-            depth_of[j] = len(stack)
-            stack.append([j, arena.successors(j), 0, free, len(log)])
+            if len(stack) >= len(states):
+                raise ValueError(f"arena has a cycle through state {states[j]!r}")
+            frame[2] = pos
+            stack.append([j, arena.successors(j), 0])
             self.iterations += 1
+            result = None
 
 
 def solve(arena):
@@ -583,7 +550,7 @@ def check_templates(arena, strategy, region=None):
     about actions less severe than the chosen one; (iv) a hint is always
     followed by a full-deliberation driver edge (built arenas only).
     Raises `StrategyRejected` if the strategy is undefined on a reachable
-    controller state.
+    controller state or picks an action that labels none of its edges.
     """
     report = TemplateReport()
     region = region if region is not None else solve(arena)
@@ -623,15 +590,20 @@ def check_templates(arena, strategy, region=None):
                 raise StrategyRejected(
                     f"template check rejected the strategy: undefined on reachable "
                     f"state {s!r}; checks up to there:\n" + report.text())
+            j = next((j for label, j in edges if label == action), None)
+            if j is None:
+                raise StrategyRejected(
+                    f"template check rejected the strategy: action {action!r} labels "
+                    f"no edge of reachable state {s!r}; checks up to there:\n"
+                    + report.text())
             if (report.min_intervention_ok and
                     not minimal_intervention(action,
                                              winning_actions(arena, region, i, action))):
                 report.min_intervention_ok = False
                 report.min_intervention_witness = s
-            for label, j in edges:
-                if label == action and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
     report.reach_ok = report.horizon_terminals == 0 and report.goal_terminals > 0
     return report
 
@@ -682,7 +654,10 @@ def parse_strategy(text):
         action = parts[5]
         if action not in ACTIONS:
             raise ValueError(f"unknown action {action!r}")
-        mapping[(TURN_CTRL, k, fp, fv, hm_state, dacc)] = action
+        key = (TURN_CTRL, k, fp, fv, hm_state, dacc)
+        if key in mapping:
+            raise ValueError(f"repeated strategy state: {ln!r}")
+        mapping[key] = action
     return Strategy(mapping, variant)
 
 

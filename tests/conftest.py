@@ -111,18 +111,27 @@ def braking_sc():
 
 
 @pytest.fixture(scope="session")
-def default_synthesis(oracle_machine, default_sc, driver_params):
+def synthesis_counts():
+    """Scenario name -> (explored states, solver iterations) of its session
+    synthesis when it was made; later tests may explore the arena further."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def default_synthesis(oracle_machine, default_sc, driver_params, synthesis_counts):
     """Arena, winning region, and strategy for the default scenario."""
     arena = build_arena(oracle_machine, default_sc, params=driver_params)
     region = solve(arena)
     strategy = extract_strategy(arena, region)
+    synthesis_counts[default_sc.name] = (arena.n_states, region.iterations)
     return arena, region, strategy
 
 
 @pytest.fixture(scope="session")
-def braking_synthesis(oracle_machine, braking_sc, driver_params):
+def braking_synthesis(oracle_machine, braking_sc, driver_params, synthesis_counts):
     """Arena, winning region, and strategy for the braking scenario."""
     syn = synthesize(oracle_machine, braking_sc, driver_params, "full")
+    synthesis_counts[braking_sc.name] = (syn.arena.n_states, syn.arena.region.iterations)
     return syn.arena, syn.arena.region, syn.strategy
 
 

@@ -57,6 +57,18 @@ def test_validate_rejects_a_needless_override(tmp_path, capsys, oracle_machine,
     assert not (out / "traces").exists()
 
 
+def test_validate_rejects_a_relabelled_variant(tmp_path, capsys, oracle_machine,
+                                              default_synthesis):
+    # no-override is unrealizable on default; the full strategy's overrides
+    # label no edge of the no-override arena
+    _arena, _region, strategy = default_synthesis
+    relabelled = Strategy(strategy.actions, "no-override")
+    code, out = validate(tmp_path, oracle_machine, relabelled, "relabelled")
+    assert code == EXIT_VALIDATION
+    assert "'override' labels no edge" in capsys.readouterr().err
+    assert not (out / "traces").exists()
+
+
 def test_validate_rejects_the_variant_flag(tmp_path, capsys, oracle_machine,
                                            default_synthesis):
     # the game is built for the variant in the strategy file's header

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -65,14 +66,6 @@ def fixture_forced_loss():
     return GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
 
 
-def fixture_vacuous_cycle():
-    nodes = {
-        "c0": ("c", [("a", "e1")]),
-        "e1": ("e", [("u", "c0")]),
-    }
-    return GameArena.from_graph(nodes, initial="c0")
-
-
 def fixture_unrealizable():
     nodes = {
         "c0": ("c", [("a", "e1"), ("b", "e2")]),
@@ -134,43 +127,14 @@ def fixture_severity_preference():
     return GameArena.from_graph(nodes, goal={"g", "g2", "g3"}, initial="c0")
 
 
-def fixture_assumption_fails():
-    # t's only move returns to x, which is on the stack when t is reached and
-    # is assumed winning there; x then loses, so t loses too, while r wins
-    nodes = {
-        "r": ("c", [("none", "x"), ("hint", "g")]),
-        "x": ("e", [("u", "t"), ("v", "b")]),
-        "t": ("c", [("none", "x")]),
-        "g": ("e", []),
-        "b": ("e", []),
-    }
-    return GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="r")
-
-
-def fixture_assumption_outlived():
-    # t wins assuming f, f wins assuming g; f2 reaches t after f has left the
-    # stack, so t's win still rests on g, which loses
-    nodes = {
-        "g": ("e", [("u1", "f"), ("u2", "f2"), ("u3", "b")]),
-        "f": ("e", [("u", "t"), ("v", "g")]),
-        "t": ("c", [("none", "f")]),
-        "f2": ("c", [("none", "t")]),
-        "b": ("e", []),
-    }
-    return GameArena.from_graph(nodes, bad={"b"}, initial="g")
-
-
 ALL_FIXTURES = [
     fixture_forced_loss,
-    fixture_vacuous_cycle,
     fixture_unrealizable,
     fixture_right_action,
     fixture_env_harmless,
     fixture_bad_goal_overlap,
     fixture_override_needed,
     fixture_severity_preference,
-    fixture_assumption_fails,
-    fixture_assumption_outlived,
 ]
 
 
@@ -187,12 +151,6 @@ def test_forced_loss_fixture_winning_set():
     names = {arena.states[i] for i in region.members}
     assert names == {"c0", "e1", "g", "c3"}
     assert realizable(arena, region)
-
-
-def test_vacuous_safety_wins_everywhere():
-    arena = fixture_vacuous_cycle()
-    region = solve(arena)
-    assert len(region) == arena.n_states
 
 
 def test_unrealizable_fixture():
@@ -258,6 +216,12 @@ def test_templates_reject_needless_override():
     assert report.min_intervention_witness == "c0"
     with pytest.raises(StrategyRejected):
         certify(arena, strategy, solve(arena))
+
+
+def test_templates_reject_an_action_without_an_edge():
+    arena = fixture_right_action()
+    with pytest.raises(StrategyRejected, match="'c' labels no edge of .*'c0'"):
+        certify(arena, Strategy({"c0": "c"}), solve(arena))
 
 
 def test_strategy_closure_stays_winning():
@@ -354,20 +318,49 @@ def test_build_arena_rejects_off_lattice(oracle_machine):
 
 
 def test_built_arena_bipartite(oracle_machine):
+    # env turn k -> ctrl turn k -> env turn k + 1: (k, turn) grows along every
+    # edge, so the arena is acyclic, as the solver needs
     arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1)))
     for i in range(arena.n_states):
-        if arena.terminal[i]:
-            continue
+        k = arena.states[i][1]
+        step = (TURN_CTRL, k) if arena.turn[i] == TURN_ENV else (TURN_ENV, k + 1)
         for _, j in arena.edges[i]:
-            assert arena.turn[j] != arena.turn[i] or arena.turn[i] == TURN_ENV
-            # env -> ctrl and ctrl -> env strictly alternate
-            assert arena.turn[j] == (TURN_CTRL if arena.turn[i] == TURN_ENV else TURN_ENV)
+            assert (arena.turn[j], arena.states[j][1]) == step
 
 
 def test_default_arena_realizable(default_synthesis):
     arena, region, _strategy = default_synthesis
     assert realizable(arena, region)
     assert 0 < len(region) <= arena.n_states
+
+
+# (scenario, variant) -> (realizable, explored states, solver iterations, and
+# for realizable pairs the strategy's entries and the sha256 of its file),
+# with the exact abstraction
+SYNTHESIS_PINS = {
+    ("default", "full"): (True, 2942, 1709, 725,
+                          "ea493b6bcd683e609bb2e1c9307bf093089ce07560f103c2f3a3f99a31193200"),
+    ("default", "no-override"): (False, 776, 419),
+    ("default", "advisory-only"): (False, 527, 400),
+    ("braking", "full"): (True, 79030, 50102, 18098,
+                          "e393615269080d768538d2b24e4938e0b7dd87888ecdf2c79d4f96c9e9422c49"),
+    ("braking", "no-override"): (False, 10867, 6287),
+    ("braking", "advisory-only"): (False, 7252, 6264),
+}
+
+
+@pytest.mark.parametrize("name,variant", list(SYNTHESIS_PINS))
+def test_synthesis_is_pinned(request, oracle_machine, driver_params, synthesis_counts,
+                             name, variant):
+    if variant == "full":
+        arena, region, strategy = request.getfixturevalue(f"{name}_synthesis")
+        got = (realizable(arena, region), *synthesis_counts[name], len(strategy.actions),
+               hashlib.sha256(serialize_strategy(strategy).encode()).hexdigest())
+    else:
+        scenario = request.getfixturevalue(f"{name}_sc")
+        arena = build_arena(oracle_machine, scenario, params=driver_params, variant=variant)
+        got = (realizable(arena, arena.region), arena.n_states, arena.region.iterations)
+    assert got == SYNTHESIS_PINS[name, variant]
 
 
 def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
@@ -416,6 +409,8 @@ def test_parse_strategy_rejects_garbage():
         parse_strategy("strategy v1 full 1\n1 2 3\n")
     with pytest.raises(ValueError):
         parse_strategy("strategy v1 full 1\n0 0 0 0 0 fly\n")
+    with pytest.raises(ValueError, match="'0 0 30 0 0 none'"):
+        parse_strategy("strategy v1 full 2\n0 0 30 0 0 override\n0 0 30 0 0 none\n")
 
 
 def test_arena_stats_text(default_synthesis):
@@ -448,16 +443,31 @@ def test_from_graph_rejects_duplicate_controller_labels():
 
 
 def test_solver_walks_deep_arenas_without_recursion():
-    # a play far longer than Python's recursion limit, ending in a cycle
+    # a play far longer than Python's recursion limit, ending in a terminal
     depth = 3 * sys.getrecursionlimit()
     nodes = {f"c{k}": ("c", [("none", f"e{k}")]) for k in range(depth)}
     nodes.update({f"e{k}": ("e", [("u", f"c{k + 1}")]) for k in range(depth - 1)})
-    nodes[f"e{depth - 1}"] = ("e", [("u", "c0")])
+    nodes[f"e{depth - 1}"] = ("e", [("u", "end")])
+    nodes["end"] = ("e", [])
     arena = GameArena.from_graph(nodes, initial="c0")
     region = solve(arena)
     assert realizable(arena, region)
     assert len(region) == arena.n_states
     assert len(extract_strategy(arena, region).actions) == depth
+
+
+def test_solver_rejects_a_cyclic_arena():
+    # x and t lead to each other; the walk names a state on the cycle
+    nodes = {
+        "r": ("c", [("none", "x"), ("hint", "g")]),
+        "x": ("e", [("u", "t"), ("v", "b")]),
+        "t": ("c", [("none", "x")]),
+        "g": ("e", []),
+        "b": ("e", []),
+    }
+    arena = GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="r")
+    with pytest.raises(ValueError, match="cycle through state 'x'"):
+        solve(arena)
 
 
 def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
@@ -469,19 +479,21 @@ def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
 
 @st.composite
 def random_arenas(draw):
-    """Well-formed random arenas: cycles allowed, unique labels per
-    controller state, any bad/goal marking; plus a query order."""
+    """Well-formed random acyclic arenas: edges lead only to later-numbered
+    nodes, unique labels per controller state, any bad/goal marking; plus a
+    query order."""
     n = draw(st.integers(1, 9))
     nodes = {}
     for k in range(n):
+        width = 3 if k < n - 1 else 0  # the last node has no later one
         if draw(st.booleans()):
             labels = draw(st.lists(st.sampled_from(("none", "hint", "override")),
-                                   unique=True, max_size=3))
+                                   unique=True, max_size=width))
             turn = "c"
         else:
-            labels = [f"u{m}" for m in range(draw(st.integers(0, 3)))]
+            labels = [f"u{m}" for m in range(draw(st.integers(0, width)))]
             turn = "e"
-        nodes[f"s{k}"] = (turn, [(label, f"s{draw(st.integers(0, n - 1))}")
+        nodes[f"s{k}"] = (turn, [(label, f"s{draw(st.integers(k + 1, n - 1))}")
                                  for label in labels])
     names = list(nodes)
     bad = draw(st.sets(st.sampled_from(names)))
