@@ -127,7 +127,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     fallback rows are never certified.
     """
     params = params if params is not None else getattr(sul, "params", DriverParams())
-    mirror = AbstractDriver(hm, params)
+    mirror = AbstractDriver.shared(hm, params)
     rng = random.Random(seed)
     model = scenario.sensor_model()
     perceivable = {level: sensor_perturb(level, model, params.num_levels)

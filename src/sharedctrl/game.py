@@ -34,6 +34,7 @@ checked properties unchanged while keeping the product tractable.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -109,11 +110,14 @@ class AbstractDriver:
     stimulus re-deliberates instead of replaying the cached decision: the
     response is recomputed with the acceleration law at the level's
     representative headway, and the successor is resolved through the
-    (level, acc) state annotations recovered from incoming edges.
+    (level, acc) state annotations recovered from incoming edges.  It keeps
+    the machine's table, not the machine, so `shared` lets it die with it.
     """
 
+    _shared = weakref.WeakKeyDictionary()  # machine -> {DriverParams: mirror}
+
     def __init__(self, hm, params):
-        self.hm = hm
+        self._delta = hm.delta
         self.params = params
         self._annotation = {}
         self._by_profile = {}
@@ -125,13 +129,20 @@ class AbstractDriver:
                     self._by_profile.setdefault((level, acc), succ)
         self._memo = {}
 
+    @classmethod
+    def shared(cls, hm, params):
+        """The one mirror of `hm` under `params`, for `build_arena` and every
+        episode `execute` runs; a `MealyMachine` is immutable."""
+        mirrors = cls._shared.setdefault(hm, {})
+        return mirrors.get(params) or mirrors.setdefault(params, cls(hm, params))
+
     def step(self, state, hinted, level):
         """Returns (successor, driver_acc, full_deliberation)."""
         key = (state, hinted, level)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        succ, (chain, acc) = self.hm.step(state, level)
+        succ, (chain, acc) = self._delta[state][level]
         if not hinted or chain == FULL_CHAIN:
             result = (succ, acc, chain == FULL_CHAIN)
         else:
@@ -150,17 +161,18 @@ class GameArena:
 
     States are opaque values, numbered in the order they are first reached.
     `turn[i]` says who moves, `bad`/`goal`/`terminal` classify state `i`, and
-    `edges[i]` lists `(label, successor)` pairs, or is None while `i` is
-    unexplored: `successors(i)` explores it.  Environment edges are
-    uncontrollable (sensor level choices); controller edges carry
+    `edges[i]` is the tuple of its `(label, successor)` pairs, or None while
+    `i` is unexplored: `successors(i)` calls `explore(arena, i)`, which
+    numbers the successors with `link` and returns the edges.  Environment
+    edges are uncontrollable (sensor level choices); controller edges carry
     supervision actions, held in severity order.  `n_states` and `n_edges`
     count what has been explored so far, and `state_cap` bounds it.
-    `region` is the arena's winning region, decided as it is asked.
+    `region` is the arena's winning region, decided as it is asked; the
+    solver keeps its decisions in `won` and `iterations`.
     """
 
-    def __init__(self, classify, expand, state_cap=None, meta=None):
-        self._classify = classify  # state -> (turn, bad, goal, terminal)
-        self._expand = expand      # state -> [(label, successor state), ...]
+    def __init__(self, explore, state_cap=None, meta=None):
+        self._explore = explore
         self.state_cap = state_cap
         self.meta = meta or {}
         self.states = []
@@ -171,7 +183,8 @@ class GameArena:
         self.goal = []
         self.terminal = []
         self.initial = None
-        self.region = WinningRegion(self)
+        self.won = {}  # decided state -> whether the controller wins it
+        self.iterations = 0  # states the solver expanded
 
     @classmethod
     def from_graph(cls, nodes, bad=(), goal=(), initial=None):
@@ -182,54 +195,60 @@ class GameArena:
         controller node must not carry two edges with the same label.
         """
         bad, goal = set(bad), set(goal)
+
+        def explore(arena, i):
+            turn, edges = nodes[arena.states[i]]
+            if turn == "c":
+                edges = sorted(edges, key=lambda e: _severity(e[0]))
+            return tuple((label, arena.index[succ]) for label, succ in edges)
+
+        arena = cls(explore)
         for name, (turn, edges) in nodes.items():
             labels = [label for label, _succ in edges]
             if turn == "c" and len(set(labels)) != len(labels):
                 raise ValueError(f"controller state {name!r} has two edges "
                                  "with the same label")
-
-        def classify(name):
-            turn, edges = nodes[name]
             is_bad, is_goal = name in bad, name in goal
-            return (TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
-                    not edges or is_bad or is_goal)
-
-        def expand(name):
-            turn, edges = nodes[name]
-            return sorted(edges, key=lambda e: _severity(e[0])) if turn == "c" else edges
-
-        arena = cls(classify, expand)
-        for name in nodes:
-            arena.intern(name)
+            arena.link([(None, name)], (TURN_CTRL if turn == "c" else TURN_ENV, is_bad,
+                                        is_goal, not edges or is_bad or is_goal))
         for i in range(arena.n_states):
             arena.successors(i)
         arena.initial = arena.index[initial if initial is not None else next(iter(nodes))]
         return arena
 
-    def intern(self, s):
-        """Number of state `s`, classifying it when it is first reached."""
-        i = self.index.get(s)
-        if i is None:
-            i = len(self.states)
-            if self.state_cap is not None and i >= self.state_cap:
-                raise ArenaCapExceeded(f"arena exceeds {self.state_cap} states")
-            turn, bad, goal, terminal = self._classify(s)
-            self.index[s] = i
-            self.states.append(s)
-            self.turn.append(turn)
-            self.bad.append(bad)
-            self.goal.append(goal)
-            self.terminal.append(terminal)
-            self.edges.append([] if terminal else None)
-        return i
+    def link(self, succs, kind):
+        """Edges to the `(label, state)` pairs `succs`, numbering each state not
+        reached before with `kind`, its `(turn, bad, goal, terminal)`."""
+        index, states, cap = self.index, self.states, self.state_cap
+        turn, bad, goal, terminal = kind
+        edges = []
+        for label, s in succs:
+            j = index.get(s)
+            if j is None:
+                j = len(states)
+                if cap is not None and j >= cap:
+                    raise ArenaCapExceeded(f"arena exceeds {cap} states")
+                index[s] = j
+                states.append(s)
+                self.turn.append(turn)
+                self.bad.append(bad)
+                self.goal.append(goal)
+                self.terminal.append(terminal)
+                self.edges.append(() if terminal else None)
+            edges.append((label, j))
+        return tuple(edges)
 
     def successors(self, i):
         """Edges of state `i`, exploring it on first use."""
         es = self.edges[i]
         if es is None:
-            es = self.edges[i] = [(label, self.intern(s))
-                                  for label, s in self._expand(self.states[i])]
+            es = self.edges[i] = self._explore(self, i)
         return es
+
+    @property
+    def region(self):
+        """The winning region, a view of `won`: no cycle keeps the arena alive."""
+        return WinningRegion(self)
 
     @property
     def n_states(self):
@@ -301,50 +320,52 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
     model = scenario.sensor_model()
     perceived = {level: sensor_perturb(level, model, params.num_levels)
                  for level in params.levels()}
-    driver = AbstractDriver(hm, params)
+    driver = AbstractDriver.shared(hm, params)
     moves_of = {}  # driver acc -> [(action, scaled velocity increment, hinted)]
-    ctrl_class = (TURN_CTRL, False, False, False)
+    responses = {}  # (level, q, hinted) -> [(perception, q2, driver acc)]
 
-    def classify(s):
-        if s[0] == TURN_CTRL:
-            return ctrl_class
-        _, k, fp, _fv, _q, _hinted = s
+    def env_kind(k, fp):
         is_bad = fp >= lead[k][0]
         # reaching the destination only wins when the state is also safe
         is_goal = fp >= dest_q and not is_bad
         return TURN_ENV, is_bad, is_goal, is_bad or is_goal or k == horizon
 
-    def expand(s):
+    def explore(arena, i):
+        # every successor of a state shares one classification
+        s = arena.states[i]
         if s[0] == TURN_ENV:
             _, k, fp, fv, q, hinted = s
             lp, lv = lead[k]
             thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
                                         fp / POS_SCALE, fv / VEL_SCALE)
             level = quantize_thw(thw, params.thw_levels)
-            out = []
-            for p in perceived[level]:
-                q2, dacc, _full = driver.step(q, hinted, p)
-                out.append((p, (TURN_CTRL, k, fp, fv, q2, dacc)))
-            return out
-        _, k, fp, fv, q2, dacc = s
-        moves = moves_of.get(dacc)
-        if moves is None:
-            moves = moves_of[dacc] = [
-                (action, _scaled(arbitrate(action, dacc, cfg) * eps,
-                                 VEL_SCALE, "velocity increment"),
-                 1 if action == ACTION_HINT else 0)
-                for action in actions]
-        fp2 = fp + fv * pos_step
-        return [(action, (TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, hinted))
-                for action, dv, hinted in moves]
+            replies = responses.get((level, q, hinted))
+            if replies is None:
+                replies = responses[level, q, hinted] = [
+                    (p, *driver.step(q, hinted, p)[:2]) for p in perceived[level]]
+            kind = (TURN_CTRL, False, False, False)
+            succs = [(p, (TURN_CTRL, k, fp, fv, q2, dacc)) for p, q2, dacc in replies]
+        else:
+            _, k, fp, fv, q2, dacc = s
+            moves = moves_of.get(dacc)
+            if moves is None:
+                moves = moves_of[dacc] = [
+                    (action, _scaled(arbitrate(action, dacc, cfg) * eps,
+                                     VEL_SCALE, "velocity increment"),
+                     1 if action == ACTION_HINT else 0)
+                    for action in actions]
+            fp2 = fp + fv * pos_step
+            kind = env_kind(k + 1, fp2)
+            succs = [(action, (TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, h))
+                     for action, dv, h in moves]
+        return arena.link(succs, kind)
 
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
-    arena = GameArena(classify, expand, state_cap, meta)
-    arena.initial = arena.intern(
-        (TURN_ENV, 0,
-         _scaled(scenario.follow_pos, POS_SCALE, "follow_pos"),
-         _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
-         hm.initial, 0))
+    arena = GameArena(explore, state_cap, meta)
+    fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
+    s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
+          hm.initial, 0)
+    arena.initial = arena.link([(None, s0)], env_kind(0, fp0))[0][1]
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
 
@@ -359,13 +380,17 @@ class WinningRegion:
     non-bad states (horizon reached without overtaking) are safe.
     `len(region)` counts the states decided winning so far; `members`
     decides every state, exploring the rest of the arena to do so.
-    `iterations` counts the states the solver expanded.
+    `iterations` counts the states the solver expanded.  Both are kept by
+    the arena; a region is a view.
     """
 
     def __init__(self, arena):
         self.arena = arena
-        self.won = {}  # decided state -> whether the controller wins it
-        self.iterations = 0
+        self.won = arena.won
+
+    @property
+    def iterations(self):
+        return self.arena.iterations
 
     def __contains__(self, i):
         won = self.won.get(i)
@@ -399,7 +424,7 @@ class WinningRegion:
             won[root] = not bad[root]
             return won[root]
         stack = [[root, arena.successors(root), 0]]  # frame: [state, edges, next edge]
-        self.iterations += 1
+        arena.iterations += 1
         result = None  # whether the frame that just finished wins
         while True:
             frame = stack[-1]
@@ -427,7 +452,7 @@ class WinningRegion:
                 raise ValueError(f"arena has a cycle through state {states[j]!r}")
             frame[2] = pos
             stack.append([j, arena.successors(j), 0])
-            self.iterations += 1
+            arena.iterations += 1
             result = None
 
 
@@ -476,30 +501,33 @@ def extract_strategy(arena, region):
     """Pick one winning action per controller state the strategy's own plays
     reach from the initial state.
 
-    The pick is the first winning edge, in severity order, that satisfies
-    `minimal_intervention`: the least severe winning action (none < hint <
-    override).  The region is never asked about more severe actions.
+    The pick is the first edge, in severity order, whose successor the
+    solver decided winning; the region is asked only about successors still
+    undecided.  Every less severe edge loses, so the pick is the least
+    severe winning action (none < hint < override) and satisfies
+    `minimal_intervention` by construction; `certify` checks it.
     """
     if not realizable(arena, region):
         raise Unrealizable("initial state is not in the winning region")
+    states, turn, terminal, won = arena.states, arena.turn, arena.terminal, region.won
     mapping = {}
     seen = {arena.initial}
     stack = [arena.initial]
     while stack:
         i = stack.pop()
-        if arena.terminal[i]:
+        if terminal[i]:
             continue
         edges = arena.successors(i)
-        if arena.turn[i] == TURN_CTRL:
-            action = next((label for label, j in edges if j in region and
-                           minimal_intervention(label, winning_actions(arena, region, i,
-                                                                       label))),
-                          None)
-            if action is None:
-                raise RuntimeError(f"winning controller state {arena.states[i]!r} "
+        if turn[i] == TURN_CTRL:
+            for edge in edges:
+                r = won.get(edge[1])
+                if r or (r is None and edge[1] in region):
+                    break
+            else:
+                raise RuntimeError(f"winning controller state {states[i]!r} "
                                    "has no winning action")
-            mapping[arena.states[i]] = action
-            edges = [e for e in edges if e[0] == action]
+            mapping[states[i]] = edge[0]
+            edges = (edge,)
         for _label, j in edges:
             if j not in seen:
                 seen.add(j)
@@ -555,25 +583,26 @@ def check_templates(arena, strategy, region=None):
     report = TemplateReport()
     region = region if region is not None else solve(arena)
     driver = arena.meta.get("driver")
+    states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
     seen = {arena.initial}
     queue = deque([arena.initial])
     while queue:
         i = queue.popleft()
         report.visited += 1
-        s = arena.states[i]
-        if arena.bad[i]:
+        s = states[i]
+        if bad[i]:
             if report.safety_ok:
                 report.safety_ok = False
                 report.safety_witness = s
             continue
-        if arena.terminal[i]:
+        if terminal[i]:
             if arena.goal[i]:
                 report.goal_terminals += 1
             else:
                 report.horizon_terminals += 1
             continue
         edges = arena.successors(i)
-        if arena.turn[i] == TURN_ENV:
+        if turn[i] == TURN_ENV:
             if driver is not None and s[5]:
                 for p, _j in edges:
                     _q2, _acc, full = driver.step(s[4], 1, p)
@@ -596,7 +625,8 @@ def check_templates(arena, strategy, region=None):
                     f"template check rejected the strategy: action {action!r} labels "
                     f"no edge of reachable state {s!r}; checks up to there:\n"
                     + report.text())
-            if (report.min_intervention_ok and
+            # no action is less severe than `none`, so it is minimal by definition
+            if (report.min_intervention_ok and action != ACTION_NONE and
                     not minimal_intervention(action,
                                              winning_actions(arena, region, i, action))):
                 report.min_intervention_ok = False

@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import strategies as st
 
 from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
-from sharedctrl.game import build_arena, extract_strategy, solve
+from sharedctrl.game import arena_stats_text, build_arena, extract_strategy, solve
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import braking_scenario, default_scenario
 
@@ -112,9 +114,16 @@ def braking_sc():
 
 @pytest.fixture(scope="session")
 def synthesis_counts():
-    """Scenario name -> (explored states, solver iterations) of its session
-    synthesis when it was made; later tests may explore the arena further."""
+    """Scenario name -> (explored states, solver iterations, explored edges,
+    sha256 of `arena_stats_text`) of its session synthesis when it was made;
+    later tests may explore the arena further."""
     return {}
+
+
+def synthesis_snapshot(arena, region):
+    stats = arena_stats_text(arena, region).encode()
+    return (arena.n_states, region.iterations, arena.n_edges,
+            hashlib.sha256(stats).hexdigest())
 
 
 @pytest.fixture(scope="session")
@@ -123,7 +132,7 @@ def default_synthesis(oracle_machine, default_sc, driver_params, synthesis_count
     arena = build_arena(oracle_machine, default_sc, params=driver_params)
     region = solve(arena)
     strategy = extract_strategy(arena, region)
-    synthesis_counts[default_sc.name] = (arena.n_states, region.iterations)
+    synthesis_counts[default_sc.name] = synthesis_snapshot(arena, region)
     return arena, region, strategy
 
 
@@ -131,7 +140,7 @@ def default_synthesis(oracle_machine, default_sc, driver_params, synthesis_count
 def braking_synthesis(oracle_machine, braking_sc, driver_params, synthesis_counts):
     """Arena, winning region, and strategy for the braking scenario."""
     syn = synthesize(oracle_machine, braking_sc, driver_params, "full")
-    synthesis_counts[braking_sc.name] = (syn.arena.n_states, syn.arena.region.iterations)
+    synthesis_counts[braking_sc.name] = synthesis_snapshot(syn.arena, syn.arena.region)
     return syn.arena, syn.arena.region, syn.strategy
 
 

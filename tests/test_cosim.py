@@ -1,6 +1,8 @@
 import csv
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -26,9 +28,10 @@ from sharedctrl.cosim import (
     STATUS_SAFETY,
     TRACE_COLUMNS,
 )
-from sharedctrl.driver import CognitiveDriver, FULL_CHAIN, SHORT_CHAIN
+from sharedctrl.driver import CognitiveDriver, FULL_CHAIN, SHORT_CHAIN, explicit_machine
 from sharedctrl.game import (
-    AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE,
+    AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE, build_arena,
+    serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent
@@ -413,6 +416,57 @@ def test_synthesize_certifies_or_reports_a_lost_initial_state(
     lost = synthesize(oracle_machine, braking_sc, driver_params, "no-override")
     assert lost.strategy is None and lost.report is None
     assert lost.arena.initial not in lost.arena.region
+
+
+def test_coarse_synthesis_is_pinned(default_sc, monkeypatch):
+    # the arena of the 2-state machine the coarse seed-0 loop learns first
+    made = []
+    real_synthesize = cosim.synthesize
+
+    def keep(*args, **kwargs):
+        made.append(real_synthesize(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cosim, "synthesize", keep)
+    _report, artifacts = refine_loop(
+        default_sc, RefineLoopConfig(seed=0, runs=25, initial_state_cap=2, max_iterations=1))
+    assert len(artifacts[0].hm.states) == 2
+    syn = made[0]
+    text = serialize_strategy(syn.strategy)
+    assert (syn.arena.n_states, syn.arena.region.iterations, len(syn.strategy.actions),
+            hashlib.sha256(text.encode()).hexdigest()) == (
+        67337, 46171, 30912,
+        "f043e27441fd71dae9f01c3a5cb5ed9c2cc1434da39d39be6fcee2a5c655d917")
+
+
+@pytest.fixture
+def refcount_only():
+    """The cyclic GC stays off for the test: only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_synthesis_is_freed_by_reference_counting(oracle_machine, default_sc,
+                                                  driver_params, refcount_only):
+    # no reference cycle keeps an arena alive until the cyclic GC runs
+    syn = synthesize(oracle_machine, default_sc, driver_params, "full")
+    arena = weakref.ref(syn.arena)
+    del syn
+    assert arena() is None
+
+
+def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount_only):
+    # build_arena and execute share the mirror; dropping the machine frees it
+    hm = explicit_machine(driver_params)
+    mirror = AbstractDriver.shared(hm, driver_params)
+    assert build_arena(hm, default_sc, params=driver_params).meta["driver"] is mirror
+    assert AbstractDriver.shared(hm, replace(driver_params, k1=0.5)) is not mirror
+    dead = weakref.ref(mirror)
+    del hm, mirror
+    assert dead() is None
 
 
 def test_report_text_is_stable(default_sc):

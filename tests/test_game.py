@@ -334,19 +334,45 @@ def test_default_arena_realizable(default_synthesis):
     assert 0 < len(region) <= arena.n_states
 
 
-# (scenario, variant) -> (realizable, explored states, solver iterations, and
-# for realizable pairs the strategy's entries and the sha256 of its file),
-# with the exact abstraction
+# (scenario, variant) -> (realizable, explored states, solver iterations,
+# explored edges, sha256 of `arena_stats_text`, and for realizable pairs the
+# strategy's entries and the sha256 of its file), with the exact abstraction
 SYNTHESIS_PINS = {
-    ("default", "full"): (True, 2942, 1709, 725,
-                          "ea493b6bcd683e609bb2e1c9307bf093089ce07560f103c2f3a3f99a31193200"),
-    ("default", "no-override"): (False, 776, 419),
-    ("default", "advisory-only"): (False, 527, 400),
-    ("braking", "full"): (True, 79030, 50102, 18098,
-                          "e393615269080d768538d2b24e4938e0b7dd87888ecdf2c79d4f96c9e9422c49"),
-    ("braking", "no-override"): (False, 10867, 6287),
-    ("braking", "advisory-only"): (False, 7252, 6264),
+    ("default", "full"): (
+        True, 2942, 1709, 4546,
+        "bd88a735415b71c4169c3121ea7872f757f05241e8003104268cbc9c718cc58a", 725,
+        "ea493b6bcd683e609bb2e1c9307bf093089ce07560f103c2f3a3f99a31193200"),
+    ("default", "no-override"): (
+        False, 776, 419, 874,
+        "30dda990e186f8b38dab3fd6647d56590a4144403e38fc8bdae7a9981a6932c0"),
+    ("default", "advisory-only"): (
+        False, 527, 400, 572,
+        "a8a1f392e27fdc80b437fefa9ddb85dcca74d63d6e4376465159f6adde4fbe95"),
+    ("braking", "full"): (
+        True, 79030, 50102, 141921,
+        "337518040272f69bbe2a6fe609ec5de0f3076af0ba65b80b6eede30ec0688738", 18098,
+        "e393615269080d768538d2b24e4938e0b7dd87888ecdf2c79d4f96c9e9422c49"),
+    ("braking", "no-override"): (
+        False, 10867, 6287, 14143,
+        "0d4d4630ee85dc942029254472f5ee3391771396c855a840a8f420dd220791e1"),
+    ("braking", "advisory-only"): (
+        False, 7252, 6264, 10475,
+        "55580c9ccf5e12e3ea473836b11d9ac96c888d28cb07cb4b4968d49af623ac0e"),
 }
+
+# template report of each realizable pair's strategy
+TEMPLATE_PINS = {
+    "default": ("states_visited=1421\nsafety=pass\n"
+                "reachability=pass (goal_terminals=158, horizon_terminals=0)\n"
+                "min_intervention=pass\nresponse=pass\n"),
+    "braking": ("states_visited=35133\nsafety=pass\n"
+                "reachability=pass (goal_terminals=2022, horizon_terminals=0)\n"
+                "min_intervention=pass\nresponse=pass\n"),
+}
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,variant", list(SYNTHESIS_PINS))
@@ -355,12 +381,19 @@ def test_synthesis_is_pinned(request, oracle_machine, driver_params, synthesis_c
     if variant == "full":
         arena, region, strategy = request.getfixturevalue(f"{name}_synthesis")
         got = (realizable(arena, region), *synthesis_counts[name], len(strategy.actions),
-               hashlib.sha256(serialize_strategy(strategy).encode()).hexdigest())
+               sha256_text(serialize_strategy(strategy)))
     else:
         scenario = request.getfixturevalue(f"{name}_sc")
         arena = build_arena(oracle_machine, scenario, params=driver_params, variant=variant)
-        got = (realizable(arena, arena.region), arena.n_states, arena.region.iterations)
+        got = (realizable(arena, arena.region), arena.n_states, arena.region.iterations,
+               arena.n_edges, sha256_text(arena_stats_text(arena, arena.region)))
     assert got == SYNTHESIS_PINS[name, variant]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_PINS))
+def test_template_report_is_pinned(request, name):
+    arena, region, strategy = request.getfixturevalue(f"{name}_synthesis")
+    assert certify(arena, strategy, region).text() == TEMPLATE_PINS[name]
 
 
 def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
@@ -477,6 +510,9 @@ def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
     assert explored < explore_all(arena).n_states
 
 
+SEVERITY = {"none": 0, "hint": 1, "override": 2}
+
+
 @st.composite
 def random_arenas(draw):
     """Well-formed random acyclic arenas: edges lead only to later-numbered
@@ -512,10 +548,33 @@ def test_local_solver_properties_on_random_arenas(case):
     assert {i for i in order if i in region} == expected
     if not realizable(arena, region):
         return
+    # every labelled state wins and gets its least severe winning label
     strategy = extract_strategy(arena, region)
-    severity = {"none": 0, "hint": 1, "override": 2}
     for state, action in strategy.actions.items():
         i = arena.index[state]
+        assert i in expected
         winning = [label for label, j in arena.edges[i] if j in expected]
-        assert severity[action] == min(severity[a] for a in winning)
+        assert action == min(winning, key=SEVERITY.get)
     certify(arena, strategy, region)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_arenas())
+def test_template_check_flags_every_needless_escalation(case):
+    # at each labelled state, picking a more severe action than the extracted
+    # one (say `override` where `none` wins) must fail min-intervention there
+    arena, _order = case
+    region = solve(arena)
+    if not realizable(arena, region):
+        return
+    extracted = extract_strategy(arena, region).actions
+    # label every controller state, so the changed plays never leave the map
+    base = {arena.states[i]: edges[0][0] for i, edges in enumerate(arena.edges)
+            if arena.turn[i] == TURN_CTRL and edges}
+    base.update(extracted)
+    for state, action in extracted.items():
+        for label, _j in arena.edges[arena.index[state]]:
+            if SEVERITY[label] > SEVERITY[action]:
+                report = check_templates(arena, Strategy({**base, state: label}), region)
+                assert not report.min_intervention_ok
+                assert report.min_intervention_witness == state
