@@ -38,7 +38,7 @@ from .mealy import minimize, serialize
 from .supervisor import (
     ACTION_HINT, ACTION_MODE, ACTION_NONE, ACTION_OVERRIDE, arbitrate, safe_now,
 )
-from .world import headway_metrics, quantize_thw, sensor_perturb, step_world
+from .world import VehicleState, WorldState, advance, headway_metrics, quantize_thw
 
 TRACE_COLUMNS = (
     "t", "lead_pos", "follow_pos", "lead_vel", "follow_vel", "thw", "ttc",
@@ -83,7 +83,6 @@ class TraceRow:
 @dataclass
 class SimTrace:
     rows: list
-    initial_world: object
     final_world: object
     lookup_misses: int = 0
     seed: object = None
@@ -120,41 +119,39 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
 
     Per epoch: sample the perceived headway level, query the full driver,
     resolve the matching game state through the abstraction mirror, look up
-    the strategy action, arbitrate, and advance the world.  A lookup miss
+    the strategy action, arbitrate, and advance the follower.  A lookup miss
     means the driver left the learned abstraction; the fail-safe fallback
     forces Intervention at maximal braking and is counted on the trace.
     Rows whose action the strategy supplied carry its `certified` flag;
     fallback rows are never certified.
+
+    The lead is read from `scenario.lead_track`, computed once per scenario,
+    and the follower is advanced in local variables with `advance`; so an
+    epoch builds only its `TraceRow`, and the final world is built once.
+    Every float is what iterating `step_world` gives.
     """
     params = params if params is not None else getattr(sul, "params", DriverParams())
     mirror = AbstractDriver.shared(hm, params)
     rng = random.Random(seed)
-    model = scenario.sensor_model()
-    perceivable = {level: sensor_perturb(level, model, params.num_levels)
-                   for level in params.levels()}
-    eps = scenario.epoch
+    perceivable = scenario.perceptions(params.num_levels)
+    lead = scenario.lead_track
+    eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
     sul.reset()
-    world = scenario.initial_world()
-    initial_world = world
+    fpos, fvel, facc = scenario.follow_pos, scenario.follow_vel, 0.0
     q = hm.initial
     hinted = 0
     rows = []
     misses = 0
     for k in range(scenario.horizon_epochs):
-        if world.follow.pos >= world.lead.pos:
+        _t, lpos, lvel, _lacc = lead[k]
+        if fpos >= lpos or fpos >= dest:
             break
-        if world.follow.pos >= scenario.dest:
-            break
-        thw, ttc = headway_metrics(world.lead.pos, world.lead.vel,
-                                   world.follow.pos, world.follow.vel)
+        thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
         level = quantize_thw(thw, params.thw_levels)
         perceived = rng.choice(perceivable[level])
         chain, dacc = sul.query(perceived)
         q, _dacc_pred, _full = mirror.step(q, hinted, perceived)
-        key = (TURN_CTRL, k,
-               round(world.follow.pos * POS_SCALE),
-               round(world.follow.vel * VEL_SCALE),
-               q, dacc)
+        key = (TURN_CTRL, k, round(fpos * POS_SCALE), round(fvel * VEL_SCALE), q, dacc)
         action = strategy.action_for(key)
         if action is None:
             misses += 1
@@ -171,14 +168,16 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
             hinted = 0
         rows.append(TraceRow(
             t=k * eps,
-            lead_pos=world.lead.pos, lead_vel=world.lead.vel,
-            follow_pos=world.follow.pos, follow_vel=world.follow.vel,
+            lead_pos=lpos, lead_vel=lvel, follow_pos=fpos, follow_vel=fvel,
             thw=thw, ttc=ttc, mode=ACTION_MODE[action],
             driver_acc=dacc, applied_acc=applied, action=action,
             perceived_level=perceived, rule_chain=chain, certified=certified,
         ))
-        world = step_world(world, applied, eps, scenario.profile, scenario.v_max)
-    return SimTrace(rows, initial_world, world, misses, seed)
+        fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
+        facc = applied
+    t, lpos, lvel, lacc = lead[len(rows)]
+    final = WorldState(VehicleState(lpos, lvel, lacc), VehicleState(fpos, fvel, facc), t, dest)
+    return SimTrace(rows, final, misses, seed)
 
 
 def monitor(trace, dest, thresholds):

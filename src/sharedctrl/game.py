@@ -47,7 +47,7 @@ from .supervisor import (
     ACTIONS,
     arbitrate,
 )
-from .world import headway_metrics, quantize_thw, sensor_perturb
+from .world import headway_metrics, quantize_thw
 
 TURN_ENV = 0
 TURN_CTRL = 1
@@ -280,20 +280,10 @@ def grid_lattice_checks(scenario, params, cfg):
 
 
 def lead_trajectory(scenario):
-    """Scaled lead (pos, vel) per epoch index, 0..horizon inclusive."""
-    eps = scenario.epoch
-    pos_q = _scaled(scenario.lead_pos, POS_SCALE, "lead_pos")
-    vel_q = _scaled(scenario.lead_vel, VEL_SCALE, "lead_vel")
-    vmax_q = _scaled(scenario.v_max, VEL_SCALE, "v_max")
-    pos_step = round(eps * POS_SCALE / VEL_SCALE)
-    out = [(pos_q, vel_q)]
-    for k in range(scenario.horizon_epochs):
-        acc = scenario.profile.acc_at(k * eps)
-        dv = _scaled(acc * eps, VEL_SCALE, "lead acc step")
-        pos_q = pos_q + vel_q * pos_step
-        vel_q = min(max(vel_q + dv, 0), vmax_q)
-        out.append((pos_q, vel_q))
-    return out
+    """Scaled lead (pos, vel) per epoch index, 0..horizon inclusive: the
+    scenario's `lead_track`, which co-simulation reads too, on the lattice."""
+    return [(_scaled(pos, POS_SCALE, "lead position"), _scaled(vel, VEL_SCALE, "lead velocity"))
+            for _t, pos, vel, _acc in scenario.lead_track]
 
 
 def build_arena(hm, scenario, cfg=None, params=None, variant="full",
@@ -317,9 +307,7 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
     dest_q = _scaled(scenario.dest, POS_SCALE, "dest")
     vmax_q = _scaled(scenario.v_max, VEL_SCALE, "v_max")
     pos_step = round(eps * POS_SCALE / VEL_SCALE)
-    model = scenario.sensor_model()
-    perceived = {level: sensor_perturb(level, model, params.num_levels)
-                 for level in params.levels()}
+    perceived = scenario.perceptions(params.num_levels)
     driver = AbstractDriver.shared(hm, params)
     moves_of = {}  # driver acc -> [(action, scaled velocity increment, hinted)]
     responses = {}  # (level, q, hinted) -> [(perception, q2, driver acc)]
@@ -663,31 +651,46 @@ def serialize_strategy(strategy):
 
 
 def parse_strategy(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Inverse of `serialize_strategy`; a malformed line raises `ValueError`
+    naming its line number and text."""
+    lines = ((number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    number, ln = next(lines, (0, None))
+    if ln is None:
         raise ValueError("empty strategy text")
-    header = lines[0].split()
+
+    def bad(number, ln, what):
+        return ValueError(f"line {number}: {what}: {ln!r}")
+
+    header = ln.split()
     if len(header) != 4 or header[0] != "strategy" or header[1] != "v1":
-        raise ValueError(f"bad strategy header: {lines[0]!r}")
+        raise bad(number, ln, "bad strategy header")
     variant = header[2]
-    count = int(header[3])
-    if len(lines) - 1 != count:
-        raise ValueError(f"expected {count} strategy lines, got {len(lines) - 1}")
+    if variant not in VARIANT_ACTIONS:
+        raise bad(number, ln, f"unknown variant {variant!r}")
+    try:
+        count = int(header[3])
+    except ValueError:
+        raise bad(number, ln, "bad strategy line count") from None
     mapping = {}
-    for ln in lines[1:]:
+    for number, ln in lines:
         parts = ln.split()
         if len(parts) != 6:
-            raise ValueError(f"bad strategy line: {ln!r}")
-        k, fp, fv, hm_state = (int(x) for x in parts[:4])
-        raw = parts[4]
-        dacc = int(raw) if raw.lstrip("-").isdigit() else float(raw)
+            raise bad(number, ln, "bad strategy line")
+        try:
+            k, fp, fv, hm_state = (int(x) for x in parts[:4])
+            raw = parts[4]
+            dacc = int(raw) if raw.lstrip("-").isdigit() else float(raw)
+        except ValueError:
+            raise bad(number, ln, "bad number in strategy line") from None
         action = parts[5]
         if action not in ACTIONS:
-            raise ValueError(f"unknown action {action!r}")
+            raise bad(number, ln, f"unknown action {action!r}")
         key = (TURN_CTRL, k, fp, fv, hm_state, dacc)
         if key in mapping:
-            raise ValueError(f"repeated strategy state: {ln!r}")
+            raise bad(number, ln, "repeated strategy state")
         mapping[key] = action
+    if len(mapping) != count:
+        raise ValueError(f"expected {count} strategy lines, got {len(mapping)}")
     return Strategy(mapping, variant)
 
 

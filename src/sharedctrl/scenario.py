@@ -11,14 +11,27 @@ used for design-space exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config_text import ConfigError, config_lines, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
-from .world import LeadProfile, SensorErrorModel, VehicleState, WorldState
+from .world import (
+    LeadProfile, SensorErrorModel, VehicleState, WorldState, sensor_perturb, step_world,
+)
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """Initial conditions, lead profile, horizon, sensor noise, thresholds
+    and override clamp of one driving situation.
+
+    `lead_track` (the lead's motion) and `perceptions` (the sensor's
+    perception sets) follow from the fields alone, so they are computed
+    once per scenario and shared by the game and every co-simulation
+    episode on it.  They are caches, not fields: equality ignores them, and
+    `dataclasses.replace` makes a scenario without them.
+    """
+
     name: str = "default"
     lead_pos: float = 50.0
     lead_vel: float = 12.0
@@ -50,6 +63,30 @@ class Scenario:
             t=0.0,
             dest=self.dest,
         )
+
+    @cached_property
+    def lead_track(self):
+        """The lead's `(t, pos, vel, acc)` at epochs 0..horizon: iterated
+        `step_world` from `initial_world`, so `t` is accumulated as it does."""
+        worlds = [self.initial_world()]
+        for _ in range(self.horizon_epochs):
+            worlds.append(step_world(worlds[-1], 0.0, self.epoch, self.profile, self.v_max))
+        return tuple((w.t, w.lead.pos, w.lead.vel, w.lead.acc) for w in worlds)
+
+    @cached_property
+    def _perceptions(self):
+        return {}  # num_levels -> {level: perceivable levels}
+
+    def perceptions(self, num_levels):
+        """Level -> the levels the sensor model may report for it, for
+        `num_levels` quantization levels; shared, so never mutate it."""
+        sets = self._perceptions.get(num_levels)
+        if sets is None:
+            model = self.sensor_model()
+            sets = self._perceptions[num_levels] = {
+                level: sensor_perturb(level, model, num_levels)
+                for level in range(1, num_levels + 1)}
+        return sets
 
     def supervisor_config(self):
         return SupervisorConfig(

@@ -5,10 +5,14 @@ acceleration profile and a follower driven by an external acceleration
 command.  Explicit Euler integration with positions advanced by the old
 velocity; velocities are clamped to [0, v_max].
 
-`VehicleState` and `WorldState` are slotted, not frozen, dataclasses: a
-co-simulation epoch builds three of them, and a frozen one costs about three
-times as much to construct.  Nothing mutates a state once it is built;
-`step_world` always returns new ones.
+`advance` is the one definition of a vehicle's step.  `step_world` applies it
+to both vehicles; co-simulation applies it to the follower alone, since the
+lead's motion depends only on the scenario: `Scenario.lead_track` integrates
+it with `step_world` once, and every episode reads it from there.
+
+`VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
+frozen one costs about three times as much to construct.  Nothing mutates a
+state once it is built; `step_world` always returns new ones.
 """
 
 from __future__ import annotations
@@ -86,13 +90,17 @@ def step_world(world, follow_acc, dt, profile=None, v_max=V_MAX_DEFAULT):
     lead, follow = world.lead, world.follow
     lead_acc = profile.acc_at(world.t) if profile is not None else lead.acc
     return WorldState(
-        VehicleState(lead.pos + lead.vel * dt,
-                     min(max(lead.vel + lead_acc * dt, 0.0), v_max), lead_acc),
-        VehicleState(follow.pos + follow.vel * dt,
-                     min(max(follow.vel + follow_acc * dt, 0.0), v_max), follow_acc),
+        VehicleState(*advance(lead.pos, lead.vel, lead_acc, dt, v_max), lead_acc),
+        VehicleState(*advance(follow.pos, follow.vel, follow_acc, dt, v_max), follow_acc),
         world.t + dt,
         world.dest,
     )
+
+
+def advance(pos, vel, acc, dt, v_max):
+    """One explicit Euler step of one vehicle: `(pos, vel)` after `dt`, the
+    position advanced by the old velocity, the velocity clamped to [0, v_max]."""
+    return pos + vel * dt, min(max(vel + acc * dt, 0.0), v_max)
 
 
 def headway_metrics(lead_pos, lead_vel, follow_pos, follow_vel):

@@ -109,6 +109,17 @@ def test_synth_names_the_bad_line_of_a_scenario_file(tmp_path, capsys, oracle_ma
     assert "line 2: unknown key 'horizon_epoch'" in capsys.readouterr().err
 
 
+def test_validate_names_the_bad_line_of_a_strategy_file(tmp_path, capsys, oracle_machine):
+    hm_path = write_hm(tmp_path, oracle_machine)
+    strategy_path = tmp_path / "s.txt"
+    strategy_path.write_text("strategy v1 bogus 1\n0 0 30 0 0 none\n", encoding="utf-8")
+    code = main(["validate", "--hm", str(hm_path), "--strategy", str(strategy_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert (f"{strategy_path}: line 1: unknown variant 'bogus': 'strategy v1 bogus 1'"
+            in capsys.readouterr().err)
+
+
 def write_hm(tmp_path, hm):
     hm_path = tmp_path / "hm.mealy"
     hm_path.write_text(serialize(hm), encoding="utf-8")

@@ -37,7 +37,7 @@ from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent
 from sharedctrl.scenario import Scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
-from sharedctrl.world import VehicleState, WorldState
+from sharedctrl.world import LeadProfile, VehicleState, WorldState, step_world
 
 from conftest import ConstantStrategy
 
@@ -115,8 +115,7 @@ def _row(**kw):
 def _trace(rows, final_gap=10.0, final_pos=200.0):
     final = WorldState(VehicleState(final_pos + final_gap, 10.0),
                        VehicleState(final_pos, 10.0), 1.0)
-    initial = WorldState(VehicleState(50.0, 10.0), VehicleState(0.0, 10.0), 0.0)
-    return SimTrace(rows, initial, final)
+    return SimTrace(rows, final)
 
 
 def test_monitor_flags_overtake_row():
@@ -307,6 +306,52 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
         hinted = 1 if row.action == ACTION_HINT else 0
     final = trace.final_world.follow
     assert env == _env_state(len(trace.rows), final.pos, final.vel, q, hinted)
+
+
+@st.composite
+def lattice_scenarios(draw):
+    """Scenarios on the arena lattice: gap, speeds, a three-segment lead
+    profile, horizon and sensor offset redrawn from the built-in ranges."""
+    horizon = draw(st.integers(0, 24))
+    t1 = draw(st.integers(1, 20)) / 2
+    t2 = t1 + draw(st.integers(1, 12)) / 2
+    accs = st.integers(-3, 2).map(float)
+    return Scenario(
+        name="random",
+        lead_pos=draw(st.integers(40, 200)) / 4,
+        lead_vel=draw(st.integers(0, 32)) / 2,
+        follow_vel=draw(st.integers(0, 32)) / 2,
+        dest=draw(st.integers(320, 480)) / 4,
+        horizon_epochs=horizon,
+        sensor_offset=draw(st.integers(0, 1)),
+        profile=LeadProfile([(0.0, draw(accs)), (t1, draw(accs)), (t2, draw(accs))]),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=lattice_scenarios(),
+       strategy=st.sampled_from((ConstantStrategy("none"), ConstantStrategy("hint"),
+                                 ConstantStrategy("override"), Strategy({}))),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_episode_integrates_like_step_world(driver_params, oracle_machine,
+                                            scenario, strategy, seed):
+    # every float of an episode is what iterating `step_world` gives: the lead
+    # from the scenario alone, the follower from the previous row's applied
+    # acceleration; the empty strategy misses every lookup (fail-safe fallback)
+    trace = run_once(strategy, scenario, driver_params, oracle_machine, seed)
+    cfg = scenario.supervisor_config()
+    world = scenario.initial_world()
+    for k, row in enumerate(trace.rows):
+        assert row.t == k * scenario.epoch
+        assert (row.lead_pos, row.lead_vel) == (world.lead.pos, world.lead.vel)
+        assert (row.follow_pos, row.follow_vel) == (world.follow.pos, world.follow.vel)
+        if isinstance(strategy, Strategy):
+            assert row.action == ACTION_OVERRIDE and row.applied_acc == cfg.acc_floor
+        world = step_world(world, row.applied_acc, scenario.epoch, scenario.profile,
+                           scenario.v_max)
+    if isinstance(strategy, Strategy):
+        assert trace.lookup_misses == len(trace.rows)
+    assert trace.final_world == world
 
 
 def make_session(params, seed=0, state_cap=None):

@@ -17,6 +17,7 @@ from sharedctrl.game import (
     certify,
     check_templates,
     extract_strategy,
+    lead_trajectory,
     minimal_intervention,
     parse_strategy,
     realizable,
@@ -315,6 +316,12 @@ def test_build_arena_rejects_off_lattice(oracle_machine):
     bad_sc = replace(mini_scenario(), epoch=0.3)
     with pytest.raises(ValueError):
         build_arena(oracle_machine, bad_sc)
+    # the game reads the float lead track, each point checked onto the lattice
+    sc = mini_scenario()
+    assert lead_trajectory(sc) == [(round(pos * 4), round(vel * 2))
+                                   for _t, pos, vel, _acc in sc.lead_track]
+    with pytest.raises(ValueError, match="lead position .* is not on the arena lattice"):
+        lead_trajectory(replace(sc, lead_pos=sc.lead_pos + 0.1))
 
 
 def test_built_arena_bipartite(oracle_machine):
@@ -444,6 +451,24 @@ def test_parse_strategy_rejects_garbage():
         parse_strategy("strategy v1 full 1\n0 0 0 0 0 fly\n")
     with pytest.raises(ValueError, match="'0 0 30 0 0 none'"):
         parse_strategy("strategy v1 full 2\n0 0 30 0 0 override\n0 0 30 0 0 none\n")
+    with pytest.raises(ValueError, match="expected 2 strategy lines, got 1"):
+        parse_strategy("strategy v1 full 2\n0 0 30 0 0 none\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy v1 full 1\n\n0 a 30 0 0 none\n",
+     "line 3: bad number in strategy line: '0 a 30 0 0 none'"),
+    ("strategy v1 full 1\n0 0 30 0 fast none\n",
+     "line 2: bad number in strategy line: '0 0 30 0 fast none'"),
+    ("strategy v1 full one\n0 0 30 0 0 none\n",
+     "line 1: bad strategy line count: 'strategy v1 full one'"),
+    ("\nstrategy v1 bogus 1\n0 0 30 0 0 none\n",
+     "line 2: unknown variant 'bogus': 'strategy v1 bogus 1'"),
+], ids=["field", "dacc", "count", "variant"])
+def test_parse_strategy_names_the_bad_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_strategy(text)
+    assert str(err.value) == message
 
 
 def test_arena_stats_text(default_synthesis):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -204,3 +205,15 @@ def test_scenario_initial_world():
     w = sc.initial_world()
     assert w.lead.pos == 50.0 and w.follow.vel == 15.0
     assert w.dest == sc.dest
+
+
+def test_scenario_caches_are_not_fields():
+    # computed once per scenario, ignored by equality, not carried by `replace`
+    sc = default_scenario()
+    track, sets = sc.lead_track, sc.perceptions(4)
+    assert sc.lead_track is track and sc.perceptions(4) is sets
+    assert len(track) == sc.horizon_epochs + 1
+    assert sets == {level: sensor_perturb(level, sc.sensor_model(), 4) for level in range(1, 5)}
+    assert Scenario.from_text(sc.to_text()) == sc
+    shorter = replace(sc, horizon_epochs=3)
+    assert shorter.lead_track == track[:4]
