@@ -28,7 +28,10 @@ are deliberately not part of the state: both are functions of the incoming
 edge (mode follows the chosen action one-to-one, the perceived level is
 subsumed by the driver successor and its emitted acceleration), so folding
 them out is a bisimulation quotient that leaves the winning region and all
-checked properties unchanged while keeping the product tractable.
+checked properties unchanged while keeping the product tractable.  An
+explored state stores its successors as a tuple of state numbers and its
+edge labels as one shared row: the variant's action tuple for a controller
+state, the perception set of the perceived level for an environment state.
 """
 
 from __future__ import annotations
@@ -160,15 +163,19 @@ class GameArena:
     """Bipartite arena: interleaved controller/environment turns.
 
     States are opaque values, numbered in the order they are first reached.
-    `turn[i]` says who moves, `bad`/`goal`/`terminal` classify state `i`, and
-    `edges[i]` is the tuple of its `(label, successor)` pairs, or None while
-    `i` is unexplored: `successors(i)` calls `explore(arena, i)`, which
-    numbers the successors with `link` and returns the edges.  Environment
-    edges are uncontrollable (sensor level choices); controller edges carry
-    supervision actions, held in severity order.  `n_states` and `n_edges`
-    count what has been explored so far, and `state_cap` bounds it.
-    `region` is the arena's winning region, decided as it is asked; the
-    solver keeps its decisions in `won` and `iterations`.
+    `turn[i]` says who moves and `bad`/`goal`/`terminal` classify state `i`,
+    one byte each.  `edges[i]` is the tuple of its successors' numbers, or
+    None while `i` is unexplored; `labels[i]` labels them position by
+    position, with one row shared by all states of the same labels, never a
+    copy per edge.  `successors(i)` explores `i` on first use: it calls
+    `explore(arena, i)`, which numbers the successors with `link` and
+    returns `(labels, successors)`.  Environment edges are uncontrollable
+    (sensor level choices); controller edges carry supervision actions,
+    held in severity order.  `n_states` and `n_edges` count what has been
+    explored so far, and `state_cap` bounds it.  `region` is the arena's
+    winning region, decided as it is asked; the solver keeps its decisions
+    in `won` (per state: None while undecided, else whether the controller
+    wins) and `iterations`.
     """
 
     def __init__(self, explore, state_cap=None, meta=None):
@@ -177,13 +184,14 @@ class GameArena:
         self.meta = meta or {}
         self.states = []
         self.index = {}
-        self.turn = []
+        self.turn = bytearray()
+        self.bad = bytearray()
+        self.goal = bytearray()
+        self.terminal = bytearray()
+        self.labels = []
         self.edges = []
-        self.bad = []
-        self.goal = []
-        self.terminal = []
         self.initial = None
-        self.won = {}  # decided state -> whether the controller wins it
+        self.won = []  # per state: None while undecided, else whether the controller wins
         self.iterations = 0  # states the solver expanded
 
     @classmethod
@@ -200,7 +208,8 @@ class GameArena:
             turn, edges = nodes[arena.states[i]]
             if turn == "c":
                 edges = sorted(edges, key=lambda e: _severity(e[0]))
-            return tuple((label, arena.index[succ]) for label, succ in edges)
+            return (tuple(label for label, _succ in edges),
+                    tuple(arena.index[succ] for _label, succ in edges))
 
         arena = cls(explore)
         for name, (turn, edges) in nodes.items():
@@ -209,20 +218,20 @@ class GameArena:
                 raise ValueError(f"controller state {name!r} has two edges "
                                  "with the same label")
             is_bad, is_goal = name in bad, name in goal
-            arena.link([(None, name)], (TURN_CTRL if turn == "c" else TURN_ENV, is_bad,
-                                        is_goal, not edges or is_bad or is_goal))
+            arena.link([name], (TURN_CTRL if turn == "c" else TURN_ENV, is_bad,
+                                is_goal, not edges or is_bad or is_goal))
         for i in range(arena.n_states):
             arena.successors(i)
         arena.initial = arena.index[initial if initial is not None else next(iter(nodes))]
         return arena
 
     def link(self, succs, kind):
-        """Edges to the `(label, state)` pairs `succs`, numbering each state not
-        reached before with `kind`, its `(turn, bad, goal, terminal)`."""
+        """The numbers of the states `succs`, numbering each state not reached
+        before with `kind`, its `(turn, bad, goal, terminal)`."""
         index, states, cap = self.index, self.states, self.state_cap
         turn, bad, goal, terminal = kind
-        edges = []
-        for label, s in succs:
+        numbers = []
+        for s in succs:
             j = index.get(s)
             if j is None:
                 j = len(states)
@@ -234,15 +243,18 @@ class GameArena:
                 self.bad.append(bad)
                 self.goal.append(goal)
                 self.terminal.append(terminal)
+                self.labels.append(() if terminal else None)
                 self.edges.append(() if terminal else None)
-            edges.append((label, j))
-        return tuple(edges)
+                self.won.append(None)
+            numbers.append(j)
+        return tuple(numbers)
 
     def successors(self, i):
-        """Edges of state `i`, exploring it on first use."""
+        """Successors of state `i`, exploring it on first use."""
         es = self.edges[i]
         if es is None:
-            es = self.edges[i] = self._explore(self, i)
+            self.labels[i], es = self._explore(self, i)
+            self.edges[i] = es
         return es
 
     @property
@@ -309,8 +321,8 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
     pos_step = round(eps * POS_SCALE / VEL_SCALE)
     perceived = scenario.perceptions(params.num_levels)
     driver = AbstractDriver.shared(hm, params)
-    moves_of = {}  # driver acc -> [(action, scaled velocity increment, hinted)]
-    responses = {}  # (level, q, hinted) -> [(perception, q2, driver acc)]
+    moves_of = {}  # driver acc -> [(scaled velocity increment, hinted)] per action
+    responses = {}  # (level, q, hinted) -> [(q2, driver acc)] per perception
 
     def env_kind(k, fp):
         is_bad = fp >= lead[k][0]
@@ -327,33 +339,35 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
             thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
                                         fp / POS_SCALE, fv / VEL_SCALE)
             level = quantize_thw(thw, params.thw_levels)
+            labels = perceived[level]
             replies = responses.get((level, q, hinted))
             if replies is None:
                 replies = responses[level, q, hinted] = [
-                    (p, *driver.step(q, hinted, p)[:2]) for p in perceived[level]]
+                    driver.step(q, hinted, p)[:2] for p in labels]
             kind = (TURN_CTRL, False, False, False)
-            succs = [(p, (TURN_CTRL, k, fp, fv, q2, dacc)) for p, q2, dacc in replies]
+            succs = [(TURN_CTRL, k, fp, fv, q2, dacc) for q2, dacc in replies]
         else:
             _, k, fp, fv, q2, dacc = s
+            labels = actions
             moves = moves_of.get(dacc)
             if moves is None:
                 moves = moves_of[dacc] = [
-                    (action, _scaled(arbitrate(action, dacc, cfg) * eps,
-                                     VEL_SCALE, "velocity increment"),
+                    (_scaled(arbitrate(action, dacc, cfg) * eps,
+                             VEL_SCALE, "velocity increment"),
                      1 if action == ACTION_HINT else 0)
                     for action in actions]
             fp2 = fp + fv * pos_step
             kind = env_kind(k + 1, fp2)
-            succs = [(action, (TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, h))
-                     for action, dv, h in moves]
-        return arena.link(succs, kind)
+            succs = [(TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, h)
+                     for dv, h in moves]
+        return labels, arena.link(succs, kind)
 
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
     arena = GameArena(explore, state_cap, meta)
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
           hm.initial, 0)
-    arena.initial = arena.link([(None, s0)], env_kind(0, fp0))[0][1]
+    arena.initial = arena.link([s0], env_kind(0, fp0))[0]
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
 
@@ -369,7 +383,8 @@ class WinningRegion:
     `len(region)` counts the states decided winning so far; `members`
     decides every state, exploring the rest of the arena to do so.
     `iterations` counts the states the solver expanded.  Both are kept by
-    the arena; a region is a view.
+    the arena, the decisions in its per-state `won` list; a region is a
+    view.
     """
 
     def __init__(self, arena):
@@ -381,11 +396,11 @@ class WinningRegion:
         return self.arena.iterations
 
     def __contains__(self, i):
-        won = self.won.get(i)
+        won = self.won[i]
         return self._decide(i) if won is None else won
 
     def __len__(self):
-        return sum(self.won.values())
+        return self.won.count(True)
 
     @property
     def members(self):
@@ -393,7 +408,7 @@ class WinningRegion:
         while i < self.arena.n_states:  # deciding a state may explore more
             self.__contains__(i)
             i += 1
-        return frozenset(i for i, won in self.won.items() if won)
+        return frozenset(i for i, won in enumerate(self.won) if won)
 
     def _decide(self, root):
         """Depth-first walk of the acyclic arena from `root` with an
@@ -411,7 +426,7 @@ class WinningRegion:
         if terminal[root]:
             won[root] = not bad[root]
             return won[root]
-        stack = [[root, arena.successors(root), 0]]  # frame: [state, edges, next edge]
+        stack = [[root, arena.successors(root), 0]]  # frame: [state, successors, next one]
         arena.iterations += 1
         result = None  # whether the frame that just finished wins
         while True:
@@ -420,9 +435,9 @@ class WinningRegion:
             ctrl = turn[i] == TURN_CTRL
             decided = result == ctrl
             while not decided and pos < len(edges):
-                j = edges[pos][1]
+                j = edges[pos]
                 pos += 1
-                r = won.get(j)
+                r = won[j]
                 if r is None:
                     if not terminal[j]:
                         break
@@ -460,7 +475,8 @@ def winning_actions(arena, region, i, below):
     asking only about those strictly less severe than `below`: all that
     `minimal_intervention(below, ...)` needs."""
     severity = _severity(below)
-    return [label for label, j in arena.successors(i)
+    targets = arena.successors(i)
+    return [label for label, j in zip(arena.labels[i], targets)
             if _severity(label) < severity and j in region]
 
 
@@ -489,11 +505,12 @@ def extract_strategy(arena, region):
     """Pick one winning action per controller state the strategy's own plays
     reach from the initial state.
 
-    The pick is the first edge, in severity order, whose successor the
-    solver decided winning; the region is asked only about successors still
-    undecided.  Every less severe edge loses, so the pick is the least
-    severe winning action (none < hint < override) and satisfies
-    `minimal_intervention` by construction; `certify` checks it.
+    The pick is the label of the first successor, in severity order, that
+    the solver decided winning in the arena's `won` list; the region is
+    asked only about successors still undecided.  Every less severe edge
+    loses, so the pick is the least severe winning action (none < hint <
+    override) and satisfies `minimal_intervention` by construction;
+    `certify` checks it.
     """
     if not realizable(arena, region):
         raise Unrealizable("initial state is not in the winning region")
@@ -505,18 +522,18 @@ def extract_strategy(arena, region):
         i = stack.pop()
         if terminal[i]:
             continue
-        edges = arena.successors(i)
+        targets = arena.successors(i)
         if turn[i] == TURN_CTRL:
-            for edge in edges:
-                r = won.get(edge[1])
-                if r or (r is None and edge[1] in region):
+            for pos, j in enumerate(targets):
+                r = won[j]
+                if r or (r is None and j in region):
                     break
             else:
                 raise RuntimeError(f"winning controller state {states[i]!r} "
                                    "has no winning action")
-            mapping[states[i]] = edge[0]
-            edges = (edge,)
-        for _label, j in edges:
+            mapping[states[i]] = arena.labels[i][pos]
+            targets = (j,)
+        for j in targets:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -589,15 +606,16 @@ def check_templates(arena, strategy, region=None):
             else:
                 report.horizon_terminals += 1
             continue
-        edges = arena.successors(i)
+        targets = arena.successors(i)
+        labels = arena.labels[i]
         if turn[i] == TURN_ENV:
             if driver is not None and s[5]:
-                for p, _j in edges:
+                for p in labels:
                     _q2, _acc, full = driver.step(s[4], 1, p)
                     if not full and report.response_ok:
                         report.response_ok = False
                         report.response_witness = (s, p)
-            for _label, j in edges:
+            for j in targets:
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
@@ -607,12 +625,12 @@ def check_templates(arena, strategy, region=None):
                 raise StrategyRejected(
                     f"template check rejected the strategy: undefined on reachable "
                     f"state {s!r}; checks up to there:\n" + report.text())
-            j = next((j for label, j in edges if label == action), None)
-            if j is None:
+            if action not in labels:
                 raise StrategyRejected(
                     f"template check rejected the strategy: action {action!r} labels "
                     f"no edge of reachable state {s!r}; checks up to there:\n"
                     + report.text())
+            j = targets[labels.index(action)]
             # no action is less severe than `none`, so it is minimal by definition
             if (report.min_intervention_ok and action != ACTION_NONE and
                     not minimal_intervention(action,
@@ -682,6 +700,8 @@ def parse_strategy(text):
             dacc = int(raw) if raw.lstrip("-").isdigit() else float(raw)
         except ValueError:
             raise bad(number, ln, "bad number in strategy line") from None
+        if isinstance(dacc, float) and not math.isfinite(dacc):
+            raise bad(number, ln, "non-finite dacc in strategy line")
         action = parts[5]
         if action not in ACTIONS:
             raise bad(number, ln, f"unknown action {action!r}")
@@ -697,7 +717,7 @@ def parse_strategy(text):
 def arena_stats_text(arena, region=None):
     """Counts over the explored part of the arena; `winning_states` is the
     number of explored states decided winning."""
-    n_ctrl = sum(1 for t in arena.turn if t == TURN_CTRL)
+    n_ctrl = arena.turn.count(TURN_CTRL)
     lines = [
         f"states={arena.n_states}",
         f"edges={arena.n_edges}",

@@ -170,13 +170,6 @@ def _encode_symbol(symbol):
     return text
 
 
-def _decode_symbol(text):
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise FormatError(f"bad symbol literal: {text!r}") from exc
-
-
 def serialize(machine):
     """Render a machine in the versioned plain-text format.
 
@@ -200,50 +193,61 @@ def serialize(machine):
 
 
 def parse(text):
-    """Inverse of `serialize`; raises FormatError on malformed input."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of `serialize`; a malformed line raises `FormatError` naming
+    its line number (blank lines counted) and text."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise FormatError("empty automaton text")
-    header = lines[0].split()
+
+    def bad(pos, what):
+        number, ln = lines[pos]
+        return FormatError(f"line {number}: {what}: {ln!r}")
+
+    header = lines[0][1].split()
     if len(header) != 5 or header[0] != "mealy" or header[1] != "v1":
-        raise FormatError(f"bad header: {lines[0]!r}")
+        raise bad(0, "bad header")
     try:
         n_states, n_in, n_out = (int(x) for x in header[2:])
-    except ValueError as exc:
-        raise FormatError(f"bad header counts: {lines[0]!r}") from exc
+    except ValueError:
+        raise bad(0, "bad header counts") from None
+    if min(n_states, n_in, n_out) < 0:
+        raise bad(0, "bad header counts")
     expect = 1 + n_in + n_out + n_states * n_in
     if len(lines) != expect:
         raise FormatError(f"expected {expect} lines, got {len(lines)}")
-    pos = 1
-    inputs = []
-    for _ in range(n_in):
-        kind, _, rest = lines[pos].partition(" ")
-        if kind != "in":
-            raise FormatError(f"expected input symbol line, got {lines[pos]!r}")
-        inputs.append(_decode_symbol(rest))
-        pos += 1
-    outputs = []
-    for _ in range(n_out):
-        kind, _, rest = lines[pos].partition(" ")
-        if kind != "out":
-            raise FormatError(f"expected output symbol line, got {lines[pos]!r}")
-        outputs.append(_decode_symbol(rest))
-        pos += 1
+
+    def symbols(start, count, kind):
+        found = []
+        for pos in range(start, start + count):
+            head, _, rest = lines[pos][1].partition(" ")
+            if head != kind:
+                raise bad(pos, f"expected {kind} symbol line")
+            try:
+                symbol = ast.literal_eval(rest)
+                hash(symbol)  # symbols key the transition tables
+            except (ValueError, SyntaxError, TypeError):
+                raise bad(pos, "bad symbol literal") from None
+            found.append(symbol)
+        return found
+
+    inputs = symbols(1, n_in, "in")
+    outputs = symbols(1 + n_in, n_out, "out")
     delta = {s: {} for s in range(n_states)}
-    for _ in range(n_states * n_in):
-        parts = lines[pos].split()
+    for pos in range(1 + n_in + n_out, expect):
+        parts = lines[pos][1].split()
         if len(parts) != 5 or parts[0] != "t":
-            raise FormatError(f"bad transition line: {lines[pos]!r}")
+            raise bad(pos, "bad transition line")
         try:
             src, in_idx, dst, out_idx = (int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise FormatError(f"bad transition line: {lines[pos]!r}") from exc
+        except ValueError:
+            raise bad(pos, "bad transition line") from None
         if not (0 <= src < n_states and 0 <= dst < n_states):
-            raise FormatError(f"state out of range: {lines[pos]!r}")
+            raise bad(pos, "state out of range")
         if not (0 <= in_idx < n_in and 0 <= out_idx < n_out):
-            raise FormatError(f"symbol index out of range: {lines[pos]!r}")
+            raise bad(pos, "symbol index out of range")
+        if inputs[in_idx] in delta[src]:
+            raise bad(pos, "repeated transition")
         delta[src][inputs[in_idx]] = (dst, outputs[out_idx])
-        pos += 1
     try:
         return MealyMachine(inputs, delta, initial=0)
     except ValueError as exc:

@@ -109,6 +109,17 @@ def test_synth_names_the_bad_line_of_a_scenario_file(tmp_path, capsys, oracle_ma
     assert "line 2: unknown key 'horizon_epoch'" in capsys.readouterr().err
 
 
+def test_synth_names_the_bad_line_of_an_abstraction_file(tmp_path, capsys, oracle_machine):
+    lines = serialize(oracle_machine).splitlines()
+    lines[-1] = "t 0 x 1 0"
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["synth", "--hm", str(hm_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert (f"{hm_path}: line {len(lines)}: bad transition line: 't 0 x 1 0'"
+            in capsys.readouterr().err)
+
+
 def test_validate_names_the_bad_line_of_a_strategy_file(tmp_path, capsys, oracle_machine):
     hm_path = write_hm(tmp_path, oracle_machine)
     strategy_path = tmp_path / "s.txt"

@@ -277,9 +277,9 @@ def _env_state(k, pos, vel, q, hinted):
 def _explored(arena, state):
     """Edges of an arena state that synthesis already explored, as
     `{label: successor state}`, without exploring any further."""
-    edges = arena.edges[arena.index[state]]
-    assert edges is not None, f"{state} was never explored"
-    return {label: arena.states[succ] for label, succ in edges}
+    i = arena.index[state]
+    assert arena.edges[i] is not None, f"{state} was never explored"
+    return {label: arena.states[succ] for label, succ in zip(arena.labels[i], arena.edges[i])}
 
 
 @settings(max_examples=60, deadline=None)

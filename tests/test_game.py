@@ -12,6 +12,7 @@ from sharedctrl.game import (
     TURN_CTRL,
     TURN_ENV,
     Unrealizable,
+    VARIANT_ACTIONS,
     arena_stats_text,
     build_arena,
     certify,
@@ -46,9 +47,9 @@ def brute_force_region(arena):
             if not win[i] or arena.goal[i] or arena.terminal[i]:
                 continue
             if arena.turn[i] == TURN_CTRL:
-                ok = any(win[j] for _, j in arena.edges[i])
+                ok = any(win[j] for j in arena.successors(i))
             else:
-                ok = all(win[j] for _, j in arena.edges[i])
+                ok = all(win[j] for j in arena.successors(i))
             if not ok:
                 win[i] = False
                 changed = True
@@ -239,9 +240,9 @@ def test_strategy_closure_stays_winning():
             continue
         if arena.turn[i] == TURN_CTRL:
             action = strategy.actions[arena.states[i]]
-            succs = [j for a, j in arena.edges[i] if a == action]
+            succs = [j for a, j in zip(arena.labels[i], arena.successors(i)) if a == action]
         else:
-            succs = [j for _, j in arena.edges[i]]
+            succs = list(arena.successors(i))
         for j in succs:
             if j not in seen:
                 seen.add(j)
@@ -295,6 +296,27 @@ def test_build_arena_offset_one_branches(oracle_machine):
     assert 2 in widths or 3 in widths
 
 
+def test_built_arena_shares_one_label_row_per_state(oracle_machine):
+    # labels are never per edge: an explored state holds the variant's action
+    # tuple or one of the scenario's perception rows, position by position
+    # with its successors' numbers
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1),
+                                    variant="no-override"))
+    actions = VARIANT_ACTIONS["no-override"]
+    rows = arena.meta["scenario"].perceptions(arena.meta["driver"].params.num_levels)
+    assert len(arena.won) == arena.n_states
+    for i in range(arena.n_states):
+        labels, targets = arena.labels[i], arena.edges[i]
+        if arena.terminal[i]:
+            assert labels == targets == ()
+        elif arena.turn[i] == TURN_CTRL:
+            assert labels is actions
+        else:
+            assert any(labels is row for row in rows.values())
+        assert len(labels) == len(targets)
+        assert all(type(j) is int for j in targets)
+
+
 def test_build_arena_no_bad_goal_overlap(oracle_machine, default_sc):
     arena = build_arena(oracle_machine, default_sc)
     assert not any(b and g for b, g in zip(arena.bad, arena.goal))
@@ -331,7 +353,7 @@ def test_built_arena_bipartite(oracle_machine):
     for i in range(arena.n_states):
         k = arena.states[i][1]
         step = (TURN_CTRL, k) if arena.turn[i] == TURN_ENV else (TURN_ENV, k + 1)
-        for _, j in arena.edges[i]:
+        for j in arena.successors(i):
             assert (arena.turn[j], arena.states[j][1]) == step
 
 
@@ -464,7 +486,15 @@ def test_parse_strategy_rejects_garbage():
      "line 1: bad strategy line count: 'strategy v1 full one'"),
     ("\nstrategy v1 bogus 1\n0 0 30 0 0 none\n",
      "line 2: unknown variant 'bogus': 'strategy v1 bogus 1'"),
-], ids=["field", "dacc", "count", "variant"])
+    ("strategy v1 full 1\n0 0 30 0 nan none\n",
+     "line 2: non-finite dacc in strategy line: '0 0 30 0 nan none'"),
+    ("strategy v1 full 1\n0 0 30 0 inf none\n",
+     "line 2: non-finite dacc in strategy line: '0 0 30 0 inf none'"),
+    ("strategy v1 full 1\n0 0 30 0 -inf none\n",
+     "line 2: non-finite dacc in strategy line: '0 0 30 0 -inf none'"),
+    ("strategy v1 full 1\n\n0 0 30 0 1e400 none\n",
+     "line 3: non-finite dacc in strategy line: '0 0 30 0 1e400 none'"),
+], ids=["field", "dacc", "count", "variant", "nan", "inf", "-inf", "overflow"])
 def test_parse_strategy_names_the_bad_line(text, message):
     with pytest.raises(ValueError) as err:
         parse_strategy(text)
@@ -482,11 +512,11 @@ def test_variant_restricts_actions(oracle_machine):
     sc = mini_scenario(offset=1)
     arena = explore_all(build_arena(oracle_machine, sc, variant="no-override"))
     labels = {a for i in range(arena.n_states) if arena.turn[i] == TURN_CTRL
-              for a, _ in arena.edges[i]}
+              for a in arena.labels[i]}
     assert labels <= {"none", "hint"}
     arena2 = explore_all(build_arena(oracle_machine, sc, variant="advisory-only"))
     labels2 = {a for i in range(arena2.n_states) if arena2.turn[i] == TURN_CTRL
-               for a, _ in arena2.edges[i]}
+               for a in arena2.labels[i]}
     assert labels2 == {"hint"}
 
 
@@ -578,7 +608,8 @@ def test_local_solver_properties_on_random_arenas(case):
     for state, action in strategy.actions.items():
         i = arena.index[state]
         assert i in expected
-        winning = [label for label, j in arena.edges[i] if j in expected]
+        winning = [label for label, j in zip(arena.labels[i], arena.successors(i))
+                   if j in expected]
         assert action == min(winning, key=SEVERITY.get)
     certify(arena, strategy, region)
 
@@ -594,11 +625,11 @@ def test_template_check_flags_every_needless_escalation(case):
         return
     extracted = extract_strategy(arena, region).actions
     # label every controller state, so the changed plays never leave the map
-    base = {arena.states[i]: edges[0][0] for i, edges in enumerate(arena.edges)
-            if arena.turn[i] == TURN_CTRL and edges}
+    base = {arena.states[i]: labels[0] for i, labels in enumerate(arena.labels)
+            if arena.turn[i] == TURN_CTRL and labels}
     base.update(extracted)
     for state, action in extracted.items():
-        for label, _j in arena.edges[arena.index[state]]:
+        for label in arena.labels[arena.index[state]]:
             if SEVERITY[label] > SEVERITY[action]:
                 report = check_templates(arena, Strategy({**base, state: label}), region)
                 assert not report.min_intervention_ok

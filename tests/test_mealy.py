@@ -139,6 +139,25 @@ def test_parse_rejects_garbage():
         parse("mealy v2 1 1 1\nin 'a'\nout 'x'\nt 0 0 0 0")
     with pytest.raises(FormatError):
         parse("mealy v1 1 1 1\nin 'a'\nout 'x'\nt 0 0 5 0")
+    # every malformed line is named by its number, blank lines counted
+    text = serialize(make_toggle())
+    assert text == "mealy v1 2 1 2\nin 'a'\nout '0'\nout '1'\nt 0 0 1 0\nt 1 0 0 1\n"
+    for old, new, message in [
+        ("mealy v1 2 1 2", "mealy v1 2 one 2", "line 1: bad header counts: 'mealy v1 2 one 2'"),
+        ("mealy v1 2 1 2", "mealy v1 -2 1 2", "line 1: bad header counts: 'mealy v1 -2 1 2'"),
+        ("in 'a'", "input 'a'", "line 2: expected in symbol line: \"input 'a'\""),
+        ("in 'a'", "in 'a", "line 2: bad symbol literal: \"in 'a\""),
+        ("out '0'", "out ['0']", "line 3: bad symbol literal: \"out ['0']\""),
+        ("out '1'", "in '1'", "line 4: expected out symbol line: \"in '1'\""),
+        ("t 0 0 1 0", "\nt 0 x 1 0", "line 6: bad transition line: 't 0 x 1 0'"),
+        ("t 0 0 1 0", "t 0 0 1", "line 5: bad transition line: 't 0 0 1'"),
+        ("t 1 0 0 1", "t 1 0 2 1", "line 6: state out of range: 't 1 0 2 1'"),
+        ("t 1 0 0 1", "t 1 0 0 2", "line 6: symbol index out of range: 't 1 0 0 2'"),
+        ("t 1 0 0 1", "\n\nt 0 0 0 1", "line 8: repeated transition: 't 0 0 0 1'"),
+    ]:
+        with pytest.raises(FormatError) as err:
+            parse(text.replace(old, new))
+        assert str(err.value) == message
 
 
 def test_structured_output_symbols_round_trip():
