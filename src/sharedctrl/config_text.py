@@ -4,7 +4,8 @@ The keys are the dataclass's field names; a field whose value is itself a
 dataclass (`Scenario.thresholds`) is flattened into that dataclass's keys.
 Values print with `str`, tuples as comma-separated lists.  Parsing starts
 from the dataclass's own defaults, so the empty text gives the default
-object, and each value must have the type of its field's default.  Blank
+object, and each value must have the type of its field's default; a number
+must be finite (`finite` rejects `nan`, `inf` and overflow).  Blank
 lines and `#` comments are skipped.  Any other line must be `key=value` with
 a known key, or start with one of the row words the caller names (such as
 `profile t acc`).  Every error names the line at fault, and the file when
@@ -13,6 +14,7 @@ the text was read from one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 
@@ -26,9 +28,17 @@ def _defaults(cls):
             for f in fields(cls)}
 
 
+def finite(text):
+    """The float `text` gives; a `ValueError` unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _number(text):
     """An int when the value is integral, a float otherwise."""
-    value = float(text)
+    value = finite(text)
     return int(value) if value.is_integer() else value
 
 
@@ -36,14 +46,14 @@ def _parse(default, text):
     if isinstance(default, str):
         return text
     if isinstance(default, tuple):
-        item = float if all(isinstance(v, float) for v in default) else _number
+        item = finite if all(isinstance(v, float) for v in default) else _number
         return tuple(item(v) for v in text.split(","))
     if isinstance(default, int):
         value = _number(text)
         if not isinstance(value, int):
             raise ValueError(f"{text!r} is not an integer")
         return value
-    return float(text)
+    return finite(text)
 
 
 def config_lines(obj, skip=()):

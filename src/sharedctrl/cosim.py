@@ -114,6 +114,24 @@ def write_trace_csv(trace, path):
             ])
 
 
+def epoch_context(scenario, params, k, fpos, fvel):
+    """What the follower state `(k, fpos, fvel)` of an episode determines.
+
+    The empty tuple when the follower has overtaken the lead or reached
+    `dest`, else `(t, lead_pos, lead_vel, thw, ttc, perceivable, pos, vel)`:
+    the row time, the lead from `scenario.lead_track`, the headway metrics,
+    the levels the sensor may report, and the lattice position and velocity
+    of the strategy key.  Of `params`, only the boundaries `thw_levels` count.
+    """
+    _t, lpos, lvel, _lacc = scenario.lead_track[k]
+    if fpos >= lpos or fpos >= scenario.dest:
+        return ()
+    thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
+    perceivable = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
+    return (k * scenario.epoch, lpos, lvel, thw, ttc, perceivable,
+            round(fpos * POS_SCALE), round(fvel * VEL_SCALE))
+
+
 def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     """Run one seeded closed-loop episode; returns the trace.
 
@@ -125,34 +143,41 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     Rows whose action the strategy supplied carry its `certified` flag;
     fallback rows are never certified.
 
-    The lead is read from `scenario.lead_track`, computed once per scenario,
-    and the follower is advanced in local variables with `advance`; so an
-    epoch builds only its `TraceRow`, and the final world is built once.
-    Every float is what iterating `step_world` gives.
+    What depends only on the follower's state `(k, fpos, fvel)` is its
+    `epoch_context`, cached in `scenario.epoch_contexts` under the boundaries
+    and the exact floats the episode holds, so every later episode that
+    reaches the state reuses it.  The cache holds no machine, strategy or
+    driver: the perception draw, the driver query, the mirror step and the
+    lookup run every epoch.  The follower is advanced in local variables
+    with `advance`, so an epoch builds only its `TraceRow`, and the final
+    world is built once.  Every float is what iterating `step_world` gives.
     """
     params = params if params is not None else getattr(sul, "params", DriverParams())
     mirror = AbstractDriver.shared(hm, params)
-    rng = random.Random(seed)
-    perceivable = scenario.perceptions(params.num_levels)
-    lead = scenario.lead_track
+    contexts = scenario.epoch_contexts.setdefault(params.thw_levels, {})
+    context_of = contexts.get
+    choice = random.Random(seed).choice
+    query, apply_hint, step = sul.query, sul.apply_hint, mirror.step
+    action_for, certified_entry = strategy.action_for, strategy.certified
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
     sul.reset()
     fpos, fvel, facc = scenario.follow_pos, scenario.follow_vel, 0.0
     q = hm.initial
     hinted = 0
     rows = []
+    append = rows.append
     misses = 0
     for k in range(scenario.horizon_epochs):
-        _t, lpos, lvel, _lacc = lead[k]
-        if fpos >= lpos or fpos >= dest:
+        context = context_of((k, fpos, fvel))
+        if context is None:
+            context = contexts[k, fpos, fvel] = epoch_context(scenario, params, k, fpos, fvel)
+        if not context:
             break
-        thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
-        level = quantize_thw(thw, params.thw_levels)
-        perceived = rng.choice(perceivable[level])
-        chain, dacc = sul.query(perceived)
-        q, _dacc_pred, _full = mirror.step(q, hinted, perceived)
-        key = (TURN_CTRL, k, round(fpos * POS_SCALE), round(fvel * VEL_SCALE), q, dacc)
-        action = strategy.action_for(key)
+        t, lpos, lvel, thw, ttc, perceivable, key_pos, key_vel = context
+        perceived = choice(perceivable)
+        chain, dacc = query(perceived)
+        q, _dacc_pred, _full = step(q, hinted, perceived)
+        action = action_for((TURN_CTRL, k, key_pos, key_vel, q, dacc))
         if action is None:
             misses += 1
             action = ACTION_OVERRIDE
@@ -160,22 +185,18 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
             certified = False
         else:
             applied = arbitrate(action, dacc, cfg)
-            certified = strategy.certified
+            certified = certified_entry
         if action == ACTION_HINT:
-            sul.apply_hint()
+            apply_hint()
             hinted = 1
         else:
             hinted = 0
-        rows.append(TraceRow(
-            t=k * eps,
-            lead_pos=lpos, lead_vel=lvel, follow_pos=fpos, follow_vel=fvel,
-            thw=thw, ttc=ttc, mode=ACTION_MODE[action],
-            driver_acc=dacc, applied_acc=applied, action=action,
-            perceived_level=perceived, rule_chain=chain, certified=certified,
-        ))
+        # in field order: a keyword call costs about twice as much
+        append(TraceRow(t, lpos, lvel, fpos, fvel, thw, ttc, ACTION_MODE[action],
+                        dacc, applied, action, perceived, chain, certified))
         fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
         facc = applied
-    t, lpos, lvel, lacc = lead[len(rows)]
+    t, lpos, lvel, lacc = scenario.lead_track[len(rows)]
     final = WorldState(VehicleState(lpos, lvel, lacc), VehicleState(fpos, fvel, facc), t, dest)
     return SimTrace(rows, final, misses, seed)
 

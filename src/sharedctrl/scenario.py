@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .config_text import ConfigError, config_lines, parse_config, read_file
+from .config_text import ConfigError, config_lines, finite, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
 from .world import (
     LeadProfile, SensorErrorModel, VehicleState, WorldState, sensor_perturb, step_world,
@@ -28,7 +28,9 @@ class Scenario:
     `lead_track` (the lead's motion) and `perceptions` (the sensor's
     perception sets) follow from the fields alone, so they are computed
     once per scenario and shared by the game and every co-simulation
-    episode on it.  They are caches, not fields: equality ignores them, and
+    episode on it.  So do the `epoch_contexts` that `cosim.execute` fills:
+    what one follower state of an episode determines.  They are caches, not
+    fields: equality ignores them, and
     `dataclasses.replace` makes a scenario without them.
     """
 
@@ -54,6 +56,10 @@ class Scenario:
             raise ValueError("epoch must be positive, horizon non-negative")
         if self.sensor_offset < 0:
             raise ValueError("sensor_offset must be >= 0")
+        if not self.v_max > 0:
+            raise ValueError("v_max must be positive")
+        if not (self.lead_vel >= 0 and self.follow_vel >= 0):
+            raise ValueError("lead_vel and follow_vel must be >= 0")
         self.supervisor_config()  # checks the override clamp
 
     def initial_world(self):
@@ -88,6 +94,13 @@ class Scenario:
                 for level in range(1, num_levels + 1)}
         return sets
 
+    @cached_property
+    def epoch_contexts(self):
+        """`thw_levels -> {(k, follow_pos, follow_vel): context}`: the
+        `cosim.epoch_context`s that `cosim.execute` has computed on this
+        scenario, keyed by the exact follower state."""
+        return {}
+
     def supervisor_config(self):
         return SupervisorConfig(
             thresholds=self.thresholds,
@@ -109,9 +122,10 @@ class Scenario:
         segments = []
         for number, parts in rows["profile"]:
             try:
-                t, acc = map(float, parts)
+                t, acc = map(finite, parts)
             except ValueError:
-                raise ConfigError(f"line {number}: expected 'profile t acc'") from None
+                raise ConfigError(f"line {number}: expected 'profile t acc' "
+                                  f"with finite numbers") from None
             segments.append((t, acc))
         if segments:
             values["profile"] = LeadProfile(segments)

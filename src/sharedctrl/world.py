@@ -59,6 +59,9 @@ class LeadProfile:
     def __eq__(self, other):
         return isinstance(other, LeadProfile) and self.segments == other.segments
 
+    def __hash__(self):
+        return hash(self.segments)
+
 
 @dataclass(slots=True)
 class WorldState:

@@ -100,3 +100,28 @@ def test_bad_lines_are_rejected_with_their_line_number(cls, bad, message):
         cls.from_text(text + bad + "\n")
     assert str(info.value).startswith("line 3: ")
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("cls, line", [
+    (Scenario, "epoch={}"),
+    (Scenario, "lead_pos={}"),
+    (Scenario, "horizon_epochs={}"),
+    (Scenario, "thw_safe={}"),
+    (DriverParams, "k1={}"),
+    (DriverParams, "thw_levels=1.0,{},3.0"),
+    (DriverParams, "acc_set=-1,0,{}"),
+])
+def test_non_finite_numbers_are_rejected_with_their_line_number(cls, line, value):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError) as info:
+        cls.from_text("# header\n\n" + line.format(value) + "\n")
+    assert str(info.value) == f"line 3: bad value for {key!r}: {value!r} is not a finite number"
+
+
+@pytest.mark.parametrize("row", ["profile 0 nan", "profile inf 0", "profile 0 -inf",
+                                 "profile 0 1e400"])
+def test_non_finite_profile_rows_are_rejected_with_their_line_number(row):
+    with pytest.raises(ConfigError) as info:
+        Scenario.from_text("epoch=0.5\n" + row + "\n")
+    assert str(info.value).startswith("line 2: expected 'profile t acc'")

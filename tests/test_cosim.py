@@ -15,6 +15,7 @@ from sharedctrl.cosim import (
     TraceRow,
     Verdict,
     derive_seed,
+    epoch_context,
     execute,
     monitor,
     refine,
@@ -28,7 +29,9 @@ from sharedctrl.cosim import (
     STATUS_SAFETY,
     TRACE_COLUMNS,
 )
-from sharedctrl.driver import CognitiveDriver, FULL_CHAIN, SHORT_CHAIN, explicit_machine
+from sharedctrl.driver import (
+    CognitiveDriver, DriverParams, FULL_CHAIN, SHORT_CHAIN, explicit_machine,
+)
 from sharedctrl.game import (
     AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE, build_arena,
     serialize_strategy,
@@ -512,6 +515,75 @@ def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount
     dead = weakref.ref(mirror)
     del hm, mirror
     assert dead() is None
+
+
+def _cold(scenario):
+    """An equal scenario with no cached epoch contexts."""
+    fresh = replace(scenario)
+    assert fresh == scenario and not fresh.epoch_contexts
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("default", "braking")),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_warm_and_cold_epoch_caches_give_equal_traces(synthesized, driver_params,
+                                                      oracle_machine, name, seed):
+    # the shared scenario's cache is warm from earlier episodes
+    scenario, _arena, strategy = synthesized[name]
+    warm = run_once(strategy, scenario, driver_params, oracle_machine, seed)
+    assert scenario.epoch_contexts[driver_params.thw_levels]
+    cold = _cold(scenario)
+    assert run_once(strategy, cold, driver_params, oracle_machine, seed) == warm
+    assert run_once(strategy, cold, driver_params, oracle_machine, seed) == warm
+
+
+def test_epoch_caches_are_kept_per_quantization(default_sc, driver_params):
+    # other boundaries, as many levels: other levels perceived in the same states
+    coarse = DriverParams(thw_levels=(1.5, 2.5, 3.5))
+    runs = [(params, explicit_machine(params), ConstantStrategy(action))
+            for params in (driver_params, coarse) for action in ("none", "hint")]
+    scenario = _cold(default_sc)
+    for seed in range(6):
+        for params, hm, strategy in runs:
+            trace = run_once(strategy, scenario, params, hm, seed)
+            assert trace == run_once(strategy, _cold(default_sc), params, hm, seed)
+    fine = scenario.epoch_contexts[driver_params.thw_levels]
+    assert fine and scenario.epoch_contexts[coarse.thw_levels] is not fine
+    for (k, fpos, fvel), context in fine.items():
+        assert context == epoch_context(scenario, driver_params, k, fpos, fvel)
+
+
+@pytest.mark.parametrize("action", ["none", "hint", "override"])
+def test_off_lattice_episodes_are_equal_warm_and_cold(driver_params, oracle_machine,
+                                                      action):
+    # epoch 0.3 puts the follower off the arena lattice; the cache keys are the
+    # exact floats, so no two states share a context by rounding
+    scenario = replace(default_scenario(), epoch=0.3, horizon_epochs=45)
+    strategy = ConstantStrategy(action)
+    warm = [run_once(strategy, scenario, driver_params, oracle_machine, seed)
+            for seed in range(8)]
+    assert scenario.epoch_contexts[driver_params.thw_levels]
+    for seed, trace in enumerate(warm):
+        assert run_once(strategy, scenario, driver_params, oracle_machine, seed) == trace
+        assert run_once(strategy, _cold(scenario), driver_params, oracle_machine,
+                        seed) == trace
+
+
+def test_epoch_cache_keeps_no_machine_strategy_or_driver(default_sc, driver_params,
+                                                        refcount_only):
+    # a scenario outlives its episodes; what they ran on dies with them
+    scenario = _cold(default_sc)
+    hm = explicit_machine(driver_params)
+    strategy = synthesize(hm, scenario, driver_params, "full").strategy
+    sul = CognitiveDriver(driver_params)
+    trace = execute(strategy, sul, scenario, scenario.supervisor_config(), 3, hm,
+                    driver_params)
+    assert trace.rows and scenario.epoch_contexts[driver_params.thw_levels]
+    dead = [weakref.ref(obj) for obj in
+            (hm, AbstractDriver.shared(hm, driver_params), strategy, sul)]
+    del hm, strategy, sul
+    assert [ref() for ref in dead] == [None] * 4
 
 
 def test_report_text_is_stable(default_sc):

@@ -184,6 +184,29 @@ def test_scenario_validation():
         Scenario(lead_pos=0.0, follow_pos=10.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(v_max=0.0), "v_max"),
+    (dict(v_max=-1.0), "v_max"),
+    (dict(lead_vel=-0.5), "lead_vel"),
+    (dict(follow_vel=-2.0), "follow_vel"),
+])
+def test_scenario_rejects_non_positive_v_max_and_negative_speeds(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(**fields)
+    text = "".join(f"{key}={value}\n" for key, value in fields.items())
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_text(text)
+
+
+def test_equal_scenarios_hash_equal():
+    # a frozen value: equal scenarios hash equal, caches or not
+    sc = default_scenario()
+    assert sc.lead_track and sc.perceptions(4)
+    assert hash(sc) == hash(default_scenario()) == hash(Scenario.from_text(sc.to_text()))
+    assert hash(LeadProfile([(0, 0), (5, -2)])) == hash(LeadProfile([(0.0, 0.0), (5.0, -2.0)]))
+    assert len({default_scenario(), default_scenario(), braking_scenario()}) == 2
+
+
 def test_scenario_checks_the_override_clamp_when_built():
     # the clamp must satisfy acc_floor <= acc_cap < 0 before any game is built
     with pytest.raises(ValueError, match="acc_cap"):
