@@ -12,6 +12,7 @@ with the result snapped to the nearest admissible acceleration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config_text import config_lines, parse_config, read_file
@@ -44,6 +45,8 @@ class DriverParams:
             raise ValueError("acc_set must be non-empty and contain 0")
         if tuple(sorted(self.acc_set)) != tuple(self.acc_set):
             raise ValueError("acc_set must be sorted")
+        if not self.thw_levels or not all(0 < b < math.inf for b in self.thw_levels):
+            raise ValueError(f"thw_levels must be positive finite headways, got {self.thw_levels}")
         if any(b2 <= b1 for b1, b2 in zip(self.thw_levels, self.thw_levels[1:])):
             raise ValueError("thw_levels boundaries must be strictly increasing")
 

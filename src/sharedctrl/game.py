@@ -32,6 +32,8 @@ checked properties unchanged while keeping the product tractable.  An
 explored state stores its successors as a tuple of state numbers and its
 edge labels as one shared row: the variant's action tuple for a controller
 state, the perception set of the perceived level for an environment state.
+One kernel, `build_arena`'s `explore`, computes a state's successors, looks
+each up in the arena's index and numbers a new one with `GameArena.add`.
 """
 
 from __future__ import annotations
@@ -168,8 +170,9 @@ class GameArena:
     None while `i` is unexplored; `labels[i]` labels them position by
     position, with one row shared by all states of the same labels, never a
     copy per edge.  `successors(i)` explores `i` on first use: it calls
-    `explore(arena, i)`, which numbers the successors with `link` and
-    returns `(labels, successors)`.  Environment edges are uncontrollable
+    `explore(arena, i)`, which returns `(labels, successors)` and numbers
+    each successor not in `index` with `add`, the one method that appends a
+    state's row and checks `state_cap`.  Environment edges are uncontrollable
     (sensor level choices); controller edges carry supervision actions,
     held in severity order.  `n_states` and `n_edges` count what has been
     explored so far, and `state_cap` bounds it.  `region` is the arena's
@@ -218,36 +221,29 @@ class GameArena:
                 raise ValueError(f"controller state {name!r} has two edges "
                                  "with the same label")
             is_bad, is_goal = name in bad, name in goal
-            arena.link([name], (TURN_CTRL if turn == "c" else TURN_ENV, is_bad,
-                                is_goal, not edges or is_bad or is_goal))
+            arena.add(name, TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
+                      not edges or is_bad or is_goal)
         for i in range(arena.n_states):
             arena.successors(i)
         arena.initial = arena.index[initial if initial is not None else next(iter(nodes))]
         return arena
 
-    def link(self, succs, kind):
-        """The numbers of the states `succs`, numbering each state not reached
-        before with `kind`, its `(turn, bad, goal, terminal)`."""
-        index, states, cap = self.index, self.states, self.state_cap
-        turn, bad, goal, terminal = kind
-        numbers = []
-        for s in succs:
-            j = index.get(s)
-            if j is None:
-                j = len(states)
-                if cap is not None and j >= cap:
-                    raise ArenaCapExceeded(f"arena exceeds {cap} states")
-                index[s] = j
-                states.append(s)
-                self.turn.append(turn)
-                self.bad.append(bad)
-                self.goal.append(goal)
-                self.terminal.append(terminal)
-                self.labels.append(() if terminal else None)
-                self.edges.append(() if terminal else None)
-                self.won.append(None)
-            numbers.append(j)
-        return tuple(numbers)
+    def add(self, state, turn, bad, goal, terminal):
+        """Number `state`, not reached before, as the next state: the one
+        place that grows the arena and checks `state_cap`."""
+        j = len(self.states)
+        if self.state_cap is not None and j >= self.state_cap:
+            raise ArenaCapExceeded(f"arena exceeds {self.state_cap} states")
+        self.index[state] = j
+        self.states.append(state)
+        self.turn.append(turn)
+        self.bad.append(bad)
+        self.goal.append(goal)
+        self.terminal.append(terminal)
+        self.labels.append(() if terminal else None)
+        self.edges.append(() if terminal else None)
+        self.won.append(None)
+        return j
 
     def successors(self, i):
         """Successors of state `i`, exploring it on first use."""
@@ -321,18 +317,14 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
     pos_step = round(eps * POS_SCALE / VEL_SCALE)
     perceived = scenario.perceptions(params.num_levels)
     driver = AbstractDriver.shared(hm, params)
-    moves_of = {}  # driver acc -> [(scaled velocity increment, hinted)] per action
+    moves_of = {}  # (fv, driver acc) -> [(clamped fv', hinted)] per action
     responses = {}  # (level, q, hinted) -> [(q2, driver acc)] per perception
 
-    def env_kind(k, fp):
-        is_bad = fp >= lead[k][0]
-        # reaching the destination only wins when the state is also safe
-        is_goal = fp >= dest_q and not is_bad
-        return TURN_ENV, is_bad, is_goal, is_bad or is_goal or k == horizon
-
     def explore(arena, i):
-        # every successor of a state shares one classification
+        # `add` is reached through `arena`: the closure holds no arena
         s = arena.states[i]
+        index = arena.index
+        succs = []
         if s[0] == TURN_ENV:
             _, k, fp, fv, q, hinted = s
             lp, lv = lead[k]
@@ -344,30 +336,40 @@ def build_arena(hm, scenario, cfg=None, params=None, variant="full",
             if replies is None:
                 replies = responses[level, q, hinted] = [
                     driver.step(q, hinted, p)[:2] for p in labels]
-            kind = (TURN_CTRL, False, False, False)
-            succs = [(TURN_CTRL, k, fp, fv, q2, dacc) for q2, dacc in replies]
-        else:
-            _, k, fp, fv, q2, dacc = s
-            labels = actions
-            moves = moves_of.get(dacc)
-            if moves is None:
-                moves = moves_of[dacc] = [
-                    (_scaled(arbitrate(action, dacc, cfg) * eps,
-                             VEL_SCALE, "velocity increment"),
-                     1 if action == ACTION_HINT else 0)
-                    for action in actions]
-            fp2 = fp + fv * pos_step
-            kind = env_kind(k + 1, fp2)
-            succs = [(TURN_ENV, k + 1, fp2, min(max(fv + dv, 0), vmax_q), q2, h)
-                     for dv, h in moves]
-        return labels, arena.link(succs, kind)
+            for q2, dacc in replies:
+                t = (TURN_CTRL, k, fp, fv, q2, dacc)
+                j = index.get(t)
+                succs.append(arena.add(t, TURN_CTRL, 0, 0, 0) if j is None else j)
+            return labels, tuple(succs)
+        _, k, fp, fv, q2, dacc = s
+        moves = moves_of.get((fv, dacc))
+        if moves is None:
+            moves = moves_of[fv, dacc] = [
+                (min(max(fv + _scaled(arbitrate(action, dacc, cfg) * eps, VEL_SCALE,
+                                      "velocity increment"), 0), vmax_q),
+                 1 if action == ACTION_HINT else 0)
+                for action in actions]
+        k += 1
+        fp += fv * pos_step
+        # every successor shares one classification; reaching the
+        # destination only wins when the state is also safe
+        bad = fp >= lead[k][0]
+        goal = not bad and fp >= dest_q
+        terminal = bad or goal or k == horizon
+        for fv2, h in moves:
+            t = (TURN_ENV, k, fp, fv2, q2, h)
+            j = index.get(t)
+            succs.append(arena.add(t, TURN_ENV, bad, goal, terminal) if j is None else j)
+        return actions, tuple(succs)
 
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
     arena = GameArena(explore, state_cap, meta)
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
           hm.initial, 0)
-    arena.initial = arena.link([s0], env_kind(0, fp0))[0]
+    bad0 = fp0 >= lead[0][0]  # as `explore` classifies an environment state
+    goal0 = not bad0 and fp0 >= dest_q
+    arena.initial = arena.add(s0, TURN_ENV, bad0, goal0, bad0 or goal0 or horizon == 0)
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
 
@@ -416,13 +418,15 @@ class WinningRegion:
 
         A controller state tries its edges in order (severity order) and
         stops at the first winning one; an environment state stops at the
-        first losing one.  Each state's result is recorded as soon as its
+        first losing one, and a state is explored by the arena's `explore`
+        on first visit.  Each state's result is recorded as soon as its
         frame finishes.  The stack is a path of distinct states unless the
         arena has a cycle, so a stack holding as many frames as the arena
         has explored states raises `ValueError`.
         """
         arena, won = self.arena, self.won
         states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
+        labels, edges, explore = arena.labels, arena.edges, arena._explore
         if terminal[root]:
             won[root] = not bad[root]
             return won[root]
@@ -431,11 +435,11 @@ class WinningRegion:
         result = None  # whether the frame that just finished wins
         while True:
             frame = stack[-1]
-            i, edges, pos = frame
+            i, succs, pos = frame
             ctrl = turn[i] == TURN_CTRL
             decided = result == ctrl
-            while not decided and pos < len(edges):
-                j = edges[pos]
+            while not decided and pos < len(succs):
+                j = succs[pos]
                 pos += 1
                 r = won[j]
                 if r is None:
@@ -454,7 +458,9 @@ class WinningRegion:
             if len(stack) >= len(states):
                 raise ValueError(f"arena has a cycle through state {states[j]!r}")
             frame[2] = pos
-            stack.append([j, arena.successors(j), 0])
+            if edges[j] is None:
+                labels[j], edges[j] = explore(arena, j)
+            stack.append([j, edges[j], 0])
             arena.iterations += 1
             result = None
 

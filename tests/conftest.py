@@ -7,7 +7,8 @@ from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import arena_stats_text, build_arena, extract_strategy, solve
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
-from sharedctrl.scenario import braking_scenario, default_scenario
+from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
+from sharedctrl.world import LeadProfile
 
 
 def make_toggle():
@@ -34,6 +35,27 @@ def random_machine(draw, max_states=5):
             out = draw(st.integers(min_value=0, max_value=n_out - 1))
             delta[s][a] = (succ, f"o{out}")
     return MealyMachine(inputs, delta)
+
+
+@st.composite
+def lattice_scenarios(draw, max_horizon=24):
+    """Scenarios on the arena lattice: gap, speeds, a three-segment lead
+    profile, horizon (up to `max_horizon`) and sensor offset redrawn from
+    the built-in ranges."""
+    horizon = draw(st.integers(0, max_horizon))
+    t1 = draw(st.integers(1, 20)) / 2
+    t2 = t1 + draw(st.integers(1, 12)) / 2
+    accs = st.integers(-3, 2).map(float)
+    return Scenario(
+        name="random",
+        lead_pos=draw(st.integers(40, 200)) / 4,
+        lead_vel=draw(st.integers(0, 32)) / 2,
+        follow_vel=draw(st.integers(0, 32)) / 2,
+        dest=draw(st.integers(320, 480)) / 4,
+        horizon_epochs=horizon,
+        sensor_offset=draw(st.integers(0, 1)),
+        profile=LeadProfile([(0.0, draw(accs)), (t1, draw(accs)), (t2, draw(accs))]),
+    )
 
 
 def make_constant(output="0", inputs=("a",)):

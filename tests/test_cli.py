@@ -222,3 +222,15 @@ def test_synth_names_the_bad_driver_params_file(tmp_path, capsys, oracle_machine
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(params_path) in err and "line 1: bad value for 'k1'" in err
+
+
+def test_learn_rejects_a_negative_headway_level(tmp_path, capsys):
+    params_path = tmp_path / "negative.params"
+    params_path.write_text("thw_levels = -1.0, 2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["learn", "--seed", "0", "--driver-params", str(params_path),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(params_path) in err and "thw_levels" in err
+    assert not out.exists()

@@ -40,9 +40,9 @@ from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent
 from sharedctrl.scenario import Scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
-from sharedctrl.world import LeadProfile, VehicleState, WorldState, step_world
+from sharedctrl.world import VehicleState, WorldState, step_world
 
-from conftest import ConstantStrategy
+from conftest import ConstantStrategy, lattice_scenarios
 
 
 def run_once(strategy, scenario, params, hm, seed=0):
@@ -309,26 +309,6 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
         hinted = 1 if row.action == ACTION_HINT else 0
     final = trace.final_world.follow
     assert env == _env_state(len(trace.rows), final.pos, final.vel, q, hinted)
-
-
-@st.composite
-def lattice_scenarios(draw):
-    """Scenarios on the arena lattice: gap, speeds, a three-segment lead
-    profile, horizon and sensor offset redrawn from the built-in ranges."""
-    horizon = draw(st.integers(0, 24))
-    t1 = draw(st.integers(1, 20)) / 2
-    t2 = t1 + draw(st.integers(1, 12)) / 2
-    accs = st.integers(-3, 2).map(float)
-    return Scenario(
-        name="random",
-        lead_pos=draw(st.integers(40, 200)) / 4,
-        lead_vel=draw(st.integers(0, 32)) / 2,
-        follow_vel=draw(st.integers(0, 32)) / 2,
-        dest=draw(st.integers(320, 480)) / 4,
-        horizon_epochs=horizon,
-        sensor_offset=draw(st.integers(0, 1)),
-        profile=LeadProfile([(0.0, draw(accs)), (t1, draw(accs)), (t2, draw(accs))]),
-    )
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,14 @@ def test_params_validation():
         DriverParams(acc_set=(1, 0, -1))           # unsorted
     with pytest.raises(ValueError):
         DriverParams(thw_levels=(1.0, 1.0))        # not increasing
+
+
+@pytest.mark.parametrize("levels", [(), (-1.0, 2.0), (0.0, 2.0), (1.0, math.inf),
+                                    (math.nan,)])
+def test_params_reject_empty_or_nonpositive_headway_levels(levels):
+    # no levels leaves no stimulus to represent; a headway is never negative
+    with pytest.raises(ValueError, match="thw_levels"):
+        DriverParams(thw_levels=levels)
 
 
 def test_representatives_are_bin_midpoints(driver_params):

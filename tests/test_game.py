@@ -1,18 +1,23 @@
+import functools
 import hashlib
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
+    AbstractDriver,
     ArenaCapExceeded,
     GameArena,
+    POS_SCALE,
     Strategy,
     StrategyRejected,
     TURN_CTRL,
     TURN_ENV,
     Unrealizable,
     VARIANT_ACTIONS,
+    VEL_SCALE,
     arena_stats_text,
     build_arena,
     certify,
@@ -25,11 +30,13 @@ from sharedctrl.game import (
     serialize_strategy,
     solve,
 )
-from sharedctrl.mealy import AlphabetMismatch, MealyMachine
+from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
+from sharedctrl.mealy import AlphabetMismatch, MealyMachine, minimize
 from sharedctrl.scenario import Scenario
-from sharedctrl.world import LeadProfile
+from sharedctrl.supervisor import ACTION_HINT, arbitrate
+from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
-from conftest import ConstantStrategy
+from conftest import ConstantStrategy, lattice_scenarios
 
 
 def brute_force_region(arena):
@@ -331,6 +338,102 @@ def test_build_arena_alphabet_mismatch(default_sc):
 def test_build_arena_state_cap(oracle_machine, default_sc):
     with pytest.raises(ArenaCapExceeded):
         build_arena(oracle_machine, default_sc, state_cap=100)
+
+
+def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_params):
+    # the pinned default/full build explores exactly 2942 states
+    arena = build_arena(oracle_machine, default_sc, params=driver_params, state_cap=2942)
+    assert arena.n_states == 2942 and realizable(arena, arena.region)
+    with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 2941 states$"):
+        build_arena(oracle_machine, default_sc, params=driver_params, state_cap=2941)
+
+
+# default params, and params whose hinted re-deliberation changes the
+# driver's acceleration, so that a hint changes the successor
+HINT_PARAMS = (DriverParams(), DriverParams(k1=0.5, k2=1.0, thw_levels=(1.5, 3.0)))
+
+
+@functools.lru_cache(maxsize=None)
+def abstractions(params):
+    """The exact machine of the driver under `params`, and the 2-state
+    abstraction that a state-capped L* run learns (oracle seed 0), where the
+    coarse refinement loop starts."""
+    sul = CognitiveDriver(params)
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=0))
+    coarse, _stats = LearningSession(sul, sul.alphabet, oracle, state_cap=2).run()
+    assert len(coarse.states) == 2
+    return {"exact": minimize(explicit_machine(params)), "coarse": coarse}
+
+
+def documented_row(arena, state, hm, params):
+    """`(labels, successor states)` of a non-terminal built-arena state, from
+    the documented dynamics alone: the lead's lattice track, the quantized
+    headway and the sensor's perception set of its level, a fresh driver
+    mirror, arbitration, and the follower's Euler step with its velocity
+    clamped into [0, v_max]."""
+    scenario, variant = arena.meta["scenario"], arena.meta["variant"]
+    if state[0] == TURN_ENV:
+        _, k, fp, fv, q, hinted = state
+        lp, lv = lead_trajectory(scenario)[k]
+        thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
+                                    fp / POS_SCALE, fv / VEL_SCALE)
+        labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
+        mirror = AbstractDriver(hm, params)
+        return labels, [(TURN_CTRL, k, fp, fv, *mirror.step(q, hinted, p)[:2])
+                        for p in labels]
+    _, k, fp, fv, q, dacc = state
+    labels = VARIANT_ACTIONS[variant]
+    cfg = scenario.supervisor_config()
+    succs = []
+    for action in labels:
+        pos, vel = advance(fp / POS_SCALE, fv / VEL_SCALE, arbitrate(action, dacc, cfg),
+                           scenario.epoch, scenario.v_max)
+        assert (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
+        succs.append((TURN_ENV, k + 1, int(pos * POS_SCALE), int(vel * VEL_SCALE), q,
+                      1 if action == ACTION_HINT else 0))
+    return labels, succs
+
+
+def documented_flags(arena, state):
+    """`(bad, goal, terminal)` of a built-arena state: an environment state
+    is bad once the follower reaches the lead, a goal once it reaches `dest`
+    without being bad, and terminal when either holds or at the horizon."""
+    if state[0] == TURN_CTRL:
+        return False, False, False
+    scenario = arena.meta["scenario"]
+    _, k, fp, *_rest = state
+    bad = fp / POS_SCALE >= scenario.lead_track[k][1]
+    goal = not bad and fp / POS_SCALE >= scenario.dest
+    return bad, goal, bad or goal or k == scenario.horizon_epochs
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=lattice_scenarios(max_horizon=6), params=st.sampled_from(HINT_PARAMS),
+       machine=st.sampled_from(("exact", "coarse")),
+       variant=st.sampled_from(tuple(VARIANT_ACTIONS)))
+def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, variant):
+    # every row, the ones the solver explored and then all the rest, is what
+    # the documented dynamics give, numbered through the arena's index
+    hm = abstractions(params)[machine]
+    arena = build_arena(hm, scenario, params=params, variant=variant)
+    assert arena.states[arena.initial] == (
+        TURN_ENV, 0, round(scenario.follow_pos * POS_SCALE),
+        round(scenario.follow_vel * VEL_SCALE), hm.initial, 0)
+    i = 0
+    while i < arena.n_states:
+        state = arena.states[i]
+        assert arena.index[state] == i and arena.turn[i] == state[0]
+        assert (arena.bad[i], arena.goal[i], arena.terminal[i]) == \
+            documented_flags(arena, state)
+        targets = arena.successors(i)
+        if arena.terminal[i]:
+            assert arena.labels[i] == targets == ()
+        else:
+            labels, succs = documented_row(arena, state, hm, params)
+            assert arena.labels[i] == labels
+            assert [arena.states[j] for j in targets] == succs
+        i += 1
+    assert len(arena.index) == arena.n_states == len(arena.won)
 
 
 def test_build_arena_rejects_off_lattice(oracle_machine):
