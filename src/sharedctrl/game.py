@@ -34,6 +34,12 @@ edge labels as one shared row: the variant's action tuple for a controller
 state, the perception set of the perceived level for an environment state.
 One kernel, `build_arena`'s `explore`, computes a state's successors, looks
 each up in the arena's index and numbers a new one with `GameArena.add`.
+
+A strategy's plays are walked in one place, `_walk`, which applies the
+template checks and asks a picker for the edge taken at each controller
+state: `extract_strategy` picks the solver's actions and keeps the walk's
+report, `check_templates` looks each action up in a given strategy, and
+`certify` reuses the report of a strategy extracted from the same arena.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .driver import DriverParams, decide_acceleration, FULL_CHAIN
 from .mealy import AlphabetMismatch
@@ -497,53 +505,20 @@ class Strategy:
     `monitor` trusts their overrides instead of applying its deep-safe
     check.  `parse_strategy` trusts the file it reads; `sharedctrl validate`
     certifies it against the game before running it.
+
+    An extracted strategy keeps the `report` of the walk that picked it and
+    a weak reference to its arena, for `certify`; its `actions` are a
+    read-only view, so the report cannot go stale.
     """
 
-    actions: dict
+    actions: Mapping
     variant: str = "full"
     certified = True
+    report = None  # TemplateReport of the walk that extracted it
+    _arena = None  # weak reference to the arena it was extracted from
 
     def action_for(self, state):
         return self.actions.get(state)
-
-
-def extract_strategy(arena, region):
-    """Pick one winning action per controller state the strategy's own plays
-    reach from the initial state.
-
-    The pick is the label of the first successor, in severity order, that
-    the solver decided winning in the arena's `won` list; the region is
-    asked only about successors still undecided.  Every less severe edge
-    loses, so the pick is the least severe winning action (none < hint <
-    override) and satisfies `minimal_intervention` by construction;
-    `certify` checks it.
-    """
-    if not realizable(arena, region):
-        raise Unrealizable("initial state is not in the winning region")
-    states, turn, terminal, won = arena.states, arena.turn, arena.terminal, region.won
-    mapping = {}
-    seen = {arena.initial}
-    stack = [arena.initial]
-    while stack:
-        i = stack.pop()
-        if terminal[i]:
-            continue
-        targets = arena.successors(i)
-        if turn[i] == TURN_CTRL:
-            for pos, j in enumerate(targets):
-                r = won[j]
-                if r or (r is None and j in region):
-                    break
-            else:
-                raise RuntimeError(f"winning controller state {states[i]!r} "
-                                   "has no winning action")
-            mapping[states[i]] = arena.labels[i][pos]
-            targets = (j,)
-        for j in targets:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return Strategy(mapping, arena.meta.get("variant", "full"))
 
 
 @dataclass
@@ -579,27 +554,27 @@ class TemplateReport:
         return "\n".join(lines) + "\n"
 
 
-def check_templates(arena, strategy, region=None):
-    """Exhaustively walk all strategy-consistent plays and check:
+def _walk(arena, region, pick):
+    """The one walk of a strategy's plays: breadth-first over every state
+    they reach from the initial state, applying the four template checks.
 
     (i) no bad state is reached; (ii) every maximal play ends in a goal
     state (horizon-only terminals are reported distinctly); (iii) every
-    controller decision satisfies `minimal_intervention` against the winning
-    region (`solve(arena)` unless the caller passes it), which is asked only
-    about actions less severe than the chosen one; (iv) a hint is always
-    followed by a full-deliberation driver edge (built arenas only).
-    Raises `StrategyRejected` if the strategy is undefined on a reachable
-    controller state or picks an action that labels none of its edges.
+    controller decision satisfies `minimal_intervention` against `region`,
+    which is asked only about actions less severe than the chosen one; (iv)
+    a hint is always followed by a full-deliberation driver edge (built
+    arenas only).  At each controller state, `pick(state, labels,
+    successors)` gives the position of the edge the strategy takes, or
+    raises `StrategyRejected` with the reason, which the walk completes
+    with the checks up to there.  Returns the `TemplateReport`.
     """
     report = TemplateReport()
-    region = region if region is not None else solve(arena)
     driver = arena.meta.get("driver")
     states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
     seen = {arena.initial}
     queue = deque([arena.initial])
     while queue:
         i = queue.popleft()
-        report.visited += 1
         s = states[i]
         if bad[i]:
             if report.safety_ok:
@@ -626,17 +601,14 @@ def check_templates(arena, strategy, region=None):
                     seen.add(j)
                     queue.append(j)
         else:
-            action = strategy.action_for(s)
-            if action is None:
-                raise StrategyRejected(
-                    f"template check rejected the strategy: undefined on reachable "
-                    f"state {s!r}; checks up to there:\n" + report.text())
-            if action not in labels:
-                raise StrategyRejected(
-                    f"template check rejected the strategy: action {action!r} labels "
-                    f"no edge of reachable state {s!r}; checks up to there:\n"
-                    + report.text())
-            j = targets[labels.index(action)]
+            try:
+                pos = pick(s, labels, targets)
+            except StrategyRejected as err:
+                report.visited = len(seen) - len(queue)  # the states taken off the queue
+                raise StrategyRejected(f"template check rejected the strategy: {err}; "
+                                       "checks up to there:\n" + report.text()) from None
+            action = labels[pos]
+            j = targets[pos]
             # no action is less severe than `none`, so it is minimal by definition
             if (report.min_intervention_ok and action != ACTION_NONE and
                     not minimal_intervention(action,
@@ -646,18 +618,82 @@ def check_templates(arena, strategy, region=None):
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
+    report.visited = len(seen)
     report.reach_ok = report.horizon_terminals == 0 and report.goal_terminals > 0
     return report
+
+
+def extract_strategy(arena, region):
+    """Pick one winning action per controller state the strategy's own plays
+    reach from the initial state, template-checking those plays on the way.
+
+    The pick is the label of the first successor, in severity order, that
+    the solver decided winning in the arena's `won` list; the region is
+    asked only about successors still undecided.  Every less severe edge
+    loses, so the pick is the least severe winning action (none < hint <
+    override) and satisfies `minimal_intervention` by construction.  The
+    picks drive `_walk`, the walk `check_templates` makes, so the returned
+    strategy carries its `TemplateReport` and `certify` reuses it.
+    """
+    if not realizable(arena, region):
+        raise Unrealizable("initial state is not in the winning region")
+    won = region.won
+    mapping = {}
+
+    def pick(s, labels, targets):
+        for pos, j in enumerate(targets):
+            r = won[j]
+            if r or (r is None and j in region):
+                mapping[s] = labels[pos]
+                return pos
+        raise RuntimeError(f"winning controller state {s!r} has no winning action")
+
+    report = _walk(arena, region, pick)
+    strategy = Strategy(MappingProxyType(mapping), arena.meta.get("variant", "full"))
+    strategy.report = report
+    strategy._arena = weakref.ref(arena)
+    return strategy
+
+
+def check_templates(arena, strategy, region=None):
+    """Walk all plays of `strategy` with `_walk`, the one walk of a
+    strategy's plays, and return its `TemplateReport`.
+
+    Min-intervention is judged against `region`, `solve(arena)` unless the
+    caller passes it.  Raises `StrategyRejected` if the strategy is
+    undefined on a reachable controller state or picks an action that
+    labels none of its edges.
+    """
+    region = region if region is not None else solve(arena)
+    action_for = strategy.action_for
+
+    def pick(s, labels, _targets):
+        action = action_for(s)
+        if action is None:
+            raise StrategyRejected(f"undefined on reachable state {s!r}")
+        if action not in labels:
+            raise StrategyRejected(f"action {action!r} labels no edge of reachable state {s!r}")
+        return labels.index(action)
+
+    return _walk(arena, region, pick)
 
 
 def certify(arena, strategy, region):
     """Template-check a strategy; raise `StrategyRejected` unless safety and
     min-intervention hold.
 
-    Reachability is reported but not enforced: a play that reaches the
-    horizon without overtaking wins the weak-until game.
+    The report of a strategy that `extract_strategy` made from this very
+    arena is the one its walk built, so it is reused; any other strategy (a
+    parsed file, a copy, the same strategy against another arena, a stub) is
+    walked with `check_templates`.  Reachability is reported but not
+    enforced: a play that reaches the horizon without overtaking wins the
+    weak-until game.
     """
-    report = check_templates(arena, strategy, region)
+    source = getattr(strategy, "_arena", None)
+    if source is not None and source() is arena:
+        report = strategy.report
+    else:
+        report = check_templates(arena, strategy, region)
     if not (report.safety_ok and report.min_intervention_ok):
         raise StrategyRejected("template check rejected the strategy\n" + report.text())
     return report

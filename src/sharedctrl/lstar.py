@@ -242,10 +242,14 @@ class LearningSession:
     violating traces can be injected and learning resumed on the same table.
     Oracle and injected counterexamples both go through
     `process_counterexample`, each adding at most one suffix to E; S grows
-    only by closing.
+    only by closing.  A `state_cap` (at least 1; None for no cap) stops
+    closing at that many rows and skips the oracle, for a deliberately
+    coarse first hypothesis.
     """
 
     def __init__(self, sul, alphabet, oracle, max_rounds=100, state_cap=None):
+        if state_cap is not None and state_cap < 1:
+            raise ValueError(f"state_cap must be >= 1 or None, got {state_cap!r}")
         self.sul = sul
         self.oracle = oracle
         self.max_rounds = max_rounds

@@ -75,6 +75,21 @@ class ConstantStrategy:
         return self.action
 
 
+class RecordingStrategy:
+    """Answers as `strategy` does and keeps every state it is asked about, in
+    order."""
+
+    certified = False
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.asked = []
+
+    def action_for(self, state):
+        self.asked.append(state)
+        return self.strategy.action_for(state)
+
+
 class ExactOracle:
     """Equivalence oracle against a known ground-truth machine (product BFS)."""
 

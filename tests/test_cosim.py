@@ -37,12 +37,12 @@ from sharedctrl.game import (
     serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
-from sharedctrl.mealy import equivalent
+from sharedctrl.mealy import equivalent, minimize
 from sharedctrl.scenario import Scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState, step_world
 
-from conftest import ConstantStrategy, lattice_scenarios
+from conftest import ConstantStrategy, RecordingStrategy, lattice_scenarios
 
 
 def run_once(strategy, scenario, params, hm, seed=0):
@@ -311,6 +311,28 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
     assert env == _env_state(len(trace.rows), final.pos, final.vel, q, hinted)
 
 
+def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
+    # under these params a hinted step can move the abstraction to another
+    # state than a plain one (never under default params), so the `q` of each
+    # key shows whether the mirror saw the previous row's hint
+    params = DriverParams(k1=1.0, k2=1.0, thw_levels=(1.5, 3.0))
+    hm = minimize(explicit_machine(params))
+    mirror = AbstractDriver(hm, params)
+    moved = 0
+    for seed in range(8):
+        strategy = RecordingStrategy(ConstantStrategy(ACTION_HINT))
+        trace = run_once(strategy, default_sc, params, hm, seed)
+        assert len(strategy.asked) == len(trace.rows)
+        q, hinted = hm.initial, 0
+        for row, key in zip(trace.rows, strategy.asked):
+            plain = mirror.step(q, 0, row.perceived_level)[0]
+            q = mirror.step(q, hinted, row.perceived_level)[0]
+            moved += q != plain
+            assert key[4] == q
+            hinted = 1 if row.action == ACTION_HINT else 0
+    assert moved  # the episodes took the hinted path
+
+
 @settings(max_examples=80, deadline=None)
 @given(scenario=lattice_scenarios(),
        strategy=st.sampled_from((ConstantStrategy("none"), ConstantStrategy("hint"),
@@ -398,6 +420,13 @@ def test_refine_loop_iteration_cap(default_sc):
     report, _ = refine_loop(default_sc, cfg)
     assert len(report.iterations) == 1
     assert report.termination_reason == "max-iterations"
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_refine_loop_rejects_a_non_positive_state_cap(default_sc, cap):
+    # a cap below one used to learn a 1-state machine that was never asked for
+    with pytest.raises(ValueError, match="state_cap"):
+        refine_loop(default_sc, RefineLoopConfig(runs=1, initial_state_cap=cap))
 
 
 def test_refine_loop_unrealizable_stops(braking_sc):

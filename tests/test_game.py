@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharedctrl import game
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
@@ -36,7 +37,7 @@ from sharedctrl.scenario import Scenario
 from sharedctrl.supervisor import ACTION_HINT, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
-from conftest import ConstantStrategy, lattice_scenarios
+from conftest import ConstantStrategy, RecordingStrategy, lattice_scenarios
 
 
 def brute_force_region(arena):
@@ -737,3 +738,73 @@ def test_template_check_flags_every_needless_escalation(case):
                 report = check_templates(arena, Strategy({**base, state: label}), region)
                 assert not report.min_intervention_ok
                 assert report.min_intervention_witness == state
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=lattice_scenarios(max_horizon=8), params=st.sampled_from(HINT_PARAMS),
+       machine=st.sampled_from(("exact", "coarse")),
+       variant=st.sampled_from(tuple(VARIANT_ACTIONS)))
+def test_extraction_report_is_the_template_check(scenario, params, machine, variant):
+    # the walk that picks the actions reports what an independent template
+    # check of the picked strategy reports, and labels exactly the
+    # controller states that check asks about
+    arena = build_arena(abstractions(params)[machine], scenario, params=params,
+                        variant=variant)
+    region = arena.region
+    if not realizable(arena, region):
+        return
+    strategy = extract_strategy(arena, region)
+    recording = RecordingStrategy(strategy)
+    assert strategy.report.text() == check_templates(arena, recording, region).text()
+    assert len(recording.asked) == len(set(recording.asked)) == len(strategy.actions)
+    assert set(recording.asked) == set(strategy.actions)
+
+
+@pytest.fixture
+def template_walks(monkeypatch):
+    """The calls `certify` makes to `check_templates`, counted."""
+    calls = []
+    walk = game.check_templates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(game, "check_templates", counting)
+    return calls
+
+
+def test_certify_reuses_the_report_of_its_own_extraction(default_synthesis, template_walks):
+    arena, region, strategy = default_synthesis
+    assert certify(arena, strategy, region) is strategy.report
+    assert template_walks == []
+
+
+def test_certify_walks_a_copy_of_an_extracted_strategy(default_synthesis, template_walks):
+    arena, region, strategy = default_synthesis
+    copy = Strategy(dict(strategy.actions), strategy.variant)
+    assert certify(arena, copy, region).text() == strategy.report.text()
+    assert len(template_walks) == 1
+
+
+def test_certify_walks_an_extracted_strategy_on_another_arena(
+        default_synthesis, oracle_machine, default_sc, driver_params, template_walks):
+    _arena, _region, strategy = default_synthesis
+    other = build_arena(oracle_machine, default_sc, params=driver_params)
+    assert certify(other, strategy, other.region).text() == strategy.report.text()
+    assert len(template_walks) == 1
+
+
+def test_certify_walks_a_stub_strategy(default_synthesis, template_walks):
+    arena, region, _strategy = default_synthesis
+    with pytest.raises(StrategyRejected, match="min_intervention=FAIL"):
+        certify(arena, ConstantStrategy("override"), region)
+    assert len(template_walks) == 1
+
+
+def test_extracted_actions_are_read_only(default_synthesis):
+    # so that the report the extraction attached cannot go stale
+    _arena, _region, strategy = default_synthesis
+    state = next(iter(strategy.actions))
+    with pytest.raises(TypeError):
+        strategy.actions[state] = "override"

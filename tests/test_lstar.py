@@ -255,6 +255,18 @@ def test_capped_session_builds_coarse_machine(driver_params, oracle_machine):
     assert equivalent(refined, oracle_machine) == (True, None)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_session_rejects_a_non_positive_state_cap(driver_params, cap):
+    sul = CognitiveDriver(driver_params)
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=0))
+    with pytest.raises(ValueError, match="state_cap"):
+        LearningSession(sul, sul.alphabet, oracle, state_cap=cap)
+    # None is no cap; 1 is the smallest cap
+    assert LearningSession(sul, sul.alphabet, oracle).state_cap is None
+    machine, _stats = LearningSession(sul, sul.alphabet, oracle, state_cap=1).run()
+    assert len(machine.states) == 1
+
+
 def test_stats_report_text(driver_params):
     sul = CognitiveDriver(driver_params)
     oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=0))
