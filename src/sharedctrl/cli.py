@@ -235,9 +235,10 @@ def build_parser():
         "out": [("--out", dict(required=True, help="output directory"))],
         "seed": [("--seed", dict(type=int, default=0))],
         "variant": [("--variant", dict(default="full", choices=sorted(VARIANT_ACTIONS)))],
-        "oracle": [("--oracle-walks", dict(type=int, default=500)),
-                   ("--oracle-len", dict(type=int, default=20)),
-                   ("--oracle-reset-prob", dict(type=float, default=0.09))],
+        "oracle": [("--oracle-walks", dict(type=int, default=EqOracleConfig.num_walks)),
+                   ("--oracle-len", dict(type=int, default=EqOracleConfig.max_walk_len)),
+                   ("--oracle-reset-prob", dict(type=float, default=EqOracleConfig.reset_prob))],
+        "runs": [("--runs", dict(type=int, default=RefineLoopConfig.runs))],
     }
 
     def command(name, func, help, *groups):
@@ -257,15 +258,13 @@ def build_parser():
 
     # the game is built for the variant in the strategy file
     p = command("validate", cmd_validate, "co-simulate a strategy against the driver",
-                "scenario", "params", "out", "seed")
+                "scenario", "params", "out", "seed", "runs")
     p.add_argument("--hm", required=True)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--runs", type=int, default=25)
 
     p = command("refine", cmd_refine, "run the full learn/synthesize/validate loop",
-                "scenario", "params", "out", "seed", "variant", "oracle")
-    p.add_argument("--runs", type=int, default=25)
-    p.add_argument("--max-iter", type=int, default=10)
+                "scenario", "params", "out", "seed", "variant", "oracle", "runs")
+    p.add_argument("--max-iter", type=int, default=RefineLoopConfig.max_iterations)
     p.add_argument("--expand-variants", action="store_true",
                    help="grow the controllable action set when unrealizable")
 

@@ -8,8 +8,9 @@ object, and each value must have the type of its field's default; a number
 must be finite (`finite` rejects `nan`, `inf` and overflow).  Blank
 lines and `#` comments are skipped.  Any other line must be `key=value` with
 a known key, or start with one of the row words the caller names (such as
-`profile t acc`).  Every error names the line at fault, and the file when
-the text was read from one.
+`profile t acc`).  A line that does not parse, or a `profile` row out of
+order, is named by its number; a value the dataclass rejects
+(`horizon_epochs=-1`) only by its field.  `read_file` puts the file first.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def parse_config(cls, text, rows=()):
 
 
 def read_file(path, parse_text):
-    """`parse_text` of the text of the file at `path`.  A `ValueError` it
-    raises comes back as a `ConfigError` whose message starts with the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """`parse_text` of the file at `path`; a `ValueError` it or the UTF-8
+    decoding raises comes back as a `ConfigError` starting with the path."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         return parse_text(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

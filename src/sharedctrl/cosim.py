@@ -85,7 +85,6 @@ class SimTrace:
     rows: list
     final_world: object
     lookup_misses: int = 0
-    seed: object = None
 
     def stimulus_word(self):
         return tuple(row.perceived_level for row in self.rows)
@@ -132,8 +131,8 @@ def epoch_context(scenario, params, k, fpos, fvel):
             round(fpos * POS_SCALE), round(fvel * VEL_SCALE))
 
 
-def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
-    """Run one seeded closed-loop episode; returns the trace.
+def execute(strategy, sul, scenario, cfg, seed, hm, params):
+    """Run one seeded episode of `sul`, the driver of `params`; returns the trace.
 
     Per epoch: sample the perceived headway level, query the full driver,
     resolve the matching game state through the abstraction mirror, look up
@@ -152,14 +151,13 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
     with `advance`, so an epoch builds only its `TraceRow`, and the final
     world is built once.  Every float is what iterating `step_world` gives.
     """
-    params = params if params is not None else getattr(sul, "params", DriverParams())
     mirror = AbstractDriver.shared(hm, params)
     contexts = scenario.epoch_contexts.setdefault(params.thw_levels, {})
     context_of = contexts.get
     choice = random.Random(seed).choice
     query, apply_hint, step = sul.query, sul.apply_hint, mirror.step
     action_for, certified_entry = strategy.action_for, strategy.certified
-    eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
+    eps, v_max = scenario.epoch, scenario.v_max
     sul.reset()
     fpos, fvel, facc = scenario.follow_pos, scenario.follow_vel, 0.0
     q = hm.initial
@@ -197,8 +195,8 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params=None):
         fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
         facc = applied
     t, lpos, lvel, lacc = scenario.lead_track[len(rows)]
-    final = WorldState(VehicleState(lpos, lvel, lacc), VehicleState(fpos, fvel, facc), t, dest)
-    return SimTrace(rows, final, misses, seed)
+    final = WorldState(VehicleState(lpos, lvel, lacc), VehicleState(fpos, fvel, facc), t)
+    return SimTrace(rows, final, misses)
 
 
 def monitor(trace, dest, thresholds):
@@ -235,12 +233,11 @@ def monitor(trace, dest, thresholds):
 @dataclass
 class Synthesis:
     """What `synthesize` found: the explored arena (its winning region is
-    `arena.region`), and the certified strategy with its template report,
-    or None for both when the initial state is lost."""
+    `arena.region`), and the certified strategy, which carries its template
+    report as `strategy.report`, or None when the initial state is lost."""
 
     arena: object
     strategy: object = None
-    report: object = None
 
 
 def synthesize(hm, scenario, params, variant):
@@ -251,7 +248,8 @@ def synthesize(hm, scenario, params, variant):
     if not realizable(arena, region):
         return Synthesis(arena)
     strategy = extract_strategy(arena, region)
-    return Synthesis(arena, strategy, certify(arena, strategy, region))
+    certify(arena, strategy, region)
+    return Synthesis(arena, strategy)
 
 
 def refine(session, traces):

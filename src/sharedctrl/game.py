@@ -132,13 +132,13 @@ class AbstractDriver:
     def __init__(self, hm, params):
         self._delta = hm.delta
         self.params = params
-        self._annotation = {}
         self._by_profile = {}
+        annotated = set()
         for state in hm.reachable_states():
             for level in hm.inputs:
                 succ, (_chain, acc) = hm.delta[state][level]
-                if succ not in self._annotation:
-                    self._annotation[succ] = (level, acc)
+                if succ not in annotated:
+                    annotated.add(succ)
                     self._by_profile.setdefault((level, acc), succ)
         self._memo = {}
 
@@ -189,10 +189,10 @@ class GameArena:
     wins) and `iterations`.
     """
 
-    def __init__(self, explore, state_cap=None, meta=None):
+    def __init__(self, explore, state_cap, meta):
         self._explore = explore
         self.state_cap = state_cap
-        self.meta = meta or {}
+        self.meta = meta
         self.states = []
         self.index = {}
         self.turn = bytearray()
@@ -204,37 +204,6 @@ class GameArena:
         self.initial = None
         self.won = []  # per state: None while undecided, else whether the controller wins
         self.iterations = 0  # states the solver expanded
-
-    @classmethod
-    def from_graph(cls, nodes, bad=(), goal=(), initial=None):
-        """Build a small arena from `{name: (turn, [(label, succ), ...])}`.
-
-        `turn` is "c" or "e"; intended for hand-written fixtures.  Every
-        node is numbered in the given order and explored at once.  A
-        controller node must not carry two edges with the same label.
-        """
-        bad, goal = set(bad), set(goal)
-
-        def explore(arena, i):
-            turn, edges = nodes[arena.states[i]]
-            if turn == "c":
-                edges = sorted(edges, key=lambda e: _severity(e[0]))
-            return (tuple(label for label, _succ in edges),
-                    tuple(arena.index[succ] for _label, succ in edges))
-
-        arena = cls(explore)
-        for name, (turn, edges) in nodes.items():
-            labels = [label for label, _succ in edges]
-            if turn == "c" and len(set(labels)) != len(labels):
-                raise ValueError(f"controller state {name!r} has two edges "
-                                 "with the same label")
-            is_bad, is_goal = name in bad, name in goal
-            arena.add(name, TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
-                      not edges or is_bad or is_goal)
-        for i in range(arena.n_states):
-            arena.successors(i)
-        arena.initial = arena.index[initial if initial is not None else next(iter(nodes))]
-        return arena
 
     def add(self, state, turn, bad, goal, terminal):
         """Number `state`, not reached before, as the next state: the one
@@ -302,11 +271,10 @@ def lead_trajectory(scenario):
             for _t, pos, vel, _acc in scenario.lead_track]
 
 
-def build_arena(hm, scenario, cfg=None, params=None, variant="full",
-                state_cap=2_000_000):
+def build_arena(hm, scenario, params=None, variant="full", state_cap=2_000_000):
     """The product arena for one scenario and variant, explored until its
     initial state is decided; `state_cap` bounds all exploration."""
-    cfg = cfg if cfg is not None else scenario.supervisor_config()
+    cfg = scenario.supervisor_config()
     params = params if params is not None else DriverParams()
     if tuple(hm.inputs) != params.levels():
         raise AlphabetMismatch(
@@ -390,8 +358,7 @@ class WinningRegion:
     the arena must be acyclic.  Bad states lose (even past the
     destination), non-bad goal states win unconditionally, and terminal
     non-bad states (horizon reached without overtaking) are safe.
-    `len(region)` counts the states decided winning so far; `members`
-    decides every state, exploring the rest of the arena to do so.
+    `len(region)` counts the states decided winning so far.
     `iterations` counts the states the solver expanded.  Both are kept by
     the arena, the decisions in its per-state `won` list; a region is a
     view.
@@ -411,14 +378,6 @@ class WinningRegion:
 
     def __len__(self):
         return self.won.count(True)
-
-    @property
-    def members(self):
-        i = 0
-        while i < self.arena.n_states:  # deciding a state may explore more
-            self.__contains__(i)
-            i += 1
-        return frozenset(i for i, won in enumerate(self.won) if won)
 
     def _decide(self, root):
         """Depth-first walk of the acyclic arena from `root` with an
@@ -655,16 +614,14 @@ def extract_strategy(arena, region):
     return strategy
 
 
-def check_templates(arena, strategy, region=None):
+def check_templates(arena, strategy, region):
     """Walk all plays of `strategy` with `_walk`, the one walk of a
     strategy's plays, and return its `TemplateReport`.
 
-    Min-intervention is judged against `region`, `solve(arena)` unless the
-    caller passes it.  Raises `StrategyRejected` if the strategy is
-    undefined on a reachable controller state or picks an action that
-    labels none of its edges.
+    Min-intervention is judged against `region`, the arena's `solve`.
+    Raises `StrategyRejected` if the strategy is undefined on a reachable
+    controller state or picks an action that labels none of its edges.
     """
-    region = region if region is not None else solve(arena)
     action_for = strategy.action_for
 
     def pick(s, labels, _targets):
@@ -756,7 +713,7 @@ def parse_strategy(text):
     return Strategy(mapping, variant)
 
 
-def arena_stats_text(arena, region=None):
+def arena_stats_text(arena, region):
     """Counts over the explored part of the arena; `winning_states` is the
     number of explored states decided winning."""
     n_ctrl = arena.turn.count(TURN_CTRL)
@@ -768,9 +725,8 @@ def arena_stats_text(arena, region=None):
         f"bad_states={sum(arena.bad)}",
         f"goal_states={sum(arena.goal)}",
         f"variant={arena.meta.get('variant', '?')}",
+        f"winning_states={len(region)}",
+        f"solver_iterations={region.iterations}",
+        f"realizable={'true' if realizable(arena, region) else 'false'}",
     ]
-    if region is not None:
-        lines.append(f"winning_states={len(region)}")
-        lines.append(f"solver_iterations={region.iterations}")
-        lines.append(f"realizable={'true' if realizable(arena, region) else 'false'}")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .mealy import MealyMachine
 
+MAX_ROUNDS = 100  # hypothesis rounds before a session gives up unconverged
+
 
 class NotDistinguishing(ValueError):
     """A submitted counterexample does not separate hypothesis and SUL."""
@@ -247,12 +249,11 @@ class LearningSession:
     coarse first hypothesis.
     """
 
-    def __init__(self, sul, alphabet, oracle, max_rounds=100, state_cap=None):
+    def __init__(self, sul, alphabet, oracle, state_cap=None):
         if state_cap is not None and state_cap < 1:
             raise ValueError(f"state_cap must be >= 1 or None, got {state_cap!r}")
         self.sul = sul
         self.oracle = oracle
-        self.max_rounds = max_rounds
         self.state_cap = state_cap
         self.table = ObservationTable(alphabet)
         self.stats = LearnStats()
@@ -265,7 +266,7 @@ class LearningSession:
 
     def run(self):
         """Iterate closing / hypothesis / oracle until the oracle passes."""
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             self.stats.rounds += 1
             hypothesis = self._hypothesis()
             self.machine = hypothesis

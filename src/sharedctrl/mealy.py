@@ -63,9 +63,9 @@ class MealyMachine:
             raise ValueError(f"unknown state {state!r}")
         return self.delta[state][symbol]
 
-    def run(self, word, start=None):
-        """Outputs emitted while reading `word` from `start` (default: initial)."""
-        state = self.initial if start is None else start
+    def run(self, word):
+        """Outputs emitted while reading `word` from the initial state."""
+        state = self.initial
         outputs = []
         for symbol in word:
             state, out = self.step(state, symbol)

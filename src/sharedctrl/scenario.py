@@ -3,9 +3,10 @@ and the override clamp.
 
 Scenarios live in the `key=value` text of `config_text`: the field names are
 the keys, the thresholds are flattened into `thw_safe`/`ttc_safe`, and each
-lead-profile segment is one `profile t acc` line.  Two built-in scenarios are
-provided: the default car-following setting and a harsher braking variant
-used for design-space exploration.
+lead-profile segment is one `profile t acc` line (named when out of order).
+A scenario is the one source of the supervisor's thresholds and clamp and of
+the sensor's error bound.  Built in: the default car-following setting and a
+harsher braking variant used for design-space exploration.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from functools import cached_property
 
 from .config_text import ConfigError, config_lines, finite, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
-from .world import (
-    LeadProfile, SensorErrorModel, VehicleState, WorldState, sensor_perturb, step_world,
-)
+from .world import LeadProfile, VehicleState, WorldState, sensor_perturb, step_world
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,6 @@ class Scenario:
         return WorldState(
             lead=VehicleState(self.lead_pos, self.lead_vel, self.profile.acc_at(0.0)),
             follow=VehicleState(self.follow_pos, self.follow_vel, 0.0),
-            t=0.0,
-            dest=self.dest,
         )
 
     @cached_property
@@ -76,7 +73,7 @@ class Scenario:
         `step_world` from `initial_world`, so `t` is accumulated as it does."""
         worlds = [self.initial_world()]
         for _ in range(self.horizon_epochs):
-            worlds.append(step_world(worlds[-1], 0.0, self.epoch, self.profile, self.v_max))
+            worlds.append(step_world(worlds[-1], 0.0, self.epoch, self.profile, v_max=self.v_max))
         return tuple((w.t, w.lead.pos, w.lead.vel, w.lead.acc) for w in worlds)
 
     @cached_property
@@ -88,9 +85,8 @@ class Scenario:
         `num_levels` quantization levels; shared, so never mutate it."""
         sets = self._perceptions.get(num_levels)
         if sets is None:
-            model = self.sensor_model()
             sets = self._perceptions[num_levels] = {
-                level: sensor_perturb(level, model, num_levels)
+                level: sensor_perturb(level, self.sensor_offset, num_levels)
                 for level in range(1, num_levels + 1)}
         return sets
 
@@ -108,9 +104,6 @@ class Scenario:
             acc_cap=self.acc_cap,
         )
 
-    def sensor_model(self):
-        return SensorErrorModel(self.sensor_offset)
-
     def to_text(self):
         lines = config_lines(self, skip=("profile",))
         lines += [f"profile {t} {a}" for t, a in self.profile.segments]
@@ -127,17 +120,15 @@ class Scenario:
                 raise ConfigError(f"line {number}: expected 'profile t acc' "
                                   f"with finite numbers") from None
             segments.append((t, acc))
-        if segments:
-            values["profile"] = LeadProfile(segments)
+            try:  # the first row out of order is the first prefix LeadProfile refuses
+                values["profile"] = LeadProfile(segments)
+            except ValueError as exc:
+                raise ConfigError(f"line {number}: {exc}") from None
         return cls(**values)
 
     @classmethod
     def from_file(cls, path):
         return read_file(path, cls.from_text)
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
 
 
 def default_scenario():

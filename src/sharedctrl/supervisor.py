@@ -8,7 +8,7 @@ take is not decided here: the game's min-intervention strategy chooses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 ACTION_NONE = "none"
@@ -36,9 +36,9 @@ class HazardThresholds:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    thresholds: HazardThresholds = field(default_factory=HazardThresholds)
-    acc_floor: float = -3.0
-    acc_cap: float = -1.0
+    thresholds: HazardThresholds
+    acc_floor: float
+    acc_cap: float
 
     def __post_init__(self):
         if not self.acc_floor <= self.acc_cap < 0:

@@ -12,7 +12,8 @@ it with `step_world` once, and every episode reads it from there.
 
 `VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
 frozen one costs about three times as much to construct.  Nothing mutates a
-state once it is built; `step_world` always returns new ones.
+state once it is built; `step_world` always returns new ones.  A world holds
+the vehicles and the time; the speed limit and sensor offset are arguments.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-V_MAX_DEFAULT = 40.0
 
 
 class CollisionState(ValueError):
@@ -68,22 +67,10 @@ class WorldState:
     lead: VehicleState
     follow: VehicleState
     t: float = 0.0
-    dest: float = math.inf
 
 
-@dataclass(frozen=True)
-class SensorErrorModel:
-    """Bounded perturbation of the quantized headway level."""
-
-    max_level_offset: int = 1
-
-    def __post_init__(self):
-        if self.max_level_offset < 0:
-            raise ValueError("max_level_offset must be >= 0")
-
-
-def step_world(world, follow_acc, dt, profile=None, v_max=V_MAX_DEFAULT):
-    """Advance both vehicles by `dt`.
+def step_world(world, follow_acc, dt, profile=None, *, v_max):
+    """Advance both vehicles by `dt`, velocities clamped to [0, v_max].
 
     The lead acceleration is read from `profile` at the current time when a
     profile is given, else the lead keeps its stored acceleration.
@@ -96,7 +83,6 @@ def step_world(world, follow_acc, dt, profile=None, v_max=V_MAX_DEFAULT):
         VehicleState(*advance(lead.pos, lead.vel, lead_acc, dt, v_max), lead_acc),
         VehicleState(*advance(follow.pos, follow.vel, follow_acc, dt, v_max), follow_acc),
         world.t + dt,
-        world.dest,
     )
 
 
@@ -124,10 +110,9 @@ def quantize_thw(thw, boundaries):
     return bisect_right(boundaries, thw) + 1
 
 
-def sensor_perturb(level, model, num_levels):
-    """All perceived levels within the offset bound, clamped to valid range."""
+def sensor_perturb(level, offset, num_levels):
+    """Every level within `offset` of `level`, clamped to the valid range."""
     if not 1 <= level <= num_levels:
         raise ValueError(f"level {level} out of range")
-    off = model.max_level_offset
     return tuple(sorted({min(max(level + d, 1), num_levels)
-                         for d in range(-off, off + 1)}))
+                         for d in range(-offset, offset + 1)}))

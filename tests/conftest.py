@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
-from sharedctrl.game import arena_stats_text, build_arena, extract_strategy, solve
+from sharedctrl.game import (
+    ACTION_SEVERITY, TURN_CTRL, TURN_ENV, GameArena, arena_stats_text, build_arena,
+    extract_strategy, solve,
+)
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
 from sharedctrl.world import LeadProfile
@@ -60,6 +63,34 @@ def lattice_scenarios(draw, max_horizon=24):
 
 def make_constant(output="0", inputs=("a",)):
     return MealyMachine(inputs, {0: {a: (0, output) for a in inputs}}, initial=0)
+
+
+def arena_from_graph(nodes, initial, bad=(), goal=()):
+    """A fully explored arena from `{name: (turn, [(label, succ), ...])}`,
+    `turn` "c" or "e", numbered in order; controller labels must be unique."""
+
+    def explore(arena, i):
+        turn, edges = nodes[arena.states[i]]
+        if turn == "c":
+            edges = sorted(edges, key=lambda e: ACTION_SEVERITY.get(e[0], 0))
+        return tuple(e[0] for e in edges), tuple(arena.index[e[1]] for e in edges)
+
+    arena = GameArena(explore, None, {})
+    for name, (turn, edges) in nodes.items():
+        if turn == "c" and len({e[0] for e in edges}) != len(edges):
+            raise ValueError(f"controller state {name!r} has two edges with the same label")
+        is_bad, is_goal = name in bad, name in goal
+        arena.add(name, TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
+                  not edges or is_bad or is_goal)
+    for i in range(arena.n_states):
+        arena.successors(i)
+    arena.initial = arena.index[initial]
+    return arena
+
+
+def region_members(region):
+    """The states of a fully explored arena that the controller wins."""
+    return frozenset(i for i in range(region.arena.n_states) if i in region)
 
 
 class ConstantStrategy:

@@ -3,6 +3,7 @@ import pytest
 from sharedctrl import cli, cosim
 from sharedctrl.cli import EXIT_OK, EXIT_UNREALIZABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
+from sharedctrl.lstar import EqOracleConfig
 from sharedctrl.mealy import serialize
 
 
@@ -88,7 +89,7 @@ def test_synth_reads_a_scenario_file(tmp_path, oracle_machine, default_sc,
                                      default_synthesis):
     _arena, _region, strategy = default_synthesis
     scenario_path = tmp_path / "default.scenario"
-    default_sc.to_file(scenario_path)
+    scenario_path.write_text(default_sc.to_text(), encoding="utf-8")
     hm_path = tmp_path / "hm.mealy"
     hm_path.write_text(serialize(oracle_machine), encoding="utf-8")
     out = tmp_path / "out"
@@ -197,6 +198,8 @@ def test_refine_reports_an_arena_cap_error(tmp_path, capsys, monkeypatch):
     ("validate", "--oracle-walks", "10"),
     ("validate", "--oracle-len", "5"),
     ("validate", "--oracle-reset-prob", "0.5"),
+    ("learn", "--runs", "2"),
+    ("synth", "--runs", "2"),
 ])
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag,
                                                    value):
@@ -234,3 +237,32 @@ def test_learn_rejects_a_negative_headway_level(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(params_path) in err and "thw_levels" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--hm"), ("synth", "--scenario"), ("synth", "--driver-params"),
+    ("validate", "--hm"), ("validate", "--strategy"),
+])
+def test_an_input_file_that_is_not_utf8_is_named(tmp_path, capsys, oracle_machine,
+                                                 default_synthesis, command, flag):
+    texts = {"--hm": serialize(oracle_machine), "--scenario": "", "--driver-params": ""}
+    if command == "validate":
+        texts["--strategy"] = serialize_strategy(default_synthesis[2])
+    argv = [command, "--out", str(tmp_path / "out")]
+    for name, text in texts.items():
+        path = tmp_path / name[2:]
+        path.write_bytes(b"\xff\xfe" if name == flag else text.encode())
+        argv += [name, str(path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / flag[2:]}: 'utf-8' codec")
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parse = cli.build_parser().parse_args
+    learn, refine = parse(["learn", "--out", "o"]), parse(["refine", "--out", "o"])
+    validate = parse(["validate", "--out", "o", "--hm", "h", "--strategy", "s"])
+    oracle, loop = EqOracleConfig(), cosim.RefineLoopConfig()
+    for args in (learn, refine):
+        assert (args.oracle_walks, args.oracle_len, args.oracle_reset_prob) == (
+            oracle.num_walks, oracle.max_walk_len, oracle.reset_prob)
+    assert validate.runs == refine.runs == loop.runs and refine.max_iter == loop.max_iterations

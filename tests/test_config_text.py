@@ -93,6 +93,7 @@ def test_scenario_text_keys_are_the_field_names():
     (Scenario, "dest 150", "expected key=value"),
     (Scenario, "profile 4.0", "expected 'profile t acc'"),
     (Scenario, "epoch=0.5", "duplicate key 'epoch'"),
+    (Scenario, "profile 1 0", "t=0"),
 ])
 def test_bad_lines_are_rejected_with_their_line_number(cls, bad, message):
     text = "# header\nepoch=0.5\n" if cls is Scenario else "# header\nk2=0.5\n"
@@ -100,6 +101,11 @@ def test_bad_lines_are_rejected_with_their_line_number(cls, bad, message):
         cls.from_text(text + bad + "\n")
     assert str(info.value).startswith("line 3: ")
     assert message in str(info.value)
+
+
+def test_an_out_of_order_profile_row_is_rejected_with_its_line_number():
+    with pytest.raises(ConfigError, match="^line 3: profile times must be strictly increasing$"):
+        Scenario.from_text("profile 0 0\nprofile 3 1\nprofile 2 0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

@@ -353,7 +353,7 @@ def test_episode_integrates_like_step_world(driver_params, oracle_machine,
         if isinstance(strategy, Strategy):
             assert row.action == ACTION_OVERRIDE and row.applied_acc == cfg.acc_floor
         world = step_world(world, row.applied_acc, scenario.epoch, scenario.profile,
-                           scenario.v_max)
+                           v_max=scenario.v_max)
     if isinstance(strategy, Strategy):
         assert trace.lookup_misses == len(trace.rows)
     assert trace.final_world == world
@@ -469,9 +469,9 @@ def test_synthesize_certifies_or_reports_a_lost_initial_state(
         oracle_machine, default_sc, braking_sc, driver_params, default_synthesis):
     won = synthesize(oracle_machine, default_sc, driver_params, "full")
     assert won.strategy.actions == default_synthesis[2].actions
-    assert won.report.safety_ok and won.report.min_intervention_ok
+    assert won.strategy.report.safety_ok and won.strategy.report.min_intervention_ok
     lost = synthesize(oracle_machine, braking_sc, driver_params, "no-override")
-    assert lost.strategy is None and lost.report is None
+    assert lost.strategy is None
     assert lost.arena.initial not in lost.arena.region
 
 

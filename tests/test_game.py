@@ -10,7 +10,6 @@ from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
     ArenaCapExceeded,
-    GameArena,
     POS_SCALE,
     Strategy,
     StrategyRejected,
@@ -37,7 +36,9 @@ from sharedctrl.scenario import Scenario
 from sharedctrl.supervisor import ACTION_HINT, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
-from conftest import ConstantStrategy, RecordingStrategy, lattice_scenarios
+from conftest import (
+    ConstantStrategy, RecordingStrategy, arena_from_graph, lattice_scenarios, region_members,
+)
 
 
 def brute_force_region(arena):
@@ -73,7 +74,7 @@ def fixture_forced_loss():
         "g": ("e", []),
         "b": ("e", []),
     }
-    return GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
+    return arena_from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
 
 
 def fixture_unrealizable():
@@ -83,7 +84,7 @@ def fixture_unrealizable():
         "e2": ("e", [("u", "bad")]),
         "bad": ("e", []),
     }
-    return GameArena.from_graph(nodes, bad={"bad"}, initial="c0")
+    return arena_from_graph(nodes, bad={"bad"}, initial="c0")
 
 
 def fixture_right_action():
@@ -94,7 +95,7 @@ def fixture_right_action():
         "g": ("e", []),
         "b": ("e", []),
     }
-    return GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="e0")
+    return arena_from_graph(nodes, bad={"b"}, goal={"g"}, initial="e0")
 
 
 def fixture_env_harmless():
@@ -104,7 +105,7 @@ def fixture_env_harmless():
         "c2": ("c", [("a", "g")]),
         "g": ("e", []),
     }
-    return GameArena.from_graph(nodes, goal={"g"}, initial="e0")
+    return arena_from_graph(nodes, goal={"g"}, initial="e0")
 
 
 def fixture_bad_goal_overlap():
@@ -112,7 +113,7 @@ def fixture_bad_goal_overlap():
         "c0": ("c", [("a", "x")]),
         "x": ("e", []),
     }
-    return GameArena.from_graph(nodes, bad={"x"}, goal={"x"}, initial="c0")
+    return arena_from_graph(nodes, bad={"x"}, goal={"x"}, initial="c0")
 
 
 def fixture_override_needed():
@@ -124,7 +125,7 @@ def fixture_override_needed():
         "b1": ("e", []),
         "b2": ("e", []),
     }
-    return GameArena.from_graph(nodes, bad={"b1", "b2"}, goal={"g"}, initial="e0")
+    return arena_from_graph(nodes, bad={"b1", "b2"}, goal={"g"}, initial="e0")
 
 
 def fixture_severity_preference():
@@ -134,7 +135,7 @@ def fixture_severity_preference():
         "g2": ("e", []),
         "g3": ("e", []),
     }
-    return GameArena.from_graph(nodes, goal={"g", "g2", "g3"}, initial="c0")
+    return arena_from_graph(nodes, goal={"g", "g2", "g3"}, initial="c0")
 
 
 ALL_FIXTURES = [
@@ -152,13 +153,13 @@ ALL_FIXTURES = [
 def test_solver_matches_brute_force(make):
     arena = make()
     region = solve(arena)
-    assert set(region.members) == brute_force_region(arena)
+    assert set(region_members(region)) == brute_force_region(arena)
 
 
 def test_forced_loss_fixture_winning_set():
     arena = fixture_forced_loss()
     region = solve(arena)
-    names = {arena.states[i] for i in region.members}
+    names = {arena.states[i] for i in region_members(region)}
     assert names == {"c0", "e1", "g", "c3"}
     assert realizable(arena, region)
 
@@ -220,7 +221,7 @@ def test_templates_reject_needless_override():
     # none also wins at c0, so overriding there is not minimal
     arena = fixture_severity_preference()
     strategy = Strategy({"c0": "override"})
-    report = check_templates(arena, strategy)
+    report = check_templates(arena, strategy, solve(arena))
     assert report.safety_ok
     assert not report.min_intervention_ok
     assert report.min_intervention_witness == "c0"
@@ -533,12 +534,12 @@ def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
     # brute force is quadratic; check agreement on a small built arena
     arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1, horizon=5)))
     region = solve(arena)
-    assert set(region.members) == brute_force_region(arena)
+    assert set(region_members(region)) == brute_force_region(arena)
 
 
 def test_default_templates_pass(default_synthesis):
     arena, _region, strategy = default_synthesis
-    report = check_templates(arena, strategy)
+    report = check_templates(arena, strategy, solve(arena))
     assert report.safety_ok
     assert report.reach_ok
     assert report.min_intervention_ok
@@ -548,14 +549,14 @@ def test_default_templates_pass(default_synthesis):
 
 def test_always_override_fails_minimal_intervention(default_synthesis):
     arena, _region, _strategy = default_synthesis
-    report = check_templates(arena, ConstantStrategy("override"))
+    report = check_templates(arena, ConstantStrategy("override"), solve(arena))
     assert not report.min_intervention_ok
     assert report.min_intervention_witness is not None
 
 
 def test_always_hint_keeps_response_property(default_synthesis):
     arena, _region, _strategy = default_synthesis
-    report = check_templates(arena, ConstantStrategy("hint"))
+    report = check_templates(arena, ConstantStrategy("hint"), solve(arena))
     assert report.response_ok  # hinted edges always re-deliberate
 
 
@@ -631,7 +632,7 @@ def test_from_graph_rejects_duplicate_controller_labels():
         "b": ("e", []),
     }
     with pytest.raises(ValueError, match="'c0'"):
-        GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
+        arena_from_graph(nodes, bad={"b"}, goal={"g"}, initial="c0")
 
 
 def test_solver_walks_deep_arenas_without_recursion():
@@ -641,7 +642,7 @@ def test_solver_walks_deep_arenas_without_recursion():
     nodes.update({f"e{k}": ("e", [("u", f"c{k + 1}")]) for k in range(depth - 1)})
     nodes[f"e{depth - 1}"] = ("e", [("u", "end")])
     nodes["end"] = ("e", [])
-    arena = GameArena.from_graph(nodes, initial="c0")
+    arena = arena_from_graph(nodes, initial="c0")
     region = solve(arena)
     assert realizable(arena, region)
     assert len(region) == arena.n_states
@@ -657,7 +658,7 @@ def test_solver_rejects_a_cyclic_arena():
         "g": ("e", []),
         "b": ("e", []),
     }
-    arena = GameArena.from_graph(nodes, bad={"b"}, goal={"g"}, initial="r")
+    arena = arena_from_graph(nodes, bad={"b"}, goal={"g"}, initial="r")
     with pytest.raises(ValueError, match="cycle through state 'x'"):
         solve(arena)
 
@@ -693,8 +694,8 @@ def random_arenas(draw):
     names = list(nodes)
     bad = draw(st.sets(st.sampled_from(names)))
     goal = draw(st.sets(st.sampled_from(names)))
-    arena = GameArena.from_graph(nodes, bad=bad, goal=goal,
-                                 initial=draw(st.sampled_from(names)))
+    arena = arena_from_graph(nodes, bad=bad, goal=goal,
+                            initial=draw(st.sampled_from(names)))
     return arena, draw(st.permutations(range(n)))
 
 

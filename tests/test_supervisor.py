@@ -13,7 +13,7 @@ from sharedctrl.supervisor import (
 )
 
 TH = HazardThresholds()
-CFG = SupervisorConfig()
+CFG = SupervisorConfig(TH, acc_floor=-3.0, acc_cap=-1.0)
 
 
 def test_thresholds_must_be_positive():
@@ -25,9 +25,9 @@ def test_thresholds_must_be_positive():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SupervisorConfig(acc_floor=-1.0, acc_cap=-3.0)
+        SupervisorConfig(TH, acc_floor=-1.0, acc_cap=-3.0)
     with pytest.raises(ValueError):
-        SupervisorConfig(acc_cap=0.5)
+        SupervisorConfig(TH, acc_floor=-3.0, acc_cap=0.5)
 
 
 def test_predicates_at_infinity():

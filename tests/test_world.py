@@ -7,7 +7,6 @@ from sharedctrl.scenario import Scenario, braking_scenario, default_scenario, lo
 from sharedctrl.world import (
     CollisionState,
     LeadProfile,
-    SensorErrorModel,
     VehicleState,
     WorldState,
     headway_metrics,
@@ -19,9 +18,9 @@ from sharedctrl.world import (
 BOUNDS = (1.0, 2.0, 3.0)
 
 
-def make_world(lead_pos, lead_vel, follow_pos, follow_vel, dest=300.0):
+def make_world(lead_pos, lead_vel, follow_pos, follow_vel):
     return WorldState(VehicleState(lead_pos, lead_vel),
-                      VehicleState(follow_pos, follow_vel), 0.0, dest)
+                      VehicleState(follow_pos, follow_vel), 0.0)
 
 
 def thw_of(world):
@@ -36,21 +35,21 @@ def ttc_of(world):
 
 def test_step_world_at_rest():
     w = make_world(20.0, 0.0, 0.0, 0.0)
-    w2 = step_world(w, 0.0, 0.5)
+    w2 = step_world(w, 0.0, 0.5, v_max=40.0)
     assert w2.lead.pos == 20.0 and w2.follow.pos == 0.0
     assert w2.t == 0.5
 
 
 def test_step_world_euler_update():
     w = make_world(100.0, 0.0, 0.0, 10.0)
-    w2 = step_world(w, 2.0, 0.5)
+    w2 = step_world(w, 2.0, 0.5, v_max=40.0)
     assert w2.follow.vel == 11.0
     assert w2.follow.pos == 5.0  # old velocity advances the position
 
 
 def test_step_world_velocity_clamps():
     w = make_world(100.0, 0.0, 0.0, 0.4)
-    assert step_world(w, -3.0, 0.5).follow.vel == 0.0
+    assert step_world(w, -3.0, 0.5, v_max=40.0).follow.vel == 0.0
     fast = make_world(100.0, 0.0, 0.0, 39.9)
     assert step_world(fast, 3.0, 0.5, v_max=40.0).follow.vel == 40.0
 
@@ -58,22 +57,22 @@ def test_step_world_velocity_clamps():
 def test_step_world_uses_profile():
     profile = LeadProfile([(0.0, 0.0), (1.0, -2.0)])
     w = make_world(50.0, 10.0, 0.0, 10.0)
-    w1 = step_world(w, 0.0, 0.5, profile)
+    w1 = step_world(w, 0.0, 0.5, profile, v_max=40.0)
     assert w1.lead.vel == 10.0          # acc 0 before t=1
-    w1b = WorldState(w1.lead, w1.follow, 1.0, w1.dest)
-    w2 = step_world(w1b, 0.0, 0.5, profile)
+    w1b = WorldState(w1.lead, w1.follow, 1.0)
+    w2 = step_world(w1b, 0.0, 0.5, profile, v_max=40.0)
     assert w2.lead.vel == 9.0           # braking segment active
 
 
 def test_step_world_rejects_bad_dt():
     with pytest.raises(ValueError):
-        step_world(make_world(10, 0, 0, 0), 0.0, 0.0)
+        step_world(make_world(10, 0, 0, 0), 0.0, 0.0, v_max=40.0)
 
 
 def test_positions_never_regress():
     w = make_world(50.0, 5.0, 0.0, 3.0)
     for _ in range(30):
-        w2 = step_world(w, -3.0, 0.5)
+        w2 = step_world(w, -3.0, 0.5, v_max=40.0)
         assert w2.follow.pos >= w.follow.pos
         assert w2.follow.vel >= 0.0
         w = w2
@@ -137,19 +136,19 @@ def test_quantize_rejects_negative():
 
 
 def test_sensor_perturb_zero_offset():
-    assert sensor_perturb(2, SensorErrorModel(0), 4) == (2,)
+    assert sensor_perturb(2, 0, 4) == (2,)
 
 
 def test_sensor_perturb_clamps_at_bottom():
-    assert sensor_perturb(1, SensorErrorModel(1), 4) == (1, 2)
+    assert sensor_perturb(1, 1, 4) == (1, 2)
 
 
 def test_sensor_perturb_interior():
-    assert sensor_perturb(3, SensorErrorModel(1), 4) == (2, 3, 4)
+    assert sensor_perturb(3, 1, 4) == (2, 3, 4)
 
 
 def test_sensor_perturb_wide_offset():
-    assert sensor_perturb(2, SensorErrorModel(3), 4) == (1, 2, 3, 4)
+    assert sensor_perturb(2, 3, 4) == (1, 2, 3, 4)
 
 
 def test_profile_validation():
@@ -170,7 +169,7 @@ def test_profile_lookup():
 def test_scenario_round_trip(tmp_path):
     sc = braking_scenario()
     path = tmp_path / "braking.scenario"
-    sc.to_file(path)
+    path.write_text(sc.to_text(), encoding="utf-8")
     assert Scenario.from_file(path) == sc
 
 
@@ -189,6 +188,7 @@ def test_scenario_validation():
     (dict(v_max=-1.0), "v_max"),
     (dict(lead_vel=-0.5), "lead_vel"),
     (dict(follow_vel=-2.0), "follow_vel"),
+    (dict(sensor_offset=-1), "sensor_offset"),
 ])
 def test_scenario_rejects_non_positive_v_max_and_negative_speeds(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -219,7 +219,7 @@ def test_load_scenario_builtins(tmp_path):
     assert load_scenario("default") == default_scenario()
     assert load_scenario("braking") == braking_scenario()
     path = tmp_path / "custom.scenario"
-    default_scenario().to_file(path)
+    path.write_text(default_scenario().to_text(), encoding="utf-8")
     assert load_scenario(str(path)) == default_scenario()
 
 
@@ -227,7 +227,6 @@ def test_scenario_initial_world():
     sc = default_scenario()
     w = sc.initial_world()
     assert w.lead.pos == 50.0 and w.follow.vel == 15.0
-    assert w.dest == sc.dest
 
 
 def test_scenario_caches_are_not_fields():
@@ -236,7 +235,7 @@ def test_scenario_caches_are_not_fields():
     track, sets = sc.lead_track, sc.perceptions(4)
     assert sc.lead_track is track and sc.perceptions(4) is sets
     assert len(track) == sc.horizon_epochs + 1
-    assert sets == {level: sensor_perturb(level, sc.sensor_model(), 4) for level in range(1, 5)}
+    assert sets == {level: sensor_perturb(level, sc.sensor_offset, 4) for level in range(1, 5)}
     assert Scenario.from_text(sc.to_text()) == sc
     shorter = replace(sc, horizon_epochs=3)
     assert shorter.lead_track == track[:4]
