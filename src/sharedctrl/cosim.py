@@ -1,15 +1,18 @@
 """Synthesis and closed-loop validation of strategies against the full driver.
 
-`synthesize` is the one synthesis path: build the arena, solve it, and
-extract and certify a strategy when the initial state wins.  The CLI and
-`refine_loop` both call it.
+`Synthesis.of` is the one synthesis path after the arena is built: solve
+it, and extract and certify a strategy when the initial state wins.
+`synthesize` builds the arena and takes that path, for the CLI.
+`refine_loop` builds the arena with the driver check on, so that synthesis
+on an abstraction that is wrong stops at the first word of perceptions on
+which it predicts another acceleration than the real driver gives.
 
 A strategy is executed with the stateful cognitive driver in the loop (not
 the learned abstraction), while a mirror of the abstraction tracks which
 game state the play corresponds to.  Objective monitoring classifies each
-trace; traces that violate an objective (or that fall off the abstraction,
-observed as strategy-lookup misses) feed the counterexample-driven
-refinement loop.
+trace.  The refinement loop injects the word of the driver check's first
+disagreement, or else the words of traces that violate an objective (or
+that fall off the abstraction, observed as strategy-lookup misses).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from .driver import CognitiveDriver, DriverParams, FULL_CHAIN
 from .game import (
     AbstractDriver,
+    DriverDisagrees,
     POS_SCALE,
     TURN_CTRL,
     VARIANT_ACTIONS,
@@ -239,17 +243,21 @@ class Synthesis:
     arena: object
     strategy: object = None
 
+    @classmethod
+    def of(cls, arena):
+        """Solve a built arena, then extract and certify a strategy if the
+        initial state wins.  Raises `StrategyRejected` if `certify` refuses it."""
+        region = solve(arena)
+        if not realizable(arena, region):
+            return cls(arena)
+        strategy = extract_strategy(arena, region)
+        certify(arena, strategy, region)
+        return cls(arena, strategy)
+
 
 def synthesize(hm, scenario, params, variant):
-    """Build and solve the game, then extract and certify a strategy if the
-    initial state wins.  Raises `StrategyRejected` if `certify` refuses it."""
-    arena = build_arena(hm, scenario, params=params, variant=variant)
-    region = solve(arena)
-    if not realizable(arena, region):
-        return Synthesis(arena)
-    strategy = extract_strategy(arena, region)
-    certify(arena, strategy, region)
-    return Synthesis(arena, strategy)
+    """Build the game, with no driver check, and take `Synthesis.of` it."""
+    return Synthesis.of(build_arena(hm, scenario, params=params, variant=variant))
 
 
 def refine(session, traces):
@@ -307,8 +315,9 @@ class RefineLoopConfig:
 class IterationRecord:
     index: int
     hm_states: int
-    realizable: bool
     variant: str
+    realizable: bool = None  # None when synthesis stopped at a disagreement
+    disagreement: tuple = None  # (word, arena states explored) where it stopped
     verdicts: list = field(default_factory=list)
     lookup_misses: int = 0
     injected: int = 0    # distinguishing words that added a suffix to E
@@ -316,14 +325,19 @@ class IterationRecord:
     skipped: int = 0     # empty, repeated or non-distinguishing words
 
     def line(self):
-        counts = {}
-        for v in self.verdicts:
-            counts[v.status] = counts.get(v.status, 0) + 1
-        verdict_text = ",".join(f"{k}:{v}" for k, v in sorted(counts.items())) or "-"
+        if self.disagreement is not None:
+            word, explored = self.disagreement
+            found = (f"disagrees_with_driver_on={','.join(map(str, word))} "
+                     f"after_states={explored}")
+        else:
+            counts = {}
+            for v in self.verdicts:
+                counts[v.status] = counts.get(v.status, 0) + 1
+            verdict_text = ",".join(f"{k}:{v}" for k, v in sorted(counts.items())) or "-"
+            found = (f"realizable={'true' if self.realizable else 'false'} "
+                     f"verdicts={verdict_text} misses={self.lookup_misses}")
         return (f"iteration={self.index} hm_states={self.hm_states} "
-                f"variant={self.variant} "
-                f"realizable={'true' if self.realizable else 'false'} "
-                f"verdicts={verdict_text} misses={self.lookup_misses} "
+                f"variant={self.variant} {found} "
                 f"injected={self.injected} redundant={self.redundant} "
                 f"skipped={self.skipped}")
 
@@ -349,12 +363,23 @@ class IterationArtifacts:
 def refine_loop(scenario, cfg):
     """Learn, synthesize, validate, refine until the objectives hold.
 
+    Synthesis checks the abstraction against the real driver as it explores
+    (`build_arena`'s `check_driver`): at the first controller state whose
+    acceleration the driver does not give on the hint-free word of
+    perceptions that reached it, the iteration stops with that word and no
+    strategy, and the word is injected.  Otherwise the strategy runs
+    `cfg.runs` seeded episodes, and the words of the violating ones are
+    injected (`refine`).  A state is checked on the first path that reaches
+    it only, so a disagreement is found early but its absence proves no
+    conformance: the seeded episodes stay the acceptance test.
+
     Stops on all-pass (every episode passed without a strategy lookup miss),
-    on the iteration cap, on abstraction stability, or on an unrealizable
-    arena (unless variant expansion is enabled and a larger controllable
-    action set is available).  Raises `StrategyRejected` if the template
-    check refuses an extracted strategy.  Returns `(report, artifacts)` where
-    artifacts carry per-iteration machines, strategies, and traces.
+    on the iteration cap, on abstraction stability (what was injected leaves
+    the minimized machine as it was), or on an unrealizable arena (unless
+    variant expansion is enabled and a larger controllable action set is
+    available).  Raises `StrategyRejected` if the template check refuses an
+    extracted strategy.  Returns `(report, artifacts)` where artifacts carry
+    per-iteration machines, strategies, and traces.
     """
     params = cfg.params
     sup = scenario.supervisor_config()
@@ -369,36 +394,47 @@ def refine_loop(scenario, cfg):
     reason = "max-iterations"
     it = 0
     while it < cfg.max_iterations:
-        strategy = synthesize(hm, scenario, params, variant).strategy
-        record = IterationRecord(it, len(hm.states), strategy is not None, variant)
-        art = IterationArtifacts(hm, strategy)
+        record = IterationRecord(it, len(hm.states), variant)
+        art = IterationArtifacts(hm)
         records.append(record)
         artifacts.append(art)
-        if not record.realizable:
-            ladder = list(VARIANT_ACTIONS)
-            pos = ladder.index(variant)
-            if cfg.expand_on_unrealizable and pos + 1 < len(ladder):
-                variant = ladder[pos + 1]
-                it += 1
-                continue
-            reason = "unrealizable"
-            break
-        violating = []
-        for r in range(cfg.runs):
-            run_sul = CognitiveDriver(params)
-            trace = execute(strategy, run_sul, scenario, sup,
-                            derive_seed(cfg.seed, f"it{it}:run{r}"), hm, params)
-            verdict = monitor(trace, scenario.dest, sup.thresholds)
-            record.verdicts.append(verdict)
-            record.lookup_misses += trace.lookup_misses
-            art.traces.append((trace, verdict))
-            if not verdict.passed or trace.lookup_misses:
-                violating.append(trace)
-        if not violating:
-            reason = "all-pass"
-            break
-        new_hm, record.injected, record.skipped = refine(session, violating)
-        record.redundant = len(violating) - record.injected - record.skipped
+        try:
+            arena = build_arena(hm, scenario, params=params, variant=variant, check_driver=True)
+            strategy = art.strategy = Synthesis.of(arena).strategy
+        except DriverDisagrees as err:
+            record.disagreement = (err.word, err.explored)
+            if session.inject_counterexample(err.word):
+                record.injected = 1
+            else:
+                record.redundant = 1
+            new_hm, _stats = session.run()
+        else:
+            record.realizable = strategy is not None
+            if not record.realizable:
+                ladder = list(VARIANT_ACTIONS)
+                pos = ladder.index(variant)
+                if cfg.expand_on_unrealizable and pos + 1 < len(ladder):
+                    variant = ladder[pos + 1]
+                    it += 1
+                    continue
+                reason = "unrealizable"
+                break
+            violating = []
+            for r in range(cfg.runs):
+                run_sul = CognitiveDriver(params)
+                trace = execute(strategy, run_sul, scenario, sup,
+                                derive_seed(cfg.seed, f"it{it}:run{r}"), hm, params)
+                verdict = monitor(trace, scenario.dest, sup.thresholds)
+                record.verdicts.append(verdict)
+                record.lookup_misses += trace.lookup_misses
+                art.traces.append((trace, verdict))
+                if not verdict.passed or trace.lookup_misses:
+                    violating.append(trace)
+            if not violating:
+                reason = "all-pass"
+                break
+            new_hm, record.injected, record.skipped = refine(session, violating)
+            record.redundant = len(violating) - record.injected - record.skipped
         if serialize(minimize(new_hm)) == serialize(minimize(hm)):
             reason = "stable"
             break

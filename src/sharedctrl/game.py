@@ -34,6 +34,9 @@ edge labels as one shared row: the variant's action tuple for a controller
 state, the perception set of the perceived level for an environment state.
 One kernel, `build_arena`'s `explore`, computes a state's successors, looks
 each up in the arena's index and numbers a new one with `GameArena.add`.
+Asked to, `build_arena` wraps it to check each new controller state reached
+on a hint-free path against the real driver, and raises `DriverDisagrees`
+at the first acceleration the driver does not give.
 
 A strategy's plays are walked in one place, `_walk`, which applies the
 template checks and asks a picker for the edge taken at each controller
@@ -51,7 +54,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .driver import DriverParams, decide_acceleration, FULL_CHAIN
+from .driver import FULL_CHAIN, decide_acceleration, explicit_machine
 from .mealy import AlphabetMismatch
 from .supervisor import (
     ACTION_HINT,
@@ -107,6 +110,17 @@ class Unrealizable(RuntimeError):
 
 class StrategyRejected(RuntimeError):
     """The template check refused a strategy for a solved arena."""
+
+
+class DriverDisagrees(RuntimeError):
+    """The abstraction predicts a driver acceleration that the real driver
+    does not give on `word`, found after `explored` arena states."""
+
+    def __init__(self, word, explored):
+        super().__init__(f"abstraction disagrees with the driver on word {word!r} "
+                         f"after {explored} states")
+        self.word = word
+        self.explored = explored
 
 
 def _scaled(value, scale, what):
@@ -271,11 +285,16 @@ def lead_trajectory(scenario):
             for _t, pos, vel, _acc in scenario.lead_track]
 
 
-def build_arena(hm, scenario, params=None, variant="full", state_cap=2_000_000):
+def build_arena(hm, scenario, params, variant, state_cap=2_000_000, *, check_driver=False):
     """The product arena for one scenario and variant, explored until its
-    initial state is decided; `state_cap` bounds all exploration."""
+    initial state is decided; `state_cap` bounds all exploration.
+
+    With `check_driver`, the states that the solver or a later walk explores
+    on hint-free paths are also checked against the real driver of `params`
+    (see `_driver_checked`), and the first disagreement raises
+    `DriverDisagrees`.
+    """
     cfg = scenario.supervisor_config()
-    params = params if params is not None else DriverParams()
     if tuple(hm.inputs) != params.levels():
         raise AlphabetMismatch(
             f"abstraction alphabet {hm.inputs!r} does not match "
@@ -339,6 +358,8 @@ def build_arena(hm, scenario, params=None, variant="full", state_cap=2_000_000):
         return actions, tuple(succs)
 
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
+    if check_driver:
+        explore = _driver_checked(explore, params)
     arena = GameArena(explore, state_cap, meta)
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
@@ -348,6 +369,62 @@ def build_arena(hm, scenario, params=None, variant="full", state_cap=2_000_000):
     arena.initial = arena.add(s0, TURN_ENV, bad0, goal0, bad0 or goal0 or horizon == 0)
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
+
+
+def _driver_checked(explore, params):
+    """`explore` of `build_arena`, also replaying hint-free paths on the
+    real driver.
+
+    The driver's states under plain stimuli are those of `explicit_machine`.
+    Each non-terminal state added on a hint-free path from the initial
+    state, state 0, waits in `pending` with the entry `(driver state, level,
+    entry before)` of the first such path: the driver's state after the path
+    and the path's perceptions, linked backwards.  When the state is
+    explored, its entry is handed on to its new successors.  A controller
+    successor's acceleration must be the driver's response to the
+    perception on its edge.  A hint edge hands on nothing, since the
+    alphabet has no hint symbol to replay it with.  A state reached again
+    later is not checked again, so no disagreement is no proof that the
+    abstraction conforms.
+    """
+    truth = explicit_machine(params)
+    steps = {q: {level: (succ, acc) for level, (succ, (_chain, acc)) in row.items()}
+             for q, row in truth.delta.items()}
+    pending = {0: (truth.initial, None, None)}
+
+    def checked(arena, i):
+        n = len(arena.states)
+        labels, succs = explore(arena, i)
+        entry = pending.pop(i, None)
+        if entry is None:
+            return labels, succs
+        if arena.turn[i] == TURN_ENV:
+            step = steps[entry[0]]
+            states = arena.states
+            for p, j in zip(labels, succs):
+                if j < n or j in pending:
+                    continue
+                d2, acc = step[p]
+                if acc != states[j][5]:
+                    raise DriverDisagrees(_path_word((d2, p, entry)), len(states))
+                pending[j] = (d2, p, entry)
+        else:
+            terminal = arena.terminal
+            for action, j in zip(labels, succs):
+                if j >= n and action != ACTION_HINT and not terminal[j]:
+                    pending[j] = entry
+        return labels, succs
+
+    return checked
+
+
+def _path_word(entry):
+    """The perceptions of a pending entry's path, first one first."""
+    word = []
+    while entry[1] is not None:
+        word.append(entry[1])
+        entry = entry[2]
+    return tuple(reversed(word))
 
 
 class WinningRegion:
@@ -471,7 +548,7 @@ class Strategy:
     """
 
     actions: Mapping
-    variant: str = "full"
+    variant: str
     certified = True
     report = None  # TemplateReport of the walk that extracted it
     _arena = None  # weak reference to the arena it was extracted from
@@ -528,7 +605,7 @@ def _walk(arena, region, pick):
     with the checks up to there.  Returns the `TemplateReport`.
     """
     report = TemplateReport()
-    driver = arena.meta.get("driver")
+    driver = arena.meta["driver"]
     states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
     seen = {arena.initial}
     queue = deque([arena.initial])
@@ -608,7 +685,7 @@ def extract_strategy(arena, region):
         raise RuntimeError(f"winning controller state {s!r} has no winning action")
 
     report = _walk(arena, region, pick)
-    strategy = Strategy(MappingProxyType(mapping), arena.meta.get("variant", "full"))
+    strategy = Strategy(MappingProxyType(mapping), arena.meta["variant"])
     strategy.report = report
     strategy._arena = weakref.ref(arena)
     return strategy
@@ -724,7 +801,7 @@ def arena_stats_text(arena, region):
         f"environment_states={arena.n_states - n_ctrl}",
         f"bad_states={sum(arena.bad)}",
         f"goal_states={sum(arena.goal)}",
-        f"variant={arena.meta.get('variant', '?')}",
+        f"variant={arena.meta['variant']}",
         f"winning_states={len(region)}",
         f"solver_iterations={region.iterations}",
         f"realizable={'true' if realizable(arena, region) else 'false'}",

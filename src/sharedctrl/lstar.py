@@ -96,18 +96,17 @@ class ObservationTable:
         return ext
 
 
-def membership_query(sul, prefix, suffix, stats=None):
+def membership_query(sul, prefix, suffix, stats):
     """Reset, replay `prefix`, then record the outputs along `suffix`."""
     sul.reset()
     for a in prefix:
         sul.query(a)
     outputs = tuple(sul.query(a) for a in suffix)
-    if stats is not None:
-        stats.membership_queries += 1
+    stats.membership_queries += 1
     return outputs
 
 
-def fill(table, sul, stats=None):
+def fill(table, sul, stats):
     """Populate every missing (prefix, suffix) cell of the table."""
     for word in table.S + table.extensions():
         for e in table.E:
@@ -122,13 +121,13 @@ def unmatched(table):
     return next((w for w in table.extensions() if table.row(w) not in s_rows), None)
 
 
-def close(table, sul, stats=None, state_cap=None):
+def close(table, sul, stats, state_cap):
     """Move unmatched successor rows into S until the table is closed.
 
     Only rows new to S join it, so S's rows stay pairwise distinct.
-    `state_cap` bounds |S| to build a deliberately coarse table; closing
-    stops early once the cap is reached and the caller must then build the
-    hypothesis with `allow_partial`.
+    `state_cap` (None for no cap) bounds |S| to build a deliberately coarse
+    table; closing stops early once the cap is reached and the caller must
+    then build the hypothesis with `allow_partial`.
     """
     while state_cap is None or len(table.S) < state_cap:
         word = unmatched(table)
@@ -143,7 +142,7 @@ def is_closed(table):
     return unmatched(table) is None
 
 
-def build_hypothesis(table, allow_partial=False):
+def build_hypothesis(table, allow_partial):
     """Hypothesis machine: one state per word of S, whose rows are distinct.
 
     The table must be closed.  With `allow_partial`, successor rows that
@@ -159,7 +158,7 @@ def build_hypothesis(table, allow_partial=False):
     return MealyMachine(table.alphabet, delta, initial=0).relabeled()
 
 
-def process_counterexample(table, ce, sul, hypothesis, stats=None):
+def process_counterexample(table, ce, sul, hypothesis, stats):
     """Add the one suffix of `ce` that splits a hypothesis state to E.
 
     `hypothesis` must have been built from this table's S (E may have grown
@@ -201,7 +200,7 @@ def process_counterexample(table, ce, sul, hypothesis, stats=None):
     return True
 
 
-def random_walk_eq(sul, hypothesis, cfg, stats=None):
+def random_walk_eq(sul, hypothesis, cfg, stats):
     """Seeded random-walk conformance test.
 
     Runs `num_walks` walks with geometric restarts; returns the first input
@@ -210,8 +209,7 @@ def random_walk_eq(sul, hypothesis, cfg, stats=None):
     """
     rng = random.Random(cfg.rng_seed)
     alphabet = hypothesis.inputs
-    if stats is not None:
-        stats.equivalence_queries += 1
+    stats.equivalence_queries += 1
     for _ in range(cfg.num_walks):
         sul.reset()
         state = hypothesis.initial
@@ -233,7 +231,7 @@ class RandomWalkOracle:
         self.sul = sul
         self.cfg = cfg
 
-    def __call__(self, hypothesis, stats=None):
+    def __call__(self, hypothesis, stats):
         return random_walk_eq(self.sul, hypothesis, self.cfg, stats)
 
 

@@ -75,7 +75,7 @@ def arena_from_graph(nodes, initial, bad=(), goal=()):
             edges = sorted(edges, key=lambda e: ACTION_SEVERITY.get(e[0], 0))
         return tuple(e[0] for e in edges), tuple(arena.index[e[1]] for e in edges)
 
-    arena = GameArena(explore, None, {})
+    arena = GameArena(explore, None, {"variant": "full", "driver": None})
     for name, (turn, edges) in nodes.items():
         if turn == "c" and len({e[0] for e in edges}) != len(edges):
             raise ValueError(f"controller state {name!r} has two edges with the same label")
@@ -127,9 +127,8 @@ class ExactOracle:
     def __init__(self, reference):
         self.reference = reference
 
-    def __call__(self, hypothesis, stats=None):
-        if stats is not None:
-            stats.equivalence_queries += 1
+    def __call__(self, hypothesis, stats):
+        stats.equivalence_queries += 1
         same, ce = equivalent(self.reference, hypothesis)
         return None if same else ce
 
@@ -197,7 +196,7 @@ def synthesis_snapshot(arena, region):
 @pytest.fixture(scope="session")
 def default_synthesis(oracle_machine, default_sc, driver_params, synthesis_counts):
     """Arena, winning region, and strategy for the default scenario."""
-    arena = build_arena(oracle_machine, default_sc, params=driver_params)
+    arena = build_arena(oracle_machine, default_sc, driver_params, "full")
     region = solve(arena)
     strategy = extract_strategy(arena, region)
     synthesis_counts[default_sc.name] = synthesis_snapshot(arena, region)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sharedctrl import cli, cosim
@@ -160,6 +162,21 @@ def test_demo_reaches_the_destination(capsys):
 
 def test_refine_passes_on_default(tmp_path):
     assert main(["refine", "--runs", "2", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_refine_writes_only_the_machine_of_a_disagreeing_iteration(tmp_path, monkeypatch):
+    # from a 2-state start, the first iteration stops at a disagreement with
+    # the driver: no strategy and no episodes to write
+    loop = cli.refine_loop
+    monkeypatch.setattr(cli, "refine_loop",
+                        lambda scenario, cfg: loop(scenario, replace(cfg, initial_state_cap=2)))
+    out = tmp_path / "out"
+    assert main(["refine", "--runs", "2", "--out", str(out)]) == EXIT_OK
+    assert [p.name for p in (out / "iteration_00").iterdir()] == ["hm.mealy"]
+    assert sorted(p.name for p in (out / "iteration_01").iterdir()) == [
+        "hm.mealy", "strategy.txt", "trace_000.csv", "trace_001.csv"]
+    assert "disagrees_with_driver_on=3,3,2 after_states=14" in \
+        (out / "refinement_report.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("flag", ["--runs", "--max-iter"])

@@ -37,7 +37,7 @@ from sharedctrl.game import (
     serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
-from sharedctrl.mealy import equivalent, minimize
+from sharedctrl.mealy import equivalent, minimize, serialize
 from sharedctrl.scenario import Scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState, step_world
@@ -152,7 +152,7 @@ def test_monitor_min_intervention_violation():
 def test_monitor_exempts_only_certified_overrides(default_sc, driver_params,
                                                 oracle_machine):
     # an empty strategy misses every lookup: each row is a fallback override
-    fallback = run_once(Strategy({}), default_sc, driver_params, oracle_machine)
+    fallback = run_once(Strategy({}, "full"), default_sc, driver_params, oracle_machine)
     assert fallback.lookup_misses == len(fallback.rows) > 0
     row = fallback.rows[0]
     assert row.action == "override" and not row.certified
@@ -336,7 +336,7 @@ def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
 @settings(max_examples=80, deadline=None)
 @given(scenario=lattice_scenarios(),
        strategy=st.sampled_from((ConstantStrategy("none"), ConstantStrategy("hint"),
-                                 ConstantStrategy("override"), Strategy({}))),
+                                 ConstantStrategy("override"), Strategy({}, "full"))),
        seed=st.integers(min_value=0, max_value=2**32))
 def test_episode_integrates_like_step_world(driver_params, oracle_machine,
                                             scenario, strategy, seed):
@@ -397,22 +397,73 @@ def test_refine_loop_exact_learner_passes_first_iteration(default_sc):
 
 
 def test_refine_loop_truncated_start_recovers(default_sc):
+    # the 2-state machine's arena leaves the driver after 14 states: that
+    # iteration synthesizes nothing and runs no episode, and its word relearns
+    # the exact machine
     cfg = RefineLoopConfig(seed=0, runs=8, initial_state_cap=2)
-    report, _ = refine_loop(default_sc, cfg)
+    report, artifacts = refine_loop(default_sc, cfg)
+    first, second = report.iterations
+    assert (first.hm_states, first.realizable, first.verdicts) == (2, None, [])
+    assert first.disagreement == ((3, 3, 2), 14)
+    assert artifacts[0].strategy is None and artifacts[0].traces == []
+    assert (second.hm_states, second.realizable, second.disagreement) == (9, True, None)
     assert report.termination_reason == "all-pass"
-    sizes = [r.hm_states for r in report.iterations]
-    assert sizes[1] > sizes[0]
-    assert report.iterations[0].injected > 0
 
 
-def test_refine_counts_only_words_that_add_a_suffix(default_sc):
-    # 25 distinguishing words, but 21 of them find their suffix in E already
+def test_disagreement_record_says_where_the_abstraction_left_the_driver(default_sc):
+    # the word adds no suffix to E (the state cap kept S short); lifting the
+    # cap lets the oracle do the rest
     cfg = RefineLoopConfig(seed=0, runs=25, initial_state_cap=2)
     report, _ = refine_loop(default_sc, cfg)
     first = report.iterations[0]
-    assert (first.injected, first.redundant, first.skipped) == (4, 21, 0)
-    assert "injected=4 redundant=21 skipped=0" in first.line()
+    assert (first.injected, first.redundant, first.skipped) == (0, 1, 0)
+    assert first.line() == ("iteration=0 hm_states=2 variant=full "
+                            "disagrees_with_driver_on=3,3,2 after_states=14 "
+                            "injected=0 redundant=1 skipped=0")
+    assert "realizable" not in first.line()
     assert report.termination_reason == "all-pass"
+
+
+@pytest.fixture(scope="module")
+def coarse_synthesis(default_sc, driver_params):
+    """Synthesis on the 2-state machine a state-capped session learns first."""
+    hm, _stats = make_session(driver_params, state_cap=2).run()
+    return hm, synthesize(hm, default_sc, driver_params, "full")
+
+
+def test_refine_counts_only_words_that_add_a_suffix(default_sc, driver_params,
+                                                    coarse_synthesis):
+    # the coarse strategy's 25 episodes, seeded as a loop's first iteration
+    # seeds them: 25 distinguishing words, 21 of them find their suffix in E
+    hm, syn = coarse_synthesis
+    session = make_session(driver_params, seed=derive_seed(0, "oracle"), state_cap=2)
+    assert serialize(session.run()[0]) == serialize(hm)
+    cfg = default_sc.supervisor_config()
+    violating = []
+    for r in range(25):
+        trace = execute(syn.strategy, CognitiveDriver(driver_params), default_sc, cfg,
+                        derive_seed(0, f"it0:run{r}"), hm, driver_params)
+        if not monitor(trace, default_sc.dest, cfg.thresholds).passed or trace.lookup_misses:
+            violating.append(trace)
+    assert len(violating) == 25
+    machine, injected, skipped = refine(session, violating)
+    assert (injected, len(violating) - injected - skipped, skipped) == (4, 21, 0)
+    assert len(machine.states) == 9
+
+
+def test_refine_loop_stops_on_a_disagreement_that_changes_no_machine(default_sc,
+                                                                    monkeypatch):
+    # a session that relearns the same machine: the loop must not spin on it
+    class Stuck(LearningSession):
+        def run(self):
+            if self.machine is None:
+                return super().run()
+            return self.machine, self.stats
+
+    monkeypatch.setattr(cosim, "LearningSession", Stuck)
+    report, _ = refine_loop(default_sc, RefineLoopConfig(seed=0, runs=2, initial_state_cap=2))
+    assert report.termination_reason == "stable"
+    assert [r.disagreement for r in report.iterations] == [((3, 3, 2), 14)]
 
 
 def test_refine_loop_iteration_cap(default_sc):
@@ -475,20 +526,10 @@ def test_synthesize_certifies_or_reports_a_lost_initial_state(
     assert lost.arena.initial not in lost.arena.region
 
 
-def test_coarse_synthesis_is_pinned(default_sc, monkeypatch):
-    # the arena of the 2-state machine the coarse seed-0 loop learns first
-    made = []
-    real_synthesize = cosim.synthesize
-
-    def keep(*args, **kwargs):
-        made.append(real_synthesize(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(cosim, "synthesize", keep)
-    _report, artifacts = refine_loop(
-        default_sc, RefineLoopConfig(seed=0, runs=25, initial_state_cap=2, max_iterations=1))
-    assert len(artifacts[0].hm.states) == 2
-    syn = made[0]
+def test_coarse_synthesis_is_pinned(coarse_synthesis):
+    # the arena of the 2-state machine a coarse loop starts from
+    hm, syn = coarse_synthesis
+    assert len(hm.states) == 2
     text = serialize_strategy(syn.strategy)
     assert (syn.arena.n_states, syn.arena.region.iterations, len(syn.strategy.actions),
             hashlib.sha256(text.encode()).hexdigest()) == (
@@ -519,7 +560,7 @@ def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount
     # build_arena and execute share the mirror; dropping the machine frees it
     hm = explicit_machine(driver_params)
     mirror = AbstractDriver.shared(hm, driver_params)
-    assert build_arena(hm, default_sc, params=driver_params).meta["driver"] is mirror
+    assert build_arena(hm, default_sc, driver_params, "full").meta["driver"] is mirror
     assert AbstractDriver.shared(hm, replace(driver_params, k1=0.5)) is not mirror
     dead = weakref.ref(mirror)
     del hm, mirror

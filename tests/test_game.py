@@ -3,13 +3,14 @@ import hashlib
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from sharedctrl import game
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
     ArenaCapExceeded,
+    DriverDisagrees,
     POS_SCALE,
     Strategy,
     StrategyRejected,
@@ -220,7 +221,7 @@ def test_templates_accept_forced_override():
 def test_templates_reject_needless_override():
     # none also wins at c0, so overriding there is not minimal
     arena = fixture_severity_preference()
-    strategy = Strategy({"c0": "override"})
+    strategy = Strategy({"c0": "override"}, "full")
     report = check_templates(arena, strategy, solve(arena))
     assert report.safety_ok
     assert not report.min_intervention_ok
@@ -232,7 +233,7 @@ def test_templates_reject_needless_override():
 def test_templates_reject_an_action_without_an_edge():
     arena = fixture_right_action()
     with pytest.raises(StrategyRejected, match="'c' labels no edge of .*'c0'"):
-        certify(arena, Strategy({"c0": "c"}), solve(arena))
+        certify(arena, Strategy({"c0": "c"}, "full"), solve(arena))
 
 
 def test_strategy_closure_stays_winning():
@@ -291,14 +292,16 @@ def explore_all(arena):
 
 
 def test_build_arena_zero_offset_collapses_sensor(oracle_machine):
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=0)))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=0), DriverParams(),
+                                    "full"))
     for i in range(arena.n_states):
         if arena.turn[i] == TURN_ENV and not arena.terminal[i]:
             assert len(arena.edges[i]) == 1
 
 
 def test_build_arena_offset_one_branches(oracle_machine):
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1)))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
+                                    "full"))
     widths = {len(arena.edges[i]) for i in range(arena.n_states)
               if arena.turn[i] == TURN_ENV and not arena.terminal[i]}
     assert widths <= {2, 3}
@@ -309,8 +312,8 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
     # labels are never per edge: an explored state holds the variant's action
     # tuple or one of the scenario's perception rows, position by position
     # with its successors' numbers
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1),
-                                    variant="no-override"))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
+                                    "no-override"))
     actions = VARIANT_ACTIONS["no-override"]
     rows = arena.meta["scenario"].perceptions(arena.meta["driver"].params.num_levels)
     assert len(arena.won) == arena.n_states
@@ -327,27 +330,27 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
 
 
 def test_build_arena_no_bad_goal_overlap(oracle_machine, default_sc):
-    arena = build_arena(oracle_machine, default_sc)
+    arena = build_arena(oracle_machine, default_sc, DriverParams(), "full")
     assert not any(b and g for b, g in zip(arena.bad, arena.goal))
 
 
 def test_build_arena_alphabet_mismatch(default_sc):
     wrong = MealyMachine((1, 2), {0: {1: (0, "x"), 2: (0, "y")}})
     with pytest.raises(AlphabetMismatch):
-        build_arena(wrong, default_sc)
+        build_arena(wrong, default_sc, DriverParams(), "full")
 
 
 def test_build_arena_state_cap(oracle_machine, default_sc):
     with pytest.raises(ArenaCapExceeded):
-        build_arena(oracle_machine, default_sc, state_cap=100)
+        build_arena(oracle_machine, default_sc, DriverParams(), "full", state_cap=100)
 
 
 def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_params):
     # the pinned default/full build explores exactly 2942 states
-    arena = build_arena(oracle_machine, default_sc, params=driver_params, state_cap=2942)
+    arena = build_arena(oracle_machine, default_sc, driver_params, "full", state_cap=2942)
     assert arena.n_states == 2942 and realizable(arena, arena.region)
     with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 2941 states$"):
-        build_arena(oracle_machine, default_sc, params=driver_params, state_cap=2941)
+        build_arena(oracle_machine, default_sc, driver_params, "full", state_cap=2941)
 
 
 # default params, and params whose hinted re-deliberation changes the
@@ -442,7 +445,7 @@ def test_build_arena_rejects_off_lattice(oracle_machine):
     from dataclasses import replace
     bad_sc = replace(mini_scenario(), epoch=0.3)
     with pytest.raises(ValueError):
-        build_arena(oracle_machine, bad_sc)
+        build_arena(oracle_machine, bad_sc, DriverParams(), "full")
     # the game reads the float lead track, each point checked onto the lattice
     sc = mini_scenario()
     assert lead_trajectory(sc) == [(round(pos * 4), round(vel * 2))
@@ -454,7 +457,8 @@ def test_build_arena_rejects_off_lattice(oracle_machine):
 def test_built_arena_bipartite(oracle_machine):
     # env turn k -> ctrl turn k -> env turn k + 1: (k, turn) grows along every
     # edge, so the arena is acyclic, as the solver needs
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1)))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
+                                    "full"))
     for i in range(arena.n_states):
         k = arena.states[i][1]
         step = (TURN_CTRL, k) if arena.turn[i] == TURN_ENV else (TURN_ENV, k + 1)
@@ -532,7 +536,8 @@ def test_template_report_is_pinned(request, name):
 
 def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
     # brute force is quadratic; check agreement on a small built arena
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1, horizon=5)))
+    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1, horizon=5),
+                                    DriverParams(), "full"))
     region = solve(arena)
     assert set(region_members(region)) == brute_force_region(arena)
 
@@ -615,11 +620,11 @@ def test_arena_stats_text(default_synthesis):
 
 def test_variant_restricts_actions(oracle_machine):
     sc = mini_scenario(offset=1)
-    arena = explore_all(build_arena(oracle_machine, sc, variant="no-override"))
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "no-override"))
     labels = {a for i in range(arena.n_states) if arena.turn[i] == TURN_CTRL
               for a in arena.labels[i]}
     assert labels <= {"none", "hint"}
-    arena2 = explore_all(build_arena(oracle_machine, sc, variant="advisory-only"))
+    arena2 = explore_all(build_arena(oracle_machine, sc, DriverParams(), "advisory-only"))
     labels2 = {a for i in range(arena2.n_states) if arena2.turn[i] == TURN_CTRL
                for a in arena2.labels[i]}
     assert labels2 == {"hint"}
@@ -664,7 +669,7 @@ def test_solver_rejects_a_cyclic_arena():
 
 
 def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
-    arena = build_arena(oracle_machine, mini_scenario(offset=1))
+    arena = build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(), "full")
     explored = arena.n_states
     assert realizable(arena, arena.region)
     assert explored < explore_all(arena).n_states
@@ -736,7 +741,7 @@ def test_template_check_flags_every_needless_escalation(case):
     for state, action in extracted.items():
         for label in arena.labels[arena.index[state]]:
             if SEVERITY[label] > SEVERITY[action]:
-                report = check_templates(arena, Strategy({**base, state: label}), region)
+                report = check_templates(arena, Strategy({**base, state: label}, "full"), region)
                 assert not report.min_intervention_ok
                 assert report.min_intervention_witness == state
 
@@ -759,6 +764,52 @@ def test_extraction_report_is_the_template_check(scenario, params, machine, vari
     assert strategy.report.text() == check_templates(arena, recording, region).text()
     assert len(recording.asked) == len(set(recording.asked)) == len(strategy.actions)
     assert set(recording.asked) == set(strategy.actions)
+
+
+def synthesized_texts(hm, scenario, params, variant, check_driver):
+    """`arena_stats_text` and the extracted strategy's text (None when lost)
+    of one synthesis, the template walk included."""
+    arena = build_arena(hm, scenario, params, variant, check_driver=check_driver)
+    region = arena.region
+    strategy = extract_strategy(arena, region) if realizable(arena, region) else None
+    return (arena_stats_text(arena, region),
+            strategy and serialize_strategy(strategy) + strategy.report.text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=lattice_scenarios(max_horizon=12), params=st.sampled_from(HINT_PARAMS),
+       variant=st.sampled_from(tuple(VARIANT_ACTIONS)))
+def test_driver_check_never_fires_on_the_exact_machine(scenario, params, variant):
+    # hint-free paths of the exact machine are the driver's: the check only
+    # watches, and synthesis explores, solves and extracts what it does unchecked
+    hm = abstractions(params)["exact"]
+    assert synthesized_texts(hm, scenario, params, variant, True) == \
+        synthesized_texts(hm, scenario, params, variant, False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=lattice_scenarios(max_horizon=16), params=st.sampled_from(HINT_PARAMS),
+       variant=st.sampled_from(tuple(VARIANT_ACTIONS)))
+def test_driver_check_reports_only_words_that_tell_the_driver_apart(scenario, params,
+                                                                   variant):
+    # a reported word replays without hints: the 2-state abstraction and a
+    # fresh driver agree on every acceleration but the last, so injecting it
+    # cannot raise `NotDistinguishing`; with no disagreement the check
+    # changes nothing
+    hm = abstractions(params)["coarse"]
+    try:
+        checked = synthesized_texts(hm, scenario, params, variant, True)
+    except DriverDisagrees as err:
+        event("disagreement")
+        assert err.word and set(err.word) <= set(params.levels())
+        driver = CognitiveDriver(params)
+        real = [driver.query(p)[1] for p in err.word]
+        predicted = [acc for _chain, acc in hm.run(err.word)]
+        assert predicted[:-1] == real[:-1] and predicted[-1] != real[-1]
+        assert err.explored > len(err.word)
+        return
+    event("no disagreement")
+    assert checked == synthesized_texts(hm, scenario, params, variant, False)
 
 
 @pytest.fixture
@@ -791,7 +842,7 @@ def test_certify_walks_a_copy_of_an_extracted_strategy(default_synthesis, templa
 def test_certify_walks_an_extracted_strategy_on_another_arena(
         default_synthesis, oracle_machine, default_sc, driver_params, template_walks):
     _arena, _region, strategy = default_synthesis
-    other = build_arena(oracle_machine, default_sc, params=driver_params)
+    other = build_arena(oracle_machine, default_sc, driver_params, "full")
     assert certify(other, strategy, other.region).text() == strategy.report.text()
     assert len(template_walks) == 1
 

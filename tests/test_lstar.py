@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from sharedctrl.driver import CognitiveDriver
 from sharedctrl.lstar import (
     EqOracleConfig,
+    LearnStats,
     LearningSession,
     NotDistinguishing,
     ObservationTable,
@@ -33,7 +34,7 @@ def make_three_state():
 
 def test_fill_populates_every_cell(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
     for word in table.S + table.extensions():
         for e in table.E:
             assert (word, e) in table.T
@@ -41,7 +42,7 @@ def test_fill_populates_every_cell(fresh_driver):
 
 def test_fill_row_of_empty_prefix(fresh_driver, oracle_machine):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
     # row(()) is the driver's first response per level: full chains
     for level in fresh_driver.alphabet:
         (response,) = table.T[((), (level,))]
@@ -52,16 +53,16 @@ def test_fill_row_of_empty_prefix(fresh_driver, oracle_machine):
 
 def test_fill_is_idempotent(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
     snapshot = dict(table.T)
-    fill(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
     assert table.T == snapshot
 
 
 def test_repeated_stimulus_cell_shows_short_chain(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
-    close(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
+    close(table, fresh_driver, LearnStats(), None)
     (response,) = table.T[((1,), (1,))]
     assert response[0] == ("attend", "read", "encode", "n_ret")
 
@@ -69,9 +70,9 @@ def test_repeated_stimulus_cell_shows_short_chain(fresh_driver):
 def test_close_adds_toggle_successor():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
-    fill(table, sul)
+    fill(table, sul, LearnStats())
     assert not is_closed(table)
-    close(table, sul)
+    close(table, sul, LearnStats(), None)
     assert is_closed(table)
     assert ("a",) in table.S
 
@@ -79,18 +80,18 @@ def test_close_adds_toggle_successor():
 def test_close_on_closed_table_is_noop():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
-    fill(table, sul)
-    close(table, sul)
+    fill(table, sul, LearnStats())
+    close(table, sul, LearnStats(), None)
     before = list(table.S)
-    close(table, sul)
+    close(table, sul, LearnStats(), None)
     assert table.S == before
 
 
 def test_close_never_shrinks_s(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
+    fill(table, fresh_driver, LearnStats())
     sizes = [len(table.S)]
-    close(table, fresh_driver)
+    close(table, fresh_driver, LearnStats(), None)
     sizes.append(len(table.S))
     assert sizes[1] >= sizes[0]
 
@@ -111,25 +112,25 @@ def test_counterexample_splits_rows_equal_on_single_symbols():
 def test_build_hypothesis_requires_closed():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
-    fill(table, sul)
+    fill(table, sul, LearnStats())
     with pytest.raises(TableNotReady):
-        build_hypothesis(table)
+        build_hypothesis(table, False)
 
 
 def test_build_hypothesis_toggle_exact():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
-    fill(table, sul)
-    close(table, sul)
-    hyp = build_hypothesis(table)
+    fill(table, sul, LearnStats())
+    close(table, sul, LearnStats(), None)
+    hyp = build_hypothesis(table, False)
     assert equivalent(hyp, make_toggle()) == (True, None)
 
 
 def test_hypothesis_agrees_with_table(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
-    fill(table, fresh_driver)
-    close(table, fresh_driver)
-    hyp = build_hypothesis(table)
+    fill(table, fresh_driver, LearnStats())
+    close(table, fresh_driver, LearnStats(), None)
+    hyp = build_hypothesis(table, False)
     for s in table.S:
         for e in table.E:
             assert hyp.run(s + e)[len(s):] == table.T[(s, e)]
@@ -145,24 +146,24 @@ def test_constant_sul_gives_single_state():
 def test_process_counterexample_rejects_agreeing_word():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
-    fill(table, sul)
-    close(table, sul)
-    hyp = build_hypothesis(table)
+    fill(table, sul, LearnStats())
+    close(table, sul, LearnStats(), None)
+    hyp = build_hypothesis(table, False)
     with pytest.raises(NotDistinguishing):
-        process_counterexample(table, ("a",), sul, hyp)
+        process_counterexample(table, ("a",), sul, hyp, LearnStats())
 
 
 def test_process_counterexample_adds_one_suffix():
     truth = make_three_state()
     sul = MachineSUL(truth)
     table = ObservationTable(("a", "b"))
-    fill(table, sul)
-    close(table, sul)
-    hyp = build_hypothesis(table)
+    fill(table, sul, LearnStats())
+    close(table, sul, LearnStats(), None)
+    hyp = build_hypothesis(table, False)
     same, ce = equivalent(hyp, truth)
     assert not same
     S, E = list(table.S), list(table.E)
-    process_counterexample(table, ce, sul, hyp)
+    process_counterexample(table, ce, sul, hyp, LearnStats())
     assert table.S == S
     (suffix,) = table.E[len(E):]
     assert table.E[:len(E)] == E
@@ -172,13 +173,13 @@ def test_process_counterexample_adds_one_suffix():
 
 def test_random_walk_eq_passes_on_exact_machine(fresh_driver, oracle_machine):
     cfg = EqOracleConfig(num_walks=100, rng_seed=5)
-    assert random_walk_eq(fresh_driver, oracle_machine, cfg) is None
+    assert random_walk_eq(fresh_driver, oracle_machine, cfg, LearnStats()) is None
 
 
 def test_random_walk_eq_finds_toggle_divergence():
     stub = MealyMachine(("a",), {0: {"a": (0, "0")}})
     cfg = EqOracleConfig(num_walks=50, max_walk_len=5, rng_seed=1)
-    ce = random_walk_eq(MachineSUL(make_toggle()), stub, cfg)
+    ce = random_walk_eq(MachineSUL(make_toggle()), stub, cfg, LearnStats())
     assert ce is not None
     assert len(ce) == 2  # divergence appears at the second step
 
@@ -186,9 +187,9 @@ def test_random_walk_eq_finds_toggle_divergence():
 def test_random_walk_eq_deterministic(fresh_driver):
     stub = MealyMachine((1, 2, 3, 4), {0: {l: (0, "x") for l in (1, 2, 3, 4)}})
     cfg = EqOracleConfig(rng_seed=99)
-    first = random_walk_eq(fresh_driver, stub, cfg)
+    first = random_walk_eq(fresh_driver, stub, cfg, LearnStats())
     fresh_driver.reset()
-    second = random_walk_eq(fresh_driver, stub, cfg)
+    second = random_walk_eq(fresh_driver, stub, cfg, LearnStats())
     assert first == second
 
 
@@ -284,7 +285,7 @@ class SuffixCounter:
         self.sizes = []
         self.session = None
 
-    def __call__(self, hypothesis, stats=None):
+    def __call__(self, hypothesis, stats):
         self.sizes.append(len(self.session.table.E))
         return self.oracle(hypothesis, stats)
 
