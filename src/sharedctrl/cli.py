@@ -21,6 +21,7 @@ from .config_text import read_file
 from .cosim import (
     RefineLoopConfig,
     derive_seed,
+    episode_passed,
     execute,
     monitor,
     refine_loop,
@@ -119,8 +120,8 @@ def cmd_synth(args):
 
 
 def cmd_validate(args):
-    if args.runs < 0:
-        raise ValueError("--runs must be >= 0")
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
     scenario, params = _load_inputs(args)
     out = _ensure_out(args)
     hm = read_file(args.hm, parse)
@@ -131,10 +132,6 @@ def cmd_validate(args):
     cfg = scenario.supervisor_config()
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
-    if args.runs == 0:
-        print("warning: zero runs requested, vacuous pass", file=sys.stderr)
-        _write(os.path.join(out, "verdicts.txt"), "no runs\n")
-        return EXIT_OK
     lines = []
     all_pass = True
     for r in range(args.runs):
@@ -145,8 +142,7 @@ def cmd_validate(args):
         write_trace_csv(trace, os.path.join(traces_dir, f"run_{r:03d}.csv"))
         lines.append(f"run={r} status={verdict.status} "
                      f"witness={verdict.witness} misses={trace.lookup_misses}")
-        # a fail-safe fallback means the strategy lost track of the driver
-        all_pass = all_pass and verdict.passed and not trace.lookup_misses
+        all_pass = all_pass and episode_passed(trace, verdict)
     _write(os.path.join(out, "verdicts.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_VALIDATION
@@ -164,16 +160,16 @@ def cmd_refine(args):
         expand_on_unrealizable=args.expand_variants,
     )
     out = _ensure_out(args)
-    report, artifacts = refine_loop(scenario, cfg)
+    report, _records = refine_loop(scenario, cfg)
     _write(os.path.join(out, "refinement_report.txt"), report.text())
-    for record, art in zip(report.iterations, artifacts):
+    for record in report.iterations:
         it_dir = os.path.join(out, f"iteration_{record.index:02d}")
         os.makedirs(it_dir, exist_ok=True)
-        _write(os.path.join(it_dir, "hm.mealy"), serialize(art.hm))
-        if art.strategy is not None:
+        _write(os.path.join(it_dir, "hm.mealy"), serialize(record.hm))
+        if record.strategy is not None:
             _write(os.path.join(it_dir, "strategy.txt"),
-                   serialize_strategy(art.strategy))
-        for r, (trace, verdict) in enumerate(art.traces):
+                   serialize_strategy(record.strategy))
+        for r, (trace, _verdict) in enumerate(record.traces):
             write_trace_csv(trace, os.path.join(it_dir, f"trace_{r:03d}.csv"))
     print(report.text(), end="")
     if report.termination_reason == "all-pass":
@@ -215,7 +211,7 @@ def cmd_demo(args):
     for row in trace.rows:
         print(_format_row(row))
     print(f"verdict: {verdict.status}")
-    return EXIT_OK if verdict.passed else EXIT_VALIDATION
+    return EXIT_OK if episode_passed(trace, verdict) else EXIT_VALIDATION
 
 
 def build_parser():

@@ -5,14 +5,16 @@ it, and extract and certify a strategy when the initial state wins.
 `synthesize` builds the arena and takes that path, for the CLI.
 `refine_loop` builds the arena with the driver check on, so that synthesis
 on an abstraction that is wrong stops at the first word of perceptions on
-which it predicts another acceleration than the real driver gives.
+which it predicts another output than the real driver gives.
 
 A strategy is executed with the stateful cognitive driver in the loop (not
 the learned abstraction), while a mirror of the abstraction tracks which
 game state the play corresponds to.  Objective monitoring classifies each
-trace.  The refinement loop injects the word of the driver check's first
-disagreement, or else the words of traces that violate an objective (or
-that fall off the abstraction, observed as strategy-lookup misses).
+trace, and `episode_passed` judges an episode for the CLI and the loop: its
+verdict passes and it took no strategy-lookup miss.  Each iteration of the
+refinement loop hands its words to L* through one `refine` call: the word
+of the driver check's disagreement, or else the words of the episodes that
+did not pass.
 """
 
 from __future__ import annotations
@@ -234,6 +236,12 @@ def monitor(trace, dest, thresholds):
     return Verdict(STATUS_PASS, None)
 
 
+def episode_passed(trace, verdict):
+    """Whether an episode passed: its verdict passes and the strategy never
+    missed, since a fail-safe fallback means it lost track of the driver."""
+    return verdict.passed and not trace.lookup_misses
+
+
 @dataclass
 class Synthesis:
     """What `synthesize` found: the explored arena (its winning region is
@@ -260,24 +268,22 @@ def synthesize(hm, scenario, params, variant):
     return Synthesis.of(build_arena(hm, scenario, params=params, variant=variant))
 
 
-def refine(session, traces):
-    """Inject the stimulus words of violating traces as counterexamples.
+def refine(session, words):
+    """Inject counterexample words into the learner and relearn: the one
+    place where `refine_loop` hands words to L*.
 
     Each word is first checked to actually distinguish driver and current
     abstraction; empty, repeated and non-distinguishing words are skipped
     (a violation no word explains stems from the arena or scenario, not from
     abstraction fidelity).  Every distinguishing word is processed against
     the abstraction from before the batch, so its splitting suffix may be
-    in E already.  Returns `(machine, injected, skipped)`, where `injected`
-    counts the words that added a suffix to E; the other
-    `len(traces) - injected - skipped` distinguished but added none.
+    in E already.  Returns `(machine, injected, redundant, skipped)`: the
+    distinguishing words that added a suffix to E, those that added none,
+    and the skipped ones.  The session relearns only if a word distinguished.
     """
-    injected = 0
-    distinguishing = 0
-    skipped = 0
+    injected = redundant = skipped = 0
     seen = set()
-    for trace in traces:
-        word = trace.stimulus_word()
+    for word in words:
         if not word or word in seen:
             skipped += 1
             continue
@@ -285,14 +291,12 @@ def refine(session, traces):
         try:
             if session.inject_counterexample(word):
                 injected += 1
-            distinguishing += 1
+            else:
+                redundant += 1
         except NotDistinguishing:
             skipped += 1
-    if distinguishing:
-        machine, _stats = session.run()
-    else:
-        machine = session.machine
-    return machine, injected, skipped
+    machine = session.run()[0] if injected or redundant else session.machine
+    return machine, injected, redundant, skipped
 
 
 @dataclass
@@ -313,16 +317,36 @@ class RefineLoopConfig:
 
 @dataclass
 class IterationRecord:
+    """One iteration of `refine_loop`: the abstraction `hm` it started from
+    and what it made: a `disagreement` with the driver, or else a strategy
+    (None when unrealizable) and its episodes; then what `refine` did."""
+
     index: int
-    hm_states: int
+    hm: object
     variant: str
-    realizable: bool = None  # None when synthesis stopped at a disagreement
-    disagreement: tuple = None  # (word, arena states explored) where it stopped
-    verdicts: list = field(default_factory=list)
-    lookup_misses: int = 0
+    disagreement: tuple = None  # (word, arena states explored) where synthesis stopped
+    strategy: object = None
+    traces: list = field(default_factory=list)  # (trace, verdict) per episode
     injected: int = 0    # distinguishing words that added a suffix to E
     redundant: int = 0   # distinguishing words whose suffix E already held
     skipped: int = 0     # empty, repeated or non-distinguishing words
+
+    @property
+    def hm_states(self):
+        return len(self.hm.states)
+
+    @property
+    def realizable(self):
+        """None when synthesis stopped at a disagreement."""
+        return None if self.disagreement is not None else self.strategy is not None
+
+    @property
+    def verdicts(self):
+        return [verdict for _trace, verdict in self.traces]
+
+    @property
+    def lookup_misses(self):
+        return sum(trace.lookup_misses for trace, _verdict in self.traces)
 
     def line(self):
         if self.disagreement is not None:
@@ -353,33 +377,28 @@ class RefinementReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class IterationArtifacts:
-    hm: object
-    strategy: object = None
-    traces: list = field(default_factory=list)
-
-
 def refine_loop(scenario, cfg):
     """Learn, synthesize, validate, refine until the objectives hold.
 
     Synthesis checks the abstraction against the real driver as it explores
-    (`build_arena`'s `check_driver`): at the first controller state whose
-    acceleration the driver does not give on the hint-free word of
-    perceptions that reached it, the iteration stops with that word and no
-    strategy, and the word is injected.  Otherwise the strategy runs
-    `cfg.runs` seeded episodes, and the words of the violating ones are
-    injected (`refine`).  A state is checked on the first path that reaches
-    it only, so a disagreement is found early but its absence proves no
-    conformance: the seeded episodes stay the acceptance test.
+    (`build_arena`'s `check_driver`): at the first perception on a hint-free
+    path whose output (rule chain and acceleration) the driver does not give
+    on that path's word, the iteration stops with that word and no strategy.
+    Otherwise the strategy runs `cfg.runs` seeded episodes, and the words of
+    those that fail `episode_passed` are the counterexamples.  Either way,
+    one `refine` call hands the iteration's words to L*.  A state is checked
+    on the first path that reaches it only, so a disagreement is found early
+    but its absence proves no conformance: the seeded episodes stay the
+    acceptance test.
 
-    Stops on all-pass (every episode passed without a strategy lookup miss),
-    on the iteration cap, on abstraction stability (what was injected leaves
-    the minimized machine as it was), or on an unrealizable arena (unless
-    variant expansion is enabled and a larger controllable action set is
-    available).  Raises `StrategyRejected` if the template check refuses an
-    extracted strategy.  Returns `(report, artifacts)` where artifacts carry
-    per-iteration machines, strategies, and traces.
+    Stops on all-pass (every episode passed), on the iteration cap, on
+    abstraction stability (what was injected leaves the minimized machine as
+    it was), or on an unrealizable arena (unless variant expansion is
+    enabled and a larger controllable action set is available).  Raises
+    `StrategyRejected` if the template check refuses an extracted strategy.
+    Returns `(report, report.iterations)`: each `IterationRecord` holds the
+    iteration's machine, strategy and traces, and the pair keeps the shape
+    that `bench/run.py` unpacks.
     """
     params = cfg.params
     sup = scenario.supervisor_config()
@@ -390,27 +409,19 @@ def refine_loop(scenario, cfg):
     hm, _stats = session.run()
     variant = cfg.variant
     records = []
-    artifacts = []
     reason = "max-iterations"
     it = 0
     while it < cfg.max_iterations:
-        record = IterationRecord(it, len(hm.states), variant)
-        art = IterationArtifacts(hm)
+        record = IterationRecord(it, hm, variant)
         records.append(record)
-        artifacts.append(art)
         try:
             arena = build_arena(hm, scenario, params=params, variant=variant, check_driver=True)
-            strategy = art.strategy = Synthesis.of(arena).strategy
+            strategy = record.strategy = Synthesis.of(arena).strategy
         except DriverDisagrees as err:
             record.disagreement = (err.word, err.explored)
-            if session.inject_counterexample(err.word):
-                record.injected = 1
-            else:
-                record.redundant = 1
-            new_hm, _stats = session.run()
+            words = [err.word]
         else:
-            record.realizable = strategy is not None
-            if not record.realizable:
+            if strategy is None:
                 ladder = list(VARIANT_ACTIONS)
                 pos = ladder.index(variant)
                 if cfg.expand_on_unrealizable and pos + 1 < len(ladder):
@@ -419,25 +430,19 @@ def refine_loop(scenario, cfg):
                     continue
                 reason = "unrealizable"
                 break
-            violating = []
             for r in range(cfg.runs):
-                run_sul = CognitiveDriver(params)
-                trace = execute(strategy, run_sul, scenario, sup,
+                trace = execute(strategy, CognitiveDriver(params), scenario, sup,
                                 derive_seed(cfg.seed, f"it{it}:run{r}"), hm, params)
-                verdict = monitor(trace, scenario.dest, sup.thresholds)
-                record.verdicts.append(verdict)
-                record.lookup_misses += trace.lookup_misses
-                art.traces.append((trace, verdict))
-                if not verdict.passed or trace.lookup_misses:
-                    violating.append(trace)
-            if not violating:
+                record.traces.append((trace, monitor(trace, scenario.dest, sup.thresholds)))
+            words = [trace.stimulus_word() for trace, verdict in record.traces
+                     if not episode_passed(trace, verdict)]
+            if not words:
                 reason = "all-pass"
                 break
-            new_hm, record.injected, record.skipped = refine(session, violating)
-            record.redundant = len(violating) - record.injected - record.skipped
+        new_hm, record.injected, record.redundant, record.skipped = refine(session, words)
         if serialize(minimize(new_hm)) == serialize(minimize(hm)):
             reason = "stable"
             break
         hm = new_hm
         it += 1
-    return RefinementReport(records, reason), artifacts
+    return RefinementReport(records, reason), records

@@ -126,8 +126,8 @@ class CognitiveDriver:
 
     _tables = {}  # DriverParams -> {(state, level): (state', response)}
 
-    def __init__(self, params=None):
-        self.params = params if params is not None else DriverParams()
+    def __init__(self, params):
+        self.params = params
         self._level_set = set(self.params.levels())
         self._table = self._tables.setdefault(self.params, {})
         self.reset()
@@ -159,14 +159,13 @@ class CognitiveDriver:
         self._state = (None, self._state[1], self._state[2])
 
 
-def explicit_machine(params=None):
+def explicit_machine(params):
     """Enumerate the driver's reachable internal states into a Mealy machine.
 
     Breadth-first exploration over `driver_step`; this is the ground-truth
     automaton of the driver under stimulus inputs (hints excluded) and the
     oracle that learned models are compared against.
     """
-    params = params if params is not None else DriverParams()
     levels = params.levels()
     start = initial_driver_state(params)
     ids = {start: 0}

@@ -36,7 +36,7 @@ One kernel, `build_arena`'s `explore`, computes a state's successors, looks
 each up in the arena's index and numbers a new one with `GameArena.add`.
 Asked to, `build_arena` wraps it to check each new controller state reached
 on a hint-free path against the real driver, and raises `DriverDisagrees`
-at the first acceleration the driver does not give.
+at the first output (rule chain and acceleration) the driver does not give.
 
 A strategy's plays are walked in one place, `_walk`, which applies the
 template checks and asks a picker for the edge taken at each controller
@@ -113,8 +113,9 @@ class StrategyRejected(RuntimeError):
 
 
 class DriverDisagrees(RuntimeError):
-    """The abstraction predicts a driver acceleration that the real driver
-    does not give on `word`, found after `explored` arena states."""
+    """The abstraction predicts a driver output (rule chain and acceleration)
+    that the real driver does not give on `word`, found after `explored`
+    arena states."""
 
     def __init__(self, word, explored):
         super().__init__(f"abstraction disagrees with the driver on word {word!r} "
@@ -359,7 +360,7 @@ def build_arena(hm, scenario, params, variant, state_cap=2_000_000, *, check_dri
 
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
     if check_driver:
-        explore = _driver_checked(explore, params)
+        explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, state_cap, meta)
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
@@ -371,25 +372,23 @@ def build_arena(hm, scenario, params, variant, state_cap=2_000_000, *, check_dri
     return arena
 
 
-def _driver_checked(explore, params):
-    """`explore` of `build_arena`, also replaying hint-free paths on the
-    real driver.
+def _driver_checked(explore, hm, params):
+    """`explore` of `build_arena` for abstraction `hm`, also replaying
+    hint-free paths on the real driver.
 
     The driver's states under plain stimuli are those of `explicit_machine`.
     Each non-terminal state added on a hint-free path from the initial
     state, state 0, waits in `pending` with the entry `(driver state, level,
     entry before)` of the first such path: the driver's state after the path
     and the path's perceptions, linked backwards.  When the state is
-    explored, its entry is handed on to its new successors.  A controller
-    successor's acceleration must be the driver's response to the
-    perception on its edge.  A hint edge hands on nothing, since the
-    alphabet has no hint symbol to replay it with.  A state reached again
-    later is not checked again, so no disagreement is no proof that the
-    abstraction conforms.
+    explored, its entry is handed on to its new successors.  At an
+    environment state, the abstraction's output for the perception on the
+    edge to each new successor, rule chain and acceleration, must be the
+    driver's.  A hint edge hands on nothing, since the alphabet has no hint
+    symbol to replay it with.  A state reached again later is not checked
+    again, so no disagreement is no proof that the abstraction conforms.
     """
     truth = explicit_machine(params)
-    steps = {q: {level: (succ, acc) for level, (succ, (_chain, acc)) in row.items()}
-             for q, row in truth.delta.items()}
     pending = {0: (truth.initial, None, None)}
 
     def checked(arena, i):
@@ -399,14 +398,14 @@ def _driver_checked(explore, params):
         if entry is None:
             return labels, succs
         if arena.turn[i] == TURN_ENV:
-            step = steps[entry[0]]
-            states = arena.states
+            predicted = hm.delta[arena.states[i][4]]
+            actual = truth.delta[entry[0]]
             for p, j in zip(labels, succs):
                 if j < n or j in pending:
                     continue
-                d2, acc = step[p]
-                if acc != states[j][5]:
-                    raise DriverDisagrees(_path_word((d2, p, entry)), len(states))
+                d2, out = actual[p]
+                if predicted[p][1] != out:
+                    raise DriverDisagrees(_path_word((d2, p, entry)), len(arena.states))
                 pending[j] = (d2, p, entry)
         else:
             terminal = arena.terminal

@@ -69,16 +69,13 @@ class WorldState:
     t: float = 0.0
 
 
-def step_world(world, follow_acc, dt, profile=None, *, v_max):
-    """Advance both vehicles by `dt`, velocities clamped to [0, v_max].
-
-    The lead acceleration is read from `profile` at the current time when a
-    profile is given, else the lead keeps its stored acceleration.
-    """
+def step_world(world, follow_acc, dt, profile, *, v_max):
+    """Advance both vehicles by `dt`, velocities clamped to [0, v_max]; the
+    lead acceleration is read from `profile` at the current time."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     lead, follow = world.lead, world.follow
-    lead_acc = profile.acc_at(world.t) if profile is not None else lead.acc
+    lead_acc = profile.acc_at(world.t)
     return WorldState(
         VehicleState(*advance(lead.pos, lead.vel, lead_acc, dt, v_max), lead_acc),
         VehicleState(*advance(follow.pos, follow.vel, follow_acc, dt, v_max), follow_acc),

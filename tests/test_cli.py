@@ -160,6 +160,20 @@ def test_demo_reaches_the_destination(capsys):
     assert "verdict: safe-and-reached" in capsys.readouterr().out
 
 
+def test_demo_fails_a_fallback_episode(capsys, monkeypatch):
+    # the verdict passes, but the fail-safe fallback fired once: exit 3
+    real_execute = cli.execute
+
+    def one_miss(*args, **kwargs):
+        trace = real_execute(*args, **kwargs)
+        trace.lookup_misses = 1
+        return trace
+
+    monkeypatch.setattr(cli, "execute", one_miss)
+    assert main(["demo"]) == EXIT_VALIDATION
+    assert "verdict: safe-and-reached" in capsys.readouterr().out
+
+
 def test_refine_passes_on_default(tmp_path):
     assert main(["refine", "--runs", "2", "--out", str(tmp_path / "out")]) == EXIT_OK
 
@@ -175,7 +189,7 @@ def test_refine_writes_only_the_machine_of_a_disagreeing_iteration(tmp_path, mon
     assert [p.name for p in (out / "iteration_00").iterdir()] == ["hm.mealy"]
     assert sorted(p.name for p in (out / "iteration_01").iterdir()) == [
         "hm.mealy", "strategy.txt", "trace_000.csv", "trace_001.csv"]
-    assert "disagrees_with_driver_on=3,3,2 after_states=14" in \
+    assert "disagrees_with_driver_on=3,3 after_states=8" in \
         (out / "refinement_report.txt").read_text(encoding="utf-8")
 
 
@@ -192,7 +206,7 @@ def test_validate_rejects_negative_runs(tmp_path, capsys, oracle_machine,
     _arena, _region, strategy = default_synthesis
     code, out = validate(tmp_path, oracle_machine, strategy, "negative", runs=-2)
     assert code == EXIT_USAGE
-    assert "--runs must be >= 0" in capsys.readouterr().err
+    assert "--runs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from sharedctrl.cosim import (
     TraceRow,
     Verdict,
     derive_seed,
+    episode_passed,
     epoch_context,
     execute,
     monitor,
@@ -38,7 +39,7 @@ from sharedctrl.game import (
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
-from sharedctrl.scenario import Scenario, default_scenario
+from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState, step_world
 
@@ -371,8 +372,8 @@ def test_refine_skips_agreeing_trace(driver_params, oracle_machine,
     hm, _ = session.run()
     _arena, _region, strategy = default_synthesis
     trace = run_once(strategy, default_sc, driver_params, oracle_machine)
-    machine, injected, skipped = refine(session, [trace])
-    assert injected == 0 and skipped == 1
+    machine, injected, redundant, skipped = refine(session, [trace.stimulus_word()])
+    assert (injected, redundant, skipped) == (0, 0, 1)
     assert equivalent(machine, hm) == (True, None)
 
 
@@ -382,31 +383,32 @@ def test_refine_grows_truncated_machine(driver_params, oracle_machine,
     coarse, _ = session.run()
     _arena, _region, strategy = default_synthesis
     trace = run_once(strategy, default_sc, driver_params, oracle_machine)
-    machine, injected, skipped = refine(session, [trace])
-    assert injected == 1
+    machine, injected, redundant, skipped = refine(session, [trace.stimulus_word()])
+    assert (injected, redundant, skipped) == (1, 0, 0)
     assert len(machine.states) > len(coarse.states)
 
 
 def test_refine_loop_exact_learner_passes_first_iteration(default_sc):
     cfg = RefineLoopConfig(seed=0, runs=8)
-    report, artifacts = refine_loop(default_sc, cfg)
+    report, records = refine_loop(default_sc, cfg)
     assert report.termination_reason == "all-pass"
     assert len(report.iterations) == 1
-    assert artifacts[0].strategy is not None
+    assert records is report.iterations and records[0].strategy is not None
     assert all(v.passed for v in report.iterations[0].verdicts)
 
 
 def test_refine_loop_truncated_start_recovers(default_sc):
-    # the 2-state machine's arena leaves the driver after 14 states: that
+    # the 2-state machine's arena leaves the driver after 8 states: that
     # iteration synthesizes nothing and runs no episode, and its word relearns
     # the exact machine
     cfg = RefineLoopConfig(seed=0, runs=8, initial_state_cap=2)
-    report, artifacts = refine_loop(default_sc, cfg)
+    report, _ = refine_loop(default_sc, cfg)
     first, second = report.iterations
     assert (first.hm_states, first.realizable, first.verdicts) == (2, None, [])
-    assert first.disagreement == ((3, 3, 2), 14)
-    assert artifacts[0].strategy is None and artifacts[0].traces == []
+    assert first.disagreement == ((3, 3), 8)
+    assert first.strategy is None and first.traces == []
     assert (second.hm_states, second.realizable, second.disagreement) == (9, True, None)
+    assert second.strategy is not None and len(second.traces) == 8
     assert report.termination_reason == "all-pass"
 
 
@@ -418,10 +420,48 @@ def test_disagreement_record_says_where_the_abstraction_left_the_driver(default_
     first = report.iterations[0]
     assert (first.injected, first.redundant, first.skipped) == (0, 1, 0)
     assert first.line() == ("iteration=0 hm_states=2 variant=full "
-                            "disagrees_with_driver_on=3,3,2 after_states=14 "
+                            "disagrees_with_driver_on=3,3 after_states=8 "
                             "injected=0 redundant=1 skipped=0")
     assert "realizable" not in first.line()
     assert report.termination_reason == "all-pass"
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """`(words, result)` of every call `refine_loop` makes to `refine`."""
+    calls = []
+    real_refine = cosim.refine
+
+    def spy(session, words):
+        result = real_refine(session, words)
+        calls.append((list(words), result))
+        return result
+
+    monkeypatch.setattr(cosim, "refine", spy)
+    return calls
+
+
+def test_a_disagreement_reaches_the_learner_through_refine(default_sc, refine_calls):
+    report, _ = refine_loop(default_sc, RefineLoopConfig(seed=0, runs=2, initial_state_cap=2))
+    first, second = report.iterations
+    [(words, (machine, *counts))] = refine_calls
+    assert words == [first.disagreement[0]]
+    assert (first.injected, first.redundant, first.skipped) == tuple(counts)
+    assert len(first.hm.states) == 2 and second.hm is machine
+
+
+@pytest.mark.parametrize("name", ["default", "braking"])
+def test_refine_loop_relearns_a_driver_that_differs_only_in_its_rule_chains(name):
+    # the 2-state machine gives the driver's accelerations on every word the
+    # check replays, but not its rule chains, which decide the hinted mirror
+    # step and the response template: the check must still stop there
+    params = DriverParams(k1=0.5, k2=1.0, thw_levels=(1.5, 3.0))
+    scenario = {"default": default_scenario, "braking": braking_scenario}[name]()
+    cfg = RefineLoopConfig(params=params, seed=0, runs=4, initial_state_cap=2)
+    report, records = refine_loop(scenario, cfg)
+    assert report.termination_reason == "all-pass"
+    assert len(records[0].hm.states) == 2
+    assert equivalent(records[-1].hm, minimize(explicit_machine(params))) == (True, None)
 
 
 @pytest.fixture(scope="module")
@@ -443,11 +483,17 @@ def test_refine_counts_only_words_that_add_a_suffix(default_sc, driver_params,
     for r in range(25):
         trace = execute(syn.strategy, CognitiveDriver(driver_params), default_sc, cfg,
                         derive_seed(0, f"it0:run{r}"), hm, driver_params)
-        if not monitor(trace, default_sc.dest, cfg.thresholds).passed or trace.lookup_misses:
+        if not episode_passed(trace, monitor(trace, default_sc.dest, cfg.thresholds)):
             violating.append(trace)
     assert len(violating) == 25
-    machine, injected, skipped = refine(session, violating)
-    assert (injected, len(violating) - injected - skipped, skipped) == (4, 21, 0)
+    words = [trace.stimulus_word() for trace in violating]
+    # plus an empty word, a repeated one, and one the 2-state machine answers
+    # as the driver does: all three are skipped
+    driver = CognitiveDriver(driver_params)
+    assert hm.run((1, 1)) == (driver.query(1), driver.query(1))
+    words += [(), words[0], (1, 1)]
+    machine, injected, redundant, skipped = refine(session, words)
+    assert (injected, redundant, skipped) == (4, 21, 3)
     assert len(machine.states) == 9
 
 
@@ -463,7 +509,7 @@ def test_refine_loop_stops_on_a_disagreement_that_changes_no_machine(default_sc,
     monkeypatch.setattr(cosim, "LearningSession", Stuck)
     report, _ = refine_loop(default_sc, RefineLoopConfig(seed=0, runs=2, initial_state_cap=2))
     assert report.termination_reason == "stable"
-    assert [r.disagreement for r in report.iterations] == [((3, 3, 2), 14)]
+    assert [r.disagreement for r in report.iterations] == [((3, 3), 8)]
 
 
 def test_refine_loop_iteration_cap(default_sc):
@@ -497,7 +543,8 @@ def test_refine_loop_variant_expansion(braking_sc):
     assert variants[-1] == "full"
 
 
-def test_refine_loop_does_not_pass_a_fallback_episode(default_sc, monkeypatch):
+def test_refine_loop_does_not_pass_a_fallback_episode(default_sc, monkeypatch,
+                                                     refine_calls):
     # every verdict passes, but the fail-safe fallback fired: not all-pass
     real_execute = cosim.execute
 
@@ -512,7 +559,11 @@ def test_refine_loop_does_not_pass_a_fallback_episode(default_sc, monkeypatch):
     assert all(v.passed for v in record.verdicts)
     assert record.lookup_misses == 2
     assert report.termination_reason != "all-pass"
-    # the exact abstraction agrees with the driver, so nothing is injected
+    # both episodes' words go to one `refine` call; the exact abstraction
+    # agrees with the driver on them, so nothing is injected
+    assert record.strategy is not None and len(record.traces) == 2
+    assert refine_calls == [([trace.stimulus_word() for trace, _v in record.traces],
+                             (record.hm, 0, 0, 2))]
     assert report.termination_reason == "stable" and record.injected == 0
 
 

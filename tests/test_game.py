@@ -793,9 +793,9 @@ def test_driver_check_never_fires_on_the_exact_machine(scenario, params, variant
 def test_driver_check_reports_only_words_that_tell_the_driver_apart(scenario, params,
                                                                    variant):
     # a reported word replays without hints: the 2-state abstraction and a
-    # fresh driver agree on every acceleration but the last, so injecting it
-    # cannot raise `NotDistinguishing`; with no disagreement the check
-    # changes nothing
+    # fresh driver agree on every output, rule chain and acceleration, but
+    # the last, so injecting it cannot raise `NotDistinguishing`; with no
+    # disagreement the check changes nothing
     hm = abstractions(params)["coarse"]
     try:
         checked = synthesized_texts(hm, scenario, params, variant, True)
@@ -803,8 +803,8 @@ def test_driver_check_reports_only_words_that_tell_the_driver_apart(scenario, pa
         event("disagreement")
         assert err.word and set(err.word) <= set(params.levels())
         driver = CognitiveDriver(params)
-        real = [driver.query(p)[1] for p in err.word]
-        predicted = [acc for _chain, acc in hm.run(err.word)]
+        real = [driver.query(p) for p in err.word]
+        predicted = list(hm.run(err.word))
         assert predicted[:-1] == real[:-1] and predicted[-1] != real[-1]
         assert err.explored > len(err.word)
         return

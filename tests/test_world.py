@@ -16,6 +16,7 @@ from sharedctrl.world import (
 )
 
 BOUNDS = (1.0, 2.0, 3.0)
+CRUISE = LeadProfile([(0.0, 0.0)])  # the lead keeps its velocity
 
 
 def make_world(lead_pos, lead_vel, follow_pos, follow_vel):
@@ -35,23 +36,23 @@ def ttc_of(world):
 
 def test_step_world_at_rest():
     w = make_world(20.0, 0.0, 0.0, 0.0)
-    w2 = step_world(w, 0.0, 0.5, v_max=40.0)
+    w2 = step_world(w, 0.0, 0.5, CRUISE, v_max=40.0)
     assert w2.lead.pos == 20.0 and w2.follow.pos == 0.0
     assert w2.t == 0.5
 
 
 def test_step_world_euler_update():
     w = make_world(100.0, 0.0, 0.0, 10.0)
-    w2 = step_world(w, 2.0, 0.5, v_max=40.0)
+    w2 = step_world(w, 2.0, 0.5, CRUISE, v_max=40.0)
     assert w2.follow.vel == 11.0
     assert w2.follow.pos == 5.0  # old velocity advances the position
 
 
 def test_step_world_velocity_clamps():
     w = make_world(100.0, 0.0, 0.0, 0.4)
-    assert step_world(w, -3.0, 0.5, v_max=40.0).follow.vel == 0.0
+    assert step_world(w, -3.0, 0.5, CRUISE, v_max=40.0).follow.vel == 0.0
     fast = make_world(100.0, 0.0, 0.0, 39.9)
-    assert step_world(fast, 3.0, 0.5, v_max=40.0).follow.vel == 40.0
+    assert step_world(fast, 3.0, 0.5, CRUISE, v_max=40.0).follow.vel == 40.0
 
 
 def test_step_world_uses_profile():
@@ -66,13 +67,13 @@ def test_step_world_uses_profile():
 
 def test_step_world_rejects_bad_dt():
     with pytest.raises(ValueError):
-        step_world(make_world(10, 0, 0, 0), 0.0, 0.0, v_max=40.0)
+        step_world(make_world(10, 0, 0, 0), 0.0, 0.0, CRUISE, v_max=40.0)
 
 
 def test_positions_never_regress():
     w = make_world(50.0, 5.0, 0.0, 3.0)
     for _ in range(30):
-        w2 = step_world(w, -3.0, 0.5, v_max=40.0)
+        w2 = step_world(w, -3.0, 0.5, CRUISE, v_max=40.0)
         assert w2.follow.pos >= w.follow.pos
         assert w2.follow.vel >= 0.0
         w = w2
