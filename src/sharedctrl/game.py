@@ -18,8 +18,8 @@ the arena to be acyclic and raises `ValueError` on a cycle.
 
 Positions and velocities are held on an exact lattice (0.25 m, 0.5 m/s
 units) so that the gridded game dynamics coincide bit-for-bit with the
-continuous simulation.  The objective is the weak-until condition: never
-overtake the lead unless the destination has been reached first.
+continuous simulation.  The objective is `monitor`'s strong until: never
+overtake the lead, and reach the destination by the horizon.
 
 State encoding.  Environment turn: `(0, k, fpos, fvel, hm, hinted)`;
 controller turn: `(1, k, fpos, fvel, hm, driver_acc)` with positions and
@@ -70,6 +70,7 @@ TURN_CTRL = 1
 
 POS_SCALE = 4   # lattice units per metre
 VEL_SCALE = 2   # lattice units per (m/s)
+ARENA_STATE_CAP = 2_000_000  # explored states at most, per arena
 
 # ordered by growing action set: each variant includes the actions of the one before
 VARIANT_ACTIONS = {
@@ -101,7 +102,7 @@ def minimal_intervention(action, winning_actions):
 
 
 class ArenaCapExceeded(RuntimeError):
-    """Explored product grew past the configured state cap."""
+    """Explored product grew past `ARENA_STATE_CAP` states."""
 
 
 class Unrealizable(RuntimeError):
@@ -195,18 +196,17 @@ class GameArena:
     copy per edge.  `successors(i)` explores `i` on first use: it calls
     `explore(arena, i)`, which returns `(labels, successors)` and numbers
     each successor not in `index` with `add`, the one method that appends a
-    state's row and checks `state_cap`.  Environment edges are uncontrollable
-    (sensor level choices); controller edges carry supervision actions,
-    held in severity order.  `n_states` and `n_edges` count what has been
-    explored so far, and `state_cap` bounds it.  `region` is the arena's
+    state's row and checks `ARENA_STATE_CAP`.  Environment edges are
+    uncontrollable (sensor level choices); controller edges carry
+    supervision actions, held in severity order.  `n_states` and `n_edges`
+    count what has been explored so far.  `region` is the arena's
     winning region, decided as it is asked; the solver keeps its decisions
     in `won` (per state: None while undecided, else whether the controller
     wins) and `iterations`.
     """
 
-    def __init__(self, explore, state_cap, meta):
+    def __init__(self, explore, meta):
         self._explore = explore
-        self.state_cap = state_cap
         self.meta = meta
         self.states = []
         self.index = {}
@@ -222,10 +222,10 @@ class GameArena:
 
     def add(self, state, turn, bad, goal, terminal):
         """Number `state`, not reached before, as the next state: the one
-        place that grows the arena and checks `state_cap`."""
+        place that grows the arena and checks `ARENA_STATE_CAP`."""
         j = len(self.states)
-        if self.state_cap is not None and j >= self.state_cap:
-            raise ArenaCapExceeded(f"arena exceeds {self.state_cap} states")
+        if j >= ARENA_STATE_CAP:
+            raise ArenaCapExceeded(f"arena exceeds {ARENA_STATE_CAP} states")
         self.index[state] = j
         self.states.append(state)
         self.turn.append(turn)
@@ -286,9 +286,9 @@ def lead_trajectory(scenario):
             for _t, pos, vel, _acc in scenario.lead_track]
 
 
-def build_arena(hm, scenario, params, variant, state_cap=2_000_000, *, check_driver=False):
+def build_arena(hm, scenario, params, variant, *, check_driver=False):
     """The product arena for one scenario and variant, explored until its
-    initial state is decided; `state_cap` bounds all exploration.
+    initial state is decided; `ARENA_STATE_CAP` bounds all exploration.
 
     With `check_driver`, the states that the solver or a later walk explores
     on hint-free paths are also checked against the real driver of `params`
@@ -361,7 +361,7 @@ def build_arena(hm, scenario, params, variant, state_cap=2_000_000, *, check_dri
     meta = {"scenario": scenario, "variant": variant, "driver": driver}
     if check_driver:
         explore = _driver_checked(explore, hm, params)
-    arena = GameArena(explore, state_cap, meta)
+    arena = GameArena(explore, meta)
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
           hm.initial, 0)
@@ -427,13 +427,13 @@ def _path_word(entry):
 
 
 class WinningRegion:
-    """The states from which the controller wins the weak-until objective,
-    decided one state at a time as they are asked about.
+    """The states from which the controller wins the strong-until
+    objective, decided one state at a time as they are asked about.
 
     `i in region` runs the solver from `i` unless `i` is already decided;
-    the arena must be acyclic.  Bad states lose (even past the
-    destination), non-bad goal states win unconditionally, and terminal
-    non-bad states (horizon reached without overtaking) are safe.
+    the arena must be acyclic.  A terminal state wins exactly when it is a
+    goal and not bad: a play that overtakes, even past the destination, or
+    stops at the horizon short of it loses, as `monitor` judges it.
     `len(region)` counts the states decided winning so far.
     `iterations` counts the states the solver expanded.  Both are kept by
     the arena, the decisions in its per-state `won` list; a region is a
@@ -469,9 +469,9 @@ class WinningRegion:
         """
         arena, won = self.arena, self.won
         states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
-        labels, edges, explore = arena.labels, arena.edges, arena._explore
+        goal, labels, edges, explore = arena.goal, arena.labels, arena.edges, arena._explore
         if terminal[root]:
-            won[root] = not bad[root]
+            won[root] = goal[root] and not bad[root]
             return won[root]
         stack = [[root, arena.successors(root), 0]]  # frame: [state, successors, next one]
         arena.iterations += 1
@@ -488,7 +488,7 @@ class WinningRegion:
                 if r is None:
                     if not terminal[j]:
                         break
-                    r = won[j] = not bad[j]
+                    r = won[j] = goal[j] and not bad[j]
                 decided = r == ctrl
             else:
                 # decided: i wins iff it is the controller's; otherwise no
@@ -594,11 +594,11 @@ def _walk(arena, region, pick):
     they reach from the initial state, applying the four template checks.
 
     (i) no bad state is reached; (ii) every maximal play ends in a goal
-    state (horizon-only terminals are reported distinctly); (iii) every
-    controller decision satisfies `minimal_intervention` against `region`,
-    which is asked only about actions less severe than the chosen one; (iv)
-    a hint is always followed by a full-deliberation driver edge (built
-    arenas only).  At each controller state, `pick(state, labels,
+    state, as `monitor` demands, not at the horizon short of it (counted
+    apart); (iii) every controller decision satisfies `minimal_intervention`
+    against `region`, which is asked only about actions less severe than the
+    chosen one; (iv) a hint is always followed by a full-deliberation driver
+    edge (built arenas only).  At each controller state, `pick(state, labels,
     successors)` gives the position of the edge the strategy takes, or
     raises `StrategyRejected` with the reason, which the walk completes
     with the checks up to there.  Returns the `TemplateReport`.
@@ -712,22 +712,22 @@ def check_templates(arena, strategy, region):
 
 
 def certify(arena, strategy, region):
-    """Template-check a strategy; raise `StrategyRejected` unless safety and
-    min-intervention hold.
+    """Template-check a strategy; raise `StrategyRejected` unless every
+    template it reports holds: safety, reachability, min-intervention and
+    response.
 
     The report of a strategy that `extract_strategy` made from this very
     arena is the one its walk built, so it is reused; any other strategy (a
     parsed file, a copy, the same strategy against another arena, a stub) is
-    walked with `check_templates`.  Reachability is reported but not
-    enforced: a play that reaches the horizon without overtaking wins the
-    weak-until game.
+    walked with `check_templates`.
     """
     source = getattr(strategy, "_arena", None)
     if source is not None and source() is arena:
         report = strategy.report
     else:
         report = check_templates(arena, strategy, region)
-    if not (report.safety_ok and report.min_intervention_ok):
+    if not (report.safety_ok and report.reach_ok and report.min_intervention_ok
+            and report.response_ok):
         raise StrategyRejected("template check rejected the strategy\n" + report.text())
     return report
 

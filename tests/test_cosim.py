@@ -512,6 +512,20 @@ def test_refine_loop_stops_on_a_disagreement_that_changes_no_machine(default_sc,
     assert [r.disagreement for r in report.iterations] == [((3, 3), 8)]
 
 
+def test_refine_loop_ends_on_a_strategy_whose_plays_all_reach_dest():
+    # the driver with 13 headway levels, whose exact machine has 73 states: a
+    # game that let plays end at the horizon short of `dest` won with a
+    # strategy that stopped one of the loop's 25 episodes at 144 m, and the
+    # loop ended `stable` instead of relearning
+    params = DriverParams(thw_levels=(0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5,
+                                      2.75, 3.0, 3.5))
+    cfg = RefineLoopConfig(params=params, seed=0, initial_state_cap=2)
+    report, records = refine_loop(braking_scenario(), cfg)
+    assert report.termination_reason == "all-pass"
+    assert len(records[-1].hm.states) == 73
+    assert records[-1].strategy.report.horizon_terminals == 0
+
+
 def test_refine_loop_iteration_cap(default_sc):
     cfg = RefineLoopConfig(seed=0, runs=4, initial_state_cap=2, max_iterations=1)
     report, _ = refine_loop(default_sc, cfg)

@@ -1,11 +1,13 @@
 import functools
 import hashlib
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from sharedctrl import game
+from sharedctrl.cosim import episode_passed, execute, monitor, synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
@@ -43,18 +45,21 @@ from conftest import (
 
 
 def brute_force_region(arena):
-    """Naive set-based greatest fixpoint; the oracle for `solve`.
+    """Naive set-based greatest fixpoint of the strong-until objective; the
+    oracle for `solve`.
 
-    Bad states lose (precedence over goal); non-bad goal states and safe
-    terminals win; interior states follow the exists/forall rule until the
-    set stabilizes.
+    A terminal state wins exactly when it is a goal and not bad, so a play
+    that stops short of a goal loses, as `monitor` judges it; interior states
+    follow the exists/forall rule until the set stabilizes.  On an acyclic
+    arena the greatest fixpoint is the least one.
     """
-    win = [not arena.bad[i] for i in range(arena.n_states)]
+    win = [not arena.bad[i] and (arena.goal[i] or not arena.terminal[i])
+           for i in range(arena.n_states)]
     changed = True
     while changed:
         changed = False
         for i in range(arena.n_states):
-            if not win[i] or arena.goal[i] or arena.terminal[i]:
+            if not win[i] or arena.terminal[i]:
                 continue
             if arena.turn[i] == TURN_CTRL:
                 ok = any(win[j] for j in arena.successors(i))
@@ -129,6 +134,18 @@ def fixture_override_needed():
     return arena_from_graph(nodes, bad={"b1", "b2"}, goal={"g"}, initial="e0")
 
 
+def fixture_stops_short():
+    # the only safe play ends at the horizon, in a terminal that is no goal
+    nodes = {
+        "c0": ("c", [("none", "e1"), ("hint", "b")]),
+        "e1": ("e", [("u", "c1")]),
+        "c1": ("c", [("none", "end")]),
+        "end": ("e", []),
+        "b": ("e", []),
+    }
+    return arena_from_graph(nodes, bad={"b"}, initial="c0")
+
+
 def fixture_severity_preference():
     nodes = {
         "c0": ("c", [("override", "g"), ("none", "g2"), ("hint", "g3")]),
@@ -147,6 +164,7 @@ ALL_FIXTURES = [
     fixture_bad_goal_overlap,
     fixture_override_needed,
     fixture_severity_preference,
+    fixture_stops_short,
 ]
 
 
@@ -178,6 +196,18 @@ def test_bad_goal_overlap_loses():
     arena = fixture_bad_goal_overlap()
     region = solve(arena)
     assert not realizable(arena, region)
+
+
+def test_a_play_that_stops_short_of_a_goal_loses():
+    # safe but never at a goal: `monitor` would fail the play as
+    # `goal-not-reached`, so the game loses it, and `certify` refuses a
+    # strategy that plays it
+    arena = fixture_stops_short()
+    region = solve(arena)
+    assert not realizable(arena, region)
+    with pytest.raises(StrategyRejected, match=r"reachability=FAIL "
+                       r"\(goal_terminals=0, horizon_terminals=1\)"):
+        certify(arena, Strategy({"c0": "none", "c1": "none"}, "full"), region)
 
 
 def test_strategy_picks_the_winning_action():
@@ -340,17 +370,21 @@ def test_build_arena_alphabet_mismatch(default_sc):
         build_arena(wrong, default_sc, DriverParams(), "full")
 
 
-def test_build_arena_state_cap(oracle_machine, default_sc):
+def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
+    monkeypatch.setattr(game, "ARENA_STATE_CAP", 100)
     with pytest.raises(ArenaCapExceeded):
-        build_arena(oracle_machine, default_sc, DriverParams(), "full", state_cap=100)
+        build_arena(oracle_machine, default_sc, DriverParams(), "full")
 
 
-def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_params):
+def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_params,
+                                        monkeypatch):
     # the pinned default/full build explores exactly 2942 states
-    arena = build_arena(oracle_machine, default_sc, driver_params, "full", state_cap=2942)
+    monkeypatch.setattr(game, "ARENA_STATE_CAP", 2942)
+    arena = build_arena(oracle_machine, default_sc, driver_params, "full")
     assert arena.n_states == 2942 and realizable(arena, arena.region)
+    monkeypatch.setattr(game, "ARENA_STATE_CAP", 2941)
     with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 2941 states$"):
-        build_arena(oracle_machine, default_sc, driver_params, "full", state_cap=2941)
+        build_arena(oracle_machine, default_sc, driver_params, "full")
 
 
 # default params, and params whose hinted re-deliberation changes the
@@ -442,7 +476,6 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
 
 
 def test_build_arena_rejects_off_lattice(oracle_machine):
-    from dataclasses import replace
     bad_sc = replace(mini_scenario(), epoch=0.3)
     with pytest.raises(ValueError):
         build_arena(oracle_machine, bad_sc, DriverParams(), "full")
@@ -641,13 +674,13 @@ def test_from_graph_rejects_duplicate_controller_labels():
 
 
 def test_solver_walks_deep_arenas_without_recursion():
-    # a play far longer than Python's recursion limit, ending in a terminal
+    # a play far longer than Python's recursion limit, ending in a goal
     depth = 3 * sys.getrecursionlimit()
     nodes = {f"c{k}": ("c", [("none", f"e{k}")]) for k in range(depth)}
     nodes.update({f"e{k}": ("e", [("u", f"c{k + 1}")]) for k in range(depth - 1)})
     nodes[f"e{depth - 1}"] = ("e", [("u", "end")])
     nodes["end"] = ("e", [])
-    arena = arena_from_graph(nodes, initial="c0")
+    arena = arena_from_graph(nodes, goal={"end"}, initial="c0")
     region = solve(arena)
     assert realizable(arena, region)
     assert len(region) == arena.n_states
@@ -669,7 +702,9 @@ def test_solver_rejects_a_cyclic_arena():
 
 
 def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
-    arena = build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(), "full")
+    # a horizon of 8 epochs leaves time to reach `dest`, so the game is won
+    arena = build_arena(oracle_machine, mini_scenario(offset=1, horizon=8), DriverParams(),
+                        "full")
     explored = arena.n_states
     assert realizable(arena, arena.region)
     assert explored < explore_all(arena).n_states
@@ -764,6 +799,42 @@ def test_extraction_report_is_the_template_check(scenario, params, machine, vari
     assert strategy.report.text() == check_templates(arena, recording, region).text()
     assert len(recording.asked) == len(set(recording.asked)) == len(strategy.actions)
     assert set(recording.asked) == set(strategy.actions)
+
+
+@st.composite
+def scenarios_with_dest_in_reach(draw, max_horizon):
+    """Lattice scenarios whose `dest` lies no farther past the start than the
+    follower gets at its initial speed within the horizon, so that enough
+    draws are realizable for a property about won games to say something.
+    `dest` is drawn as the lattice steps it falls short of that point, so
+    small draws put it where the follower must not slow down much."""
+    scenario = draw(lattice_scenarios(max_horizon=max_horizon))
+    reach = round(scenario.follow_vel * scenario.epoch * scenario.horizon_epochs * POS_SCALE)
+    short = draw(st.integers(0, reach))
+    return replace(scenario, dest=scenario.follow_pos + (reach - short) / POS_SCALE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios_with_dest_in_reach(max_horizon=12),
+       params=st.sampled_from(HINT_PARAMS), variant=st.sampled_from(tuple(VARIANT_ACTIONS)))
+def test_realizable_strategies_pass_co_simulation(scenario, params, variant):
+    # the game and `monitor` decide one objective: every seeded episode of a
+    # certified strategy on the exact machine passes unless the strategy lost
+    # track of the driver; under default params it never does
+    hm = abstractions(params)["exact"]
+    strategy = synthesize(hm, scenario, params, variant).strategy
+    if strategy is None:
+        event("unrealizable")
+        return
+    event("realizable")
+    cfg = scenario.supervisor_config()
+    for seed in range(10):
+        trace = execute(strategy, CognitiveDriver(params), scenario, cfg, seed, hm, params)
+        if trace.lookup_misses:
+            event("episode with a lookup miss")
+            assert params != DriverParams()
+        else:
+            assert episode_passed(trace, monitor(trace, scenario.dest, cfg.thresholds))
 
 
 def synthesized_texts(hm, scenario, params, variant, check_driver):
