@@ -229,8 +229,9 @@ def build_parser():
         "params": [("--driver-params", dict(
             default=None, help="optional driver parameter file"))],
         "out": [("--out", dict(required=True, help="output directory"))],
-        "seed": [("--seed", dict(type=int, default=0))],
-        "variant": [("--variant", dict(default="full", choices=sorted(VARIANT_ACTIONS)))],
+        "seed": [("--seed", dict(type=int, default=RefineLoopConfig.seed))],
+        "variant": [("--variant", dict(default=RefineLoopConfig.variant,
+                                       choices=sorted(VARIANT_ACTIONS)))],
         "oracle": [("--oracle-walks", dict(type=int, default=EqOracleConfig.num_walks)),
                    ("--oracle-len", dict(type=int, default=EqOracleConfig.max_walk_len)),
                    ("--oracle-reset-prob", dict(type=float, default=EqOracleConfig.reset_prob))],

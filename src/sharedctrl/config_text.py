@@ -1,22 +1,21 @@
 """Plain-text `key=value` form of the frozen config dataclasses.
 
-The keys are the dataclass's field names; a field whose value is itself a
-dataclass (`Scenario.thresholds`) is flattened into that dataclass's keys.
-Values print with `str`, tuples as comma-separated lists.  Parsing starts
-from the dataclass's own defaults, so the empty text gives the default
-object, and each value must have the type of its field's default; a number
-must be finite (`finite` rejects `nan`, `inf` and overflow).  Blank
-lines and `#` comments are skipped.  Any other line must be `key=value` with
-a known key, or start with one of the row words the caller names (such as
-`profile t acc`).  A line that does not parse, or a `profile` row out of
-order, is named by its number; a value the dataclass rejects
-(`horizon_epochs=-1`) only by its field.  `read_file` puts the file first.
+The keys are the dataclass's field names, each a plain setting.  Values print
+with `str`, tuples as comma-separated lists.  Parsing starts from the
+dataclass's own defaults, so the empty text gives the default object, and
+each value must have the type of its field's default; a number must be
+finite (`finite` rejects `nan`, `inf` and overflow).  Blank lines and `#`
+comments are skipped.  Any other line must be `key=value` with a known key,
+or start with one of the row words the caller names (such as `profile t
+acc`).  A line that does not parse, or a `profile` row out of order, is
+named by its number; a value the dataclass rejects (`horizon_epochs=-1`)
+only by its field.  `read_file` puts the file first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, fields
 
 
 class ConfigError(ValueError):
@@ -64,9 +63,7 @@ def config_lines(obj, skip=()):
         if f.name in skip:
             continue
         value = getattr(obj, f.name)
-        if is_dataclass(value):
-            lines.extend(config_lines(value))
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             lines.append(f"{f.name}=" + ",".join(str(v) for v in value))
         else:
             lines.append(f"{f.name}={value}")
@@ -76,17 +73,11 @@ def config_lines(obj, skip=()):
 def parse_config(cls, text, rows=()):
     """Field values that `text` sets for `cls`, and its row lines.
 
-    Returns `(values, found)`: `values` maps field names to parsed values
-    (flattened dataclasses rebuilt from their defaults), and `found` maps
-    each word of `rows` to the `(line number, [tokens after the word])` of
-    its lines, in order.
+    Returns `(values, found)`: `values` maps field names to parsed values,
+    and `found` maps each word of `rows` to the `(line number, [tokens after
+    the word])` of its lines, in order.
     """
-    defaults = _defaults(cls)
-    nested = {name: value for name, value in defaults.items() if is_dataclass(value)}
-    keys = {name: (None, value) for name, value in defaults.items()
-            if name not in nested and name not in rows}
-    for name, value in nested.items():
-        keys.update((key, (name, sub)) for key, sub in _defaults(type(value)).items())
+    keys = {name: value for name, value in _defaults(cls).items() if name not in rows}
     values, found = {}, {word: [] for word in rows}
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -104,12 +95,9 @@ def parse_config(cls, text, rows=()):
         if key in values:
             raise ConfigError(f"line {number}: duplicate key {key!r}")
         try:
-            values[key] = _parse(keys[key][1], value)
+            values[key] = _parse(keys[key], value)
         except ValueError as exc:
             raise ConfigError(f"line {number}: bad value for {key!r}: {exc}") from None
-    for name, value in nested.items():
-        values[name] = replace(value, **{key: values.pop(key) for key, (parent, _) in
-                                         keys.items() if parent == name and key in values})
     return values, found
 
 

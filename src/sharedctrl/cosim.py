@@ -44,7 +44,7 @@ from .mealy import minimize, serialize
 from .supervisor import (
     ACTION_HINT, ACTION_MODE, ACTION_NONE, ACTION_OVERRIDE, arbitrate, safe_now,
 )
-from .world import VehicleState, WorldState, advance, headway_metrics, quantize_thw
+from .world import VehicleState, WorldState, advance, headway_metrics, judge, quantize_thw
 
 TRACE_COLUMNS = (
     "t", "lead_pos", "follow_pos", "lead_vel", "follow_vel", "thw", "ttc",
@@ -122,14 +122,14 @@ def write_trace_csv(trace, path):
 def epoch_context(scenario, params, k, fpos, fvel):
     """What the follower state `(k, fpos, fvel)` of an episode determines.
 
-    The empty tuple when the follower has overtaken the lead or reached
-    `dest`, else `(t, lead_pos, lead_vel, thw, ttc, perceivable, pos, vel)`:
+    The empty tuple when `world.judge` finds that it has overtaken or
+    reached, else `(t, lead_pos, lead_vel, thw, ttc, perceivable, pos, vel)`:
     the row time, the lead from `scenario.lead_track`, the headway metrics,
     the levels the sensor may report, and the lattice position and velocity
     of the strategy key.  Of `params`, only the boundaries `thw_levels` count.
     """
     _t, lpos, lvel, _lacc = scenario.lead_track[k]
-    if fpos >= lpos or fpos >= scenario.dest:
+    if any(judge(fpos, lpos, scenario.dest)):
         return ()
     thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
     perceivable = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
@@ -208,19 +208,21 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
 def monitor(trace, dest, thresholds):
     """Classify a trace; the first violated objective (in priority order) wins.
 
-    Min-intervention is `minimal_intervention` applied to each Intervention
-    row.  A certified override was chosen by the game under that predicate,
-    so no less severe action wins there.  For any other override (fail-safe
-    fallback, stub strategies, hand-built rows) the monitor takes a deep-safe
-    state (SafeNow) to leave the driver's own action winning.
+    Safety and reach are `world.judge`'s atoms.  Min-intervention is
+    `minimal_intervention` applied to each Intervention row.  A certified
+    override was chosen by the game under that predicate, so no less severe
+    action wins there.  For any other override (fail-safe fallback, stub
+    strategies, hand-built rows) the monitor takes a deep-safe state
+    (SafeNow) to leave the driver's own action winning.
     """
     for idx, row in enumerate(trace.rows):
-        if row.follow_pos >= row.lead_pos:
+        if judge(row.follow_pos, row.lead_pos, dest)[0]:
             return Verdict(STATUS_SAFETY, idx)
     final = trace.final_world
-    if final.follow.pos >= final.lead.pos:
+    overtaken, reached = judge(final.follow.pos, final.lead.pos, dest)
+    if overtaken:
         return Verdict(STATUS_SAFETY, len(trace.rows))
-    if final.follow.pos < dest:
+    if not reached:
         return Verdict(STATUS_GOAL, max(len(trace.rows) - 1, 0))
     for idx, row in enumerate(trace.rows):
         if row.mode != ACTION_MODE[ACTION_OVERRIDE]:
@@ -301,6 +303,10 @@ def refine(session, words):
 
 @dataclass
 class RefineLoopConfig:
+    """`refine_loop`'s settings and the CLI's defaults for them.  The loop
+    replaces `oracle.rng_seed` with `derive_seed(seed, "oracle")`, so any
+    value set there is ignored."""
+
     oracle: EqOracleConfig = field(default_factory=EqOracleConfig)
     params: DriverParams = field(default_factory=DriverParams)
     variant: str = "full"
@@ -396,9 +402,10 @@ def refine_loop(scenario, cfg):
     it was), or on an unrealizable arena (unless variant expansion is
     enabled and a larger controllable action set is available).  Raises
     `StrategyRejected` if the template check refuses an extracted strategy.
-    Returns `(report, report.iterations)`: each `IterationRecord` holds the
-    iteration's machine, strategy and traces, and the pair keeps the shape
-    that `bench/run.py` unpacks.
+    The oracle draws from `derive_seed(cfg.seed, "oracle")`, never from
+    `cfg.oracle.rng_seed`.  Returns `(report, report.iterations)`: each
+    `IterationRecord` holds the iteration's machine, strategy and traces,
+    and the pair keeps the shape that `bench/run.py` unpacks.
     """
     params = cfg.params
     sup = scenario.supervisor_config()

@@ -18,8 +18,8 @@ the arena to be acyclic and raises `ValueError` on a cycle.
 
 Positions and velocities are held on an exact lattice (0.25 m, 0.5 m/s
 units) so that the gridded game dynamics coincide bit-for-bit with the
-continuous simulation.  The objective is `monitor`'s strong until: never
-overtake the lead, and reach the destination by the horizon.
+continuous simulation.  The objective is `monitor`'s strong until over
+`world.judge`'s atoms: never overtake the lead, reach `dest` by the horizon.
 
 State encoding.  Environment turn: `(0, k, fpos, fvel, hm, hinted)`;
 controller turn: `(1, k, fpos, fvel, hm, driver_acc)` with positions and
@@ -63,7 +63,7 @@ from .supervisor import (
     ACTIONS,
     arbitrate,
 )
-from .world import headway_metrics, quantize_thw
+from .world import headway_metrics, judge, quantize_thw
 
 TURN_ENV = 0
 TURN_CTRL = 1
@@ -260,7 +260,8 @@ class GameArena:
 
 
 def grid_lattice_checks(scenario, params, cfg):
-    """All accelerations and initial conditions must sit on the lattice."""
+    """The epoch and each acceleration's step must sit on the lattice;
+    `build_arena` checks positions and velocities as it converts them."""
     eps = scenario.epoch
     if not math.isclose(eps * POS_SCALE / VEL_SCALE, round(eps * POS_SCALE / VEL_SCALE)):
         raise ValueError(f"epoch {eps} incompatible with the position lattice")
@@ -268,15 +269,6 @@ def grid_lattice_checks(scenario, params, cfg):
     accs |= {cfg.acc_floor, cfg.acc_cap}
     for a in sorted(accs):
         _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
-    for value, scale, what in (
-        (scenario.lead_pos, POS_SCALE, "lead_pos"),
-        (scenario.follow_pos, POS_SCALE, "follow_pos"),
-        (scenario.dest, POS_SCALE, "dest"),
-        (scenario.lead_vel, VEL_SCALE, "lead_vel"),
-        (scenario.follow_vel, VEL_SCALE, "follow_vel"),
-        (scenario.v_max, VEL_SCALE, "v_max"),
-    ):
-        _scaled(value, scale, what)
 
 
 def lead_trajectory(scenario):
@@ -347,10 +339,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
                 for action in actions]
         k += 1
         fp += fv * pos_step
-        # every successor shares one classification; reaching the
-        # destination only wins when the state is also safe
-        bad = fp >= lead[k][0]
-        goal = not bad and fp >= dest_q
+        bad, goal = judge(fp, lead[k][0], dest_q)  # shared by every successor
         terminal = bad or goal or k == horizon
         for fv2, h in moves:
             t = (TURN_ENV, k, fp, fv2, q2, h)
@@ -365,8 +354,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
           hm.initial, 0)
-    bad0 = fp0 >= lead[0][0]  # as `explore` classifies an environment state
-    goal0 = not bad0 and fp0 >= dest_q
+    bad0, goal0 = judge(fp0, lead[0][0], dest_q)
     arena.initial = arena.add(s0, TURN_ENV, bad0, goal0, bad0 or goal0 or horizon == 0)
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena

@@ -1,12 +1,12 @@
 """Scenario definitions: initial conditions, lead profile, hazard thresholds
 and the override clamp.
 
-Scenarios live in the `key=value` text of `config_text`: the field names are
-the keys, the thresholds are flattened into `thw_safe`/`ttc_safe`, and each
-lead-profile segment is one `profile t acc` line (named when out of order).
-A scenario is the one source of the supervisor's thresholds and clamp and of
-the sensor's error bound.  Built in: the default car-following setting and a
-harsher braking variant used for design-space exploration.
+Scenarios live in the `key=value` text of `config_text`: the plain fields
+are the keys, and each lead-profile segment is one `profile t acc` line
+(named when out of order).  A scenario is the one source of the supervisor's
+thresholds (`thw_safe`, `ttc_safe`) and clamp and of the sensor's error
+bound.  Built in: the default car-following setting and a harsher braking
+variant used for design-space exploration.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .world import LeadProfile, VehicleState, WorldState, sensor_perturb, step_w
 @dataclass(frozen=True)
 class Scenario:
     """Initial conditions, lead profile, horizon, sensor noise, thresholds
-    and override clamp of one driving situation.
+    and override clamp of one driving situation, each a plain field.
 
     `lead_track` (the lead's motion) and `perceptions` (the sensor's
     perception sets) follow from the fields alone, so they are computed
@@ -44,7 +44,8 @@ class Scenario:
     sensor_offset: int = 1
     v_max: float = 16.0
     profile: LeadProfile = field(default_factory=lambda: LeadProfile([(0.0, 0.0)]))
-    thresholds: HazardThresholds = field(default_factory=HazardThresholds)
+    thw_safe: float = 2.0
+    ttc_safe: float = 3.0
     acc_floor: float = -3.0
     acc_cap: float = -1.0
 
@@ -59,7 +60,7 @@ class Scenario:
             raise ValueError("v_max must be positive")
         if not (self.lead_vel >= 0 and self.follow_vel >= 0):
             raise ValueError("lead_vel and follow_vel must be >= 0")
-        self.supervisor_config()  # checks the override clamp
+        self.supervisor_config()  # checks the thresholds and the override clamp
 
     def initial_world(self):
         return WorldState(
@@ -99,7 +100,7 @@ class Scenario:
 
     def supervisor_config(self):
         return SupervisorConfig(
-            thresholds=self.thresholds,
+            thresholds=HazardThresholds(self.thw_safe, self.ttc_safe),
             acc_floor=self.acc_floor,
             acc_cap=self.acc_cap,
         )
@@ -137,10 +138,7 @@ def default_scenario():
     The lead recovers its initial speed afterwards so the destination stays
     reachable within the horizon.
     """
-    return Scenario(
-        name="default",
-        profile=LeadProfile([(0.0, 0.0), (5.0, -2.0), (8.0, 2.0), (11.0, 0.0)]),
-    )
+    return Scenario(profile=LeadProfile([(0.0, 0.0), (5.0, -2.0), (8.0, 2.0), (11.0, 0.0)]))
 
 
 def braking_scenario():

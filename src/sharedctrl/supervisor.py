@@ -26,8 +26,11 @@ ACTION_MODE = {
 
 @dataclass(frozen=True)
 class HazardThresholds:
-    thw_safe: float = 2.0
-    ttc_safe: float = 3.0
+    """SafeNow's bounds, with no defaults: `Scenario.supervisor_config`
+    builds them from the scenario's `thw_safe` and `ttc_safe` fields."""
+
+    thw_safe: float
+    ttc_safe: float
 
     def __post_init__(self):
         if not (self.thw_safe > 0 and self.ttc_safe > 0):

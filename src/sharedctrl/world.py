@@ -5,10 +5,11 @@ acceleration profile and a follower driven by an external acceleration
 command.  Explicit Euler integration with positions advanced by the old
 velocity; velocities are clamped to [0, v_max].
 
-`advance` is the one definition of a vehicle's step.  `step_world` applies it
-to both vehicles; co-simulation applies it to the follower alone, since the
-lead's motion depends only on the scenario: `Scenario.lead_track` integrates
-it with `step_world` once, and every episode reads it from there.
+`advance` is the one definition of a vehicle's step, and `judge` of safety
+and reach at a follower position.  `step_world` applies `advance` to both
+vehicles; co-simulation applies it to the follower alone, since the lead's
+motion depends only on the scenario: `Scenario.lead_track` integrates it
+with `step_world` once, and every episode reads it from there.
 
 `VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
 frozen one costs about three times as much to construct.  Nothing mutates a
@@ -39,9 +40,7 @@ class LeadProfile:
 
     def __init__(self, segments):
         segments = [(float(t), float(a)) for t, a in segments]
-        if not segments:
-            segments = [(0.0, 0.0)]
-        if segments[0][0] != 0.0:
+        if not segments or segments[0][0] != 0.0:
             raise ValueError("profile must start at t=0")
         times = [t for t, _ in segments]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -87,6 +86,15 @@ def advance(pos, vel, acc, dt, v_max):
     """One explicit Euler step of one vehicle: `(pos, vel)` after `dt`, the
     position advanced by the old velocity, the velocity clamped to [0, v_max]."""
     return pos + vel * dt, min(max(vel + acc * dt, 0.0), v_max)
+
+
+def judge(follow_pos, lead_pos, dest):
+    """The objective's atoms `(overtaken, reached)` at one follower position,
+    all three in one unit: at or past the lead is overtaken, even past `dest`;
+    reached is not overtaken and at or past `dest`.  The game's states,
+    `cosim.epoch_context` and `cosim.monitor` are judged by it."""
+    overtaken = follow_pos >= lead_pos
+    return overtaken, not overtaken and follow_pos >= dest
 
 
 def headway_metrics(lead_pos, lead_vel, follow_pos, follow_vel):

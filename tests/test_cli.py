@@ -297,3 +297,6 @@ def test_cli_defaults_are_the_config_defaults():
         assert (args.oracle_walks, args.oracle_len, args.oracle_reset_prob) == (
             oracle.num_walks, oracle.max_walk_len, oracle.reset_prob)
     assert validate.runs == refine.runs == loop.runs and refine.max_iter == loop.max_iterations
+    synth, demo = parse(["synth", "--out", "o", "--hm", "h"]), parse(["demo"])
+    assert learn.seed == validate.seed == refine.seed == demo.seed == loop.seed
+    assert synth.variant == refine.variant == demo.variant == loop.variant

@@ -31,7 +31,8 @@ def scenarios(draw):
         sensor_offset=draw(st.integers(0, 5)),
         v_max=draw(floats(0.5, 80.0)),
         profile=LeadProfile(profile),
-        thresholds=HazardThresholds(draw(floats(0.01, 10.0)), draw(floats(0.01, 10.0))),
+        thw_safe=draw(floats(0.01, 10.0)),
+        ttc_safe=draw(floats(0.01, 10.0)),
         acc_floor=floor,
         acc_cap=draw(floats(floor, -0.01)),
     )
@@ -71,7 +72,7 @@ def test_empty_text_gives_the_dataclass_defaults():
 
 def test_partial_text_keeps_the_other_defaults():
     sc = Scenario.from_text("thw_safe=2.5\nprofile 0 0\nprofile 4 -3\n")
-    assert sc.thresholds == HazardThresholds(thw_safe=2.5)
+    assert sc.supervisor_config().thresholds == HazardThresholds(thw_safe=2.5, ttc_safe=3.0)
     assert sc.profile == LeadProfile([(0.0, 0.0), (4.0, -3.0)])
     assert sc.dest == Scenario().dest and sc.horizon_epochs == Scenario().horizon_epochs
 

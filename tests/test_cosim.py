@@ -41,7 +41,7 @@ from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
-from sharedctrl.world import VehicleState, WorldState, step_world
+from sharedctrl.world import VehicleState, WorldState, judge, step_world
 
 from conftest import ConstantStrategy, RecordingStrategy, lattice_scenarios
 
@@ -50,6 +50,42 @@ def run_once(strategy, scenario, params, hm, seed=0):
     sul = CognitiveDriver(params)
     cfg = scenario.supervisor_config()
     return execute(strategy, sul, scenario, cfg, seed, hm, params)
+
+
+def edge_scenario(follow_pos, dest):
+    """A lattice scenario whose follower starts at `follow_pos`, the lead at
+    30 m.  `Scenario` refuses a start at or past the lead, so that one is
+    placed directly."""
+    sc = Scenario(name="edge", lead_pos=30.0, lead_vel=10.0, follow_vel=10.0, dest=dest,
+                  horizon_epochs=6, sensor_offset=0, v_max=16.0)
+    if follow_pos < sc.lead_pos:
+        return replace(sc, follow_pos=follow_pos)
+    object.__setattr__(sc, "follow_pos", follow_pos)
+    return sc
+
+
+@pytest.mark.parametrize("follow_pos, dest, atoms", [
+    (30.0, 40.0, (True, False)),   # at the lead
+    (20.0, 20.0, (False, True)),   # at dest, below the lead
+    (30.0, 30.0, (True, False)),   # at both: overtaken, so not reached
+    (19.75, 20.0, (False, False)),  # one lattice step short of dest
+])
+def test_game_episode_and_monitor_judge_the_start_alike(follow_pos, dest, atoms,
+                                                        oracle_machine, driver_params):
+    sc = edge_scenario(follow_pos, dest)
+    overtaken, reached = judge(sc.follow_pos, sc.lead_pos, sc.dest)
+    assert (overtaken, reached) == atoms
+    stops = overtaken or reached
+    arena = build_arena(oracle_machine, sc, driver_params, "full")
+    i = arena.initial
+    assert (arena.bad[i], arena.goal[i], arena.terminal[i]) == (overtaken, reached, stops)
+    assert (epoch_context(sc, driver_params, 0, sc.follow_pos, sc.follow_vel) == ()) == stops
+    trace = run_once(ConstantStrategy("none"), sc, driver_params, oracle_machine)
+    assert (trace.rows == []) == stops
+    verdict = monitor(SimTrace([], sc.initial_world()), sc.dest,
+                      sc.supervisor_config().thresholds)
+    assert verdict.status == (STATUS_SAFETY if overtaken else
+                              STATUS_PASS if reached else STATUS_GOAL)
 
 
 def test_execute_default_strategy_safe(default_synthesis, default_sc,
@@ -61,7 +97,7 @@ def test_execute_default_strategy_safe(default_synthesis, default_sc,
     for row in trace.rows:
         assert row.follow_pos < row.lead_pos
     assert trace.final_world.follow.pos >= default_sc.dest
-    verdict = monitor(trace, default_sc.dest, default_sc.thresholds)
+    verdict = monitor(trace, default_sc.dest, default_sc.supervisor_config().thresholds)
     assert verdict.status == STATUS_PASS
 
 
@@ -91,7 +127,7 @@ def test_execute_stub_crashes_on_braking(braking_sc, driver_params, oracle_machi
     for r in range(5):
         trace = run_once(ConstantStrategy("none"), braking_sc, driver_params,
                          oracle_machine, seed=derive_seed(0, f"stub{r}"))
-        verdict = monitor(trace, braking_sc.dest, braking_sc.thresholds)
+        verdict = monitor(trace, braking_sc.dest, braking_sc.supervisor_config().thresholds)
         if verdict.status == STATUS_SAFETY:
             crashed += 1
             assert verdict.witness is not None
@@ -103,7 +139,7 @@ def test_execute_zero_epoch_scenario(driver_params, oracle_machine):
                   follow_vel=10.0, dest=0.0, horizon_epochs=0, v_max=16.0)
     trace = run_once(ConstantStrategy("none"), sc, driver_params, oracle_machine)
     assert trace.rows == []
-    verdict = monitor(trace, sc.dest, sc.thresholds)
+    verdict = monitor(trace, sc.dest, sc.supervisor_config().thresholds)
     assert verdict.status == STATUS_PASS
 
 
@@ -124,28 +160,28 @@ def _trace(rows, final_gap=10.0, final_pos=200.0):
 
 def test_monitor_flags_overtake_row():
     rows = [_row(), _row(t=0.5, follow_pos=60.0)]
-    verdict = monitor(_trace(rows), 150.0, default_scenario().thresholds)
+    verdict = monitor(_trace(rows), 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_SAFETY
     assert verdict.witness == 1
 
 
 def test_monitor_flags_final_world_overtake():
     trace = _trace([_row()], final_gap=-1.0)
-    verdict = monitor(trace, 150.0, default_scenario().thresholds)
+    verdict = monitor(trace, 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_SAFETY
     assert verdict.witness == 1  # one past the last row
 
 
 def test_monitor_goal_not_reached():
     trace = _trace([_row()], final_pos=100.0)
-    verdict = monitor(trace, 150.0, default_scenario().thresholds)
+    verdict = monitor(trace, 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_GOAL
 
 
 def test_monitor_min_intervention_violation():
     rows = [_row(mode="Intervention", thw=math.inf, ttc=math.inf,
                  action="override", applied_acc=-1)]
-    verdict = monitor(_trace(rows), 150.0, default_scenario().thresholds)
+    verdict = monitor(_trace(rows), 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_MIN_INTERVENTION
     assert verdict.witness == 0
 
@@ -157,11 +193,11 @@ def test_monitor_exempts_only_certified_overrides(default_sc, driver_params,
     assert fallback.lookup_misses == len(fallback.rows) > 0
     row = fallback.rows[0]
     assert row.action == "override" and not row.certified
-    assert safe_now(row.thw, row.ttc, default_sc.thresholds)
-    verdict = monitor(_trace([row]), 150.0, default_sc.thresholds)
+    assert safe_now(row.thw, row.ttc, default_sc.supervisor_config().thresholds)
+    verdict = monitor(_trace([row]), 150.0, default_sc.supervisor_config().thresholds)
     assert verdict == Verdict(STATUS_MIN_INTERVENTION, 0)
     certified = replace(row, certified=True)
-    verdict = monitor(_trace([certified]), 150.0, default_sc.thresholds)
+    verdict = monitor(_trace([certified]), 150.0, default_sc.supervisor_config().thresholds)
     assert verdict.status == STATUS_PASS
 
 
@@ -180,7 +216,7 @@ def test_monitor_response_violation():
         _row(action="hint", mode="Advisory", thw=1.2, ttc=3.0),
         _row(t=0.5, rule_chain=SHORT_CHAIN, thw=1.2, ttc=3.0),
     ]
-    verdict = monitor(_trace(rows), 150.0, default_scenario().thresholds)
+    verdict = monitor(_trace(rows), 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_RESPONSE
     assert verdict.witness == 1
 
@@ -188,7 +224,7 @@ def test_monitor_response_violation():
 def test_monitor_passes_clean_trace():
     rows = [_row(), _row(t=0.5, action="hint", mode="Advisory", thw=1.2),
             _row(t=1.0, rule_chain=FULL_CHAIN, thw=1.4)]
-    verdict = monitor(_trace(rows), 150.0, default_scenario().thresholds)
+    verdict = monitor(_trace(rows), 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_PASS
     assert verdict.witness is None
 
@@ -198,7 +234,7 @@ def test_monitor_priority_order():
     # the safety violation (highest priority)
     rows = [_row(mode="Intervention", thw=math.inf, ttc=math.inf),
             _row(t=0.5, follow_pos=60.0)]
-    verdict = monitor(_trace(rows), 150.0, default_scenario().thresholds)
+    verdict = monitor(_trace(rows), 150.0, default_scenario().supervisor_config().thresholds)
     assert verdict.status == STATUS_SAFETY
 
 
@@ -208,7 +244,7 @@ def test_monitor_double_entry(default_synthesis, default_sc, driver_params,
     from sharedctrl.supervisor import safe_now
     _arena, _region, strategy = default_synthesis
     trace = run_once(strategy, default_sc, driver_params, oracle_machine, seed=9)
-    verdict = monitor(trace, default_sc.dest, default_sc.thresholds)
+    verdict = monitor(trace, default_sc.dest, default_sc.supervisor_config().thresholds)
 
     replay = STATUS_PASS
     for row in trace.rows:
@@ -222,7 +258,7 @@ def test_monitor_double_entry(default_synthesis, default_sc, driver_params,
     if replay == STATUS_PASS:
         for row in trace.rows:
             if row.mode == "Intervention" and safe_now(row.thw, row.ttc,
-                                                       default_sc.thresholds):
+                                                       default_sc.supervisor_config().thresholds):
                 replay = STATUS_MIN_INTERVENTION
                 break
     assert verdict.status == replay

@@ -12,15 +12,15 @@ from sharedctrl.supervisor import (
     safe_now,
 )
 
-TH = HazardThresholds()
+TH = HazardThresholds(thw_safe=2.0, ttc_safe=3.0)
 CFG = SupervisorConfig(TH, acc_floor=-3.0, acc_cap=-1.0)
 
 
 def test_thresholds_must_be_positive():
     with pytest.raises(ValueError):
-        HazardThresholds(thw_safe=0.0)
+        HazardThresholds(thw_safe=0.0, ttc_safe=3.0)
     with pytest.raises(ValueError):
-        HazardThresholds(ttc_safe=-1.0)
+        HazardThresholds(thw_safe=2.0, ttc_safe=-1.0)
 
 
 def test_config_validation():

@@ -10,6 +10,7 @@ from sharedctrl.world import (
     VehicleState,
     WorldState,
     headway_metrics,
+    judge,
     quantize_thw,
     sensor_perturb,
     step_world,
@@ -157,6 +158,27 @@ def test_profile_validation():
         LeadProfile([(1.0, 0.0)])          # must start at 0
     with pytest.raises(ValueError):
         LeadProfile([(0.0, 0.0), (0.0, 1.0)])
+
+
+def test_an_empty_profile_is_rejected():
+    # the constant lead is `Scenario.profile`'s default, not the empty list's
+    with pytest.raises(ValueError, match="profile must start at t=0"):
+        LeadProfile([])
+
+
+@pytest.mark.parametrize("follow_pos, lead_pos, dest, atoms", [
+    (10.0, 30.0, 40.0, (False, False)),   # short of both
+    (39.75, 50.0, 40.0, (False, False)),  # one lattice step short of dest
+    (40.0, 50.0, 40.0, (False, True)),    # at dest, below the lead
+    (45.0, 50.0, 40.0, (False, True)),    # past dest
+    (30.0, 30.0, 40.0, (True, False)),    # at the lead
+    (40.0, 40.0, 40.0, (True, False)),    # at both: overtaken, so not reached
+    (55.0, 50.0, 40.0, (True, False)),    # past the lead and dest
+    (159, 160, 159, (False, True)),       # lattice units, as the game asks
+    (160, 160, 159, (True, False)),
+])
+def test_judge_gives_overtaken_and_reached(follow_pos, lead_pos, dest, atoms):
+    assert judge(follow_pos, lead_pos, dest) == atoms
 
 
 def test_profile_lookup():
