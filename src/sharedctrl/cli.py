@@ -1,14 +1,18 @@
 """Command-line pipeline: learn, synth, validate, refine, demo.
 
+This module parses arguments and writes files.  Each stage it runs is the
+one function that `refine_loop` calls too: `cosim.learning_session`,
+`cosim.synthesize` on a `game.build_arena` arena, and `cosim.episode`.
 Each subcommand accepts only the flags it reads.  `learn`, `validate`,
 `refine` and `demo` draw random numbers (the learner's equivalence oracle,
 the co-simulated sensor noise) and take `--seed`; all their randomness is
 fanned out from that one value.  `synth` is deterministic given its inputs
 and takes no seed.  Exit codes form a stable contract for scripting:
-0 success, 1 usage/IO error (including an arena that outgrows its state
-cap), 2 unrealizable specification, 3 validation failure (a co-simulated
-run that fails an objective or takes the fail-safe fallback, or a template
-check that rejects a synthesized or loaded strategy).
+0 success, 1 usage/IO error (including learning that does not converge and
+an arena that outgrows its state cap), 2 unrealizable specification,
+3 validation failure (a co-simulated run that fails an objective or takes
+the fail-safe fallback, or a template check that rejects a synthesized or
+loaded strategy).
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from .config_text import read_file
 from .cosim import (
     RefineLoopConfig,
     derive_seed,
+    episode,
     episode_passed,
-    execute,
-    monitor,
+    learning_session,
     refine_loop,
     synthesize,
     write_trace_csv,
 )
-from .driver import CognitiveDriver, DriverParams
+from .driver import DriverParams
 from .game import (
     ArenaCapExceeded,
     StrategyRejected,
@@ -40,7 +44,7 @@ from .game import (
     serialize_strategy,
     solve,
 )
-from .lstar import EqOracleConfig, LearningSession, RandomWalkOracle
+from .lstar import EqOracleConfig
 from .mealy import parse, serialize, to_dot
 from .scenario import load_scenario
 
@@ -68,19 +72,18 @@ def _load_inputs(args):
 
 
 def _oracle_config(args):
-    return EqOracleConfig(
-        num_walks=args.oracle_walks,
-        max_walk_len=args.oracle_len,
-        reset_prob=args.oracle_reset_prob,
-        rng_seed=derive_seed(args.seed, "oracle"),
-    )
+    """The walk settings of the `--oracle-*` flags; the seed is `--seed`'s."""
+    return EqOracleConfig(num_walks=args.oracle_walks, max_walk_len=args.oracle_len,
+                          reset_prob=args.oracle_reset_prob)
 
 
 def _learn(args, params):
-    """The driver abstraction and its learning stats."""
-    sul = CognitiveDriver(params)
-    return LearningSession(sul, params.levels(),
-                           RandomWalkOracle(sul, _oracle_config(args))).run()
+    """The driver abstraction and its learning stats; says so on stderr
+    when learning did not converge."""
+    hm, stats = learning_session(params, _oracle_config(args), args.seed).run()
+    if not stats.converged:
+        print("learning did not converge within the round cap", file=sys.stderr)
+    return hm, stats
 
 
 def _ensure_out(args):
@@ -96,7 +99,6 @@ def cmd_learn(args):
     _write(os.path.join(out, "hm.dot"), to_dot(machine, "hm"))
     _write(os.path.join(out, "learn_report.txt"), stats.report_text())
     if not stats.converged:
-        print("learning did not converge within the round cap", file=sys.stderr)
         return EXIT_USAGE
     print(f"learned abstraction: {stats.states} states, "
           f"{stats.transitions} transitions ({stats.rounds} rounds)")
@@ -106,8 +108,8 @@ def cmd_learn(args):
 def cmd_synth(args):
     scenario, params = _load_inputs(args)
     out = _ensure_out(args)
-    syn = synthesize(read_file(args.hm, parse), scenario, params, args.variant)
-    arena, strategy = syn.arena, syn.strategy
+    arena = build_arena(read_file(args.hm, parse), scenario, params, args.variant)
+    strategy = synthesize(arena)
     _write(os.path.join(out, "arena_stats.txt"), arena_stats_text(arena, arena.region))
     if strategy is None:
         print(f"unrealizable for variant {args.variant!r} "
@@ -129,16 +131,13 @@ def cmd_validate(args):
     # the file is trusted only once the game certifies it
     arena = build_arena(hm, scenario, params=params, variant=strategy.variant)
     certify(arena, strategy, solve(arena))
-    cfg = scenario.supervisor_config()
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     lines = []
     all_pass = True
     for r in range(args.runs):
-        sul = CognitiveDriver(params)
-        trace = execute(strategy, sul, scenario, cfg,
-                        derive_seed(args.seed, f"run{r}"), hm, params)
-        verdict = monitor(trace, scenario.dest, cfg.thresholds)
+        trace, verdict = episode(strategy, scenario, params, hm,
+                                 derive_seed(args.seed, f"run{r}"))
         write_trace_csv(trace, os.path.join(traces_dir, f"run_{r:03d}.csv"))
         lines.append(f"run={r} status={verdict.status} "
                      f"witness={verdict.witness} misses={trace.lookup_misses}")
@@ -192,20 +191,18 @@ def _fmt_metric(value):
 def cmd_demo(args):
     scenario, params = _load_inputs(args)
     hm, stats = _learn(args, params)
+    if not stats.converged:
+        return EXIT_USAGE
     print(f"[1/3] learned driver abstraction: {stats.states} states, "
           f"{stats.transitions} transitions")
-    syn = synthesize(hm, scenario, params, args.variant)
-    strategy = syn.strategy
+    arena = build_arena(hm, scenario, params, args.variant)
+    strategy = synthesize(arena)
     if strategy is None:
         print(f"[2/3] unrealizable for variant {args.variant!r}")
         return EXIT_UNREALIZABLE
     print(f"[2/3] synthesized strategy: {len(strategy.actions)} entries, "
-          f"{syn.arena.n_states} arena states explored")
-    cfg = scenario.supervisor_config()
-    run_sul = CognitiveDriver(params)
-    trace = execute(strategy, run_sul, scenario, cfg,
-                    derive_seed(args.seed, "demo"), hm, params)
-    verdict = monitor(trace, scenario.dest, cfg.thresholds)
+          f"{arena.n_states} arena states explored")
+    trace, verdict = episode(strategy, scenario, params, hm, derive_seed(args.seed, "demo"))
     print("[3/3] supervised trace:")
     print(" ".join(TABLE_HEADER))
     for row in trace.rows:

@@ -1,9 +1,10 @@
-"""Synthesis and closed-loop validation of strategies against the full driver.
+"""The pipeline's stages, one function each, and the refinement loop.
 
-`Synthesis.of` is the one synthesis path after the arena is built: solve
-it, and extract and certify a strategy when the initial state wins.
-`synthesize` builds the arena and takes that path, for the CLI.
-`refine_loop` builds the arena with the driver check on, so that synthesis
+`learning_session` builds the L* learner of the driver; `synthesize` solves
+a built arena, and extracts and certifies a strategy when the initial state
+wins; `episode` runs one seeded co-simulation and judges it.  The CLI
+commands and `refine_loop` reach each stage through these alone.
+`refine_loop` builds its arenas with the driver check on, so that synthesis
 on an abstraction that is wrong stops at the first word of perceptions on
 which it predicts another output than the real driver gives.
 
@@ -244,30 +245,33 @@ def episode_passed(trace, verdict):
     return verdict.passed and not trace.lookup_misses
 
 
-@dataclass
-class Synthesis:
-    """What `synthesize` found: the explored arena (its winning region is
-    `arena.region`), and the certified strategy, which carries its template
-    report as `strategy.report`, or None when the initial state is lost."""
-
-    arena: object
-    strategy: object = None
-
-    @classmethod
-    def of(cls, arena):
-        """Solve a built arena, then extract and certify a strategy if the
-        initial state wins.  Raises `StrategyRejected` if `certify` refuses it."""
-        region = solve(arena)
-        if not realizable(arena, region):
-            return cls(arena)
-        strategy = extract_strategy(arena, region)
-        certify(arena, strategy, region)
-        return cls(arena, strategy)
+def learning_session(params, oracle, seed, state_cap=None):
+    """The L* session on a fresh driver of `params`.  Its random-walk oracle
+    walks as `oracle` says and draws from the one seed derived for it from
+    `seed`: the only source of the learner's randomness."""
+    sul = CognitiveDriver(params)
+    oracle = RandomWalkOracle(sul, replace(oracle, rng_seed=derive_seed(seed, "oracle")))
+    return LearningSession(sul, params.levels(), oracle, state_cap=state_cap)
 
 
-def synthesize(hm, scenario, params, variant):
-    """Build the game, with no driver check, and take `Synthesis.of` it."""
-    return Synthesis.of(build_arena(hm, scenario, params=params, variant=variant))
+def synthesize(arena):
+    """Solve a built arena; the certified strategy, which carries its template
+    report as `strategy.report`, or None when the initial state is lost.
+    Raises `StrategyRejected` if `certify` refuses the extracted strategy."""
+    region = solve(arena)
+    if not realizable(arena, region):
+        return None
+    strategy = extract_strategy(arena, region)
+    certify(arena, strategy, region)
+    return strategy
+
+
+def episode(strategy, scenario, params, hm, seed):
+    """One seeded episode of `strategy` on a fresh driver of `params`, and
+    its verdict: `(trace, verdict)`."""
+    cfg = scenario.supervisor_config()
+    trace = execute(strategy, CognitiveDriver(params), scenario, cfg, seed, hm, params)
+    return trace, monitor(trace, scenario.dest, cfg.thresholds)
 
 
 def refine(session, words):
@@ -303,9 +307,9 @@ def refine(session, words):
 
 @dataclass
 class RefineLoopConfig:
-    """`refine_loop`'s settings and the CLI's defaults for them.  The loop
-    replaces `oracle.rng_seed` with `derive_seed(seed, "oracle")`, so any
-    value set there is ignored."""
+    """`refine_loop`'s settings and the CLI's defaults for them.  Of
+    `oracle` only the walk settings count: `learning_session` draws from
+    `seed`, so `oracle.rng_seed` is never read."""
 
     oracle: EqOracleConfig = field(default_factory=EqOracleConfig)
     params: DriverParams = field(default_factory=DriverParams)
@@ -402,17 +406,13 @@ def refine_loop(scenario, cfg):
     it was), or on an unrealizable arena (unless variant expansion is
     enabled and a larger controllable action set is available).  Raises
     `StrategyRejected` if the template check refuses an extracted strategy.
-    The oracle draws from `derive_seed(cfg.seed, "oracle")`, never from
-    `cfg.oracle.rng_seed`.  Returns `(report, report.iterations)`: each
-    `IterationRecord` holds the iteration's machine, strategy and traces,
-    and the pair keeps the shape that `bench/run.py` unpacks.
+    The learner is `learning_session`'s, seeded from `cfg.seed`.  Returns
+    `(report, report.iterations)`: each `IterationRecord` holds the
+    iteration's machine, strategy and traces, and the pair keeps the shape
+    that `bench/run.py` unpacks.
     """
     params = cfg.params
-    sup = scenario.supervisor_config()
-    sul = CognitiveDriver(params)
-    oracle_cfg = replace(cfg.oracle, rng_seed=derive_seed(cfg.seed, "oracle"))
-    session = LearningSession(sul, params.levels(), RandomWalkOracle(sul, oracle_cfg),
-                              state_cap=cfg.initial_state_cap)
+    session = learning_session(params, cfg.oracle, cfg.seed, cfg.initial_state_cap)
     hm, _stats = session.run()
     variant = cfg.variant
     records = []
@@ -423,7 +423,7 @@ def refine_loop(scenario, cfg):
         records.append(record)
         try:
             arena = build_arena(hm, scenario, params=params, variant=variant, check_driver=True)
-            strategy = record.strategy = Synthesis.of(arena).strategy
+            strategy = record.strategy = synthesize(arena)
         except DriverDisagrees as err:
             record.disagreement = (err.word, err.explored)
             words = [err.word]
@@ -437,10 +437,9 @@ def refine_loop(scenario, cfg):
                     continue
                 reason = "unrealizable"
                 break
-            for r in range(cfg.runs):
-                trace = execute(strategy, CognitiveDriver(params), scenario, sup,
-                                derive_seed(cfg.seed, f"it{it}:run{r}"), hm, params)
-                record.traces.append((trace, monitor(trace, scenario.dest, sup.thresholds)))
+            record.traces = [episode(strategy, scenario, params, hm,
+                                     derive_seed(cfg.seed, f"it{it}:run{r}"))
+                             for r in range(cfg.runs)]
             words = [trace.stimulus_word() for trace, verdict in record.traces
                      if not episode_passed(trace, verdict)]
             if not words:

@@ -52,6 +52,9 @@ class Scenario:
     def __post_init__(self):
         if self.lead_pos <= self.follow_pos:
             raise ValueError("initial gap must be positive")
+        if self.dest <= self.follow_pos:
+            raise ValueError(f"dest ({self.dest}) must lie ahead of "
+                             f"follow_pos ({self.follow_pos})")
         if self.epoch <= 0 or self.horizon_epochs < 0:
             raise ValueError("epoch must be positive, horizon non-negative")
         if self.sensor_offset < 0:

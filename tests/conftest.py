@@ -206,9 +206,10 @@ def default_synthesis(oracle_machine, default_sc, driver_params, synthesis_count
 @pytest.fixture(scope="session")
 def braking_synthesis(oracle_machine, braking_sc, driver_params, synthesis_counts):
     """Arena, winning region, and strategy for the braking scenario."""
-    syn = synthesize(oracle_machine, braking_sc, driver_params, "full")
-    synthesis_counts[braking_sc.name] = synthesis_snapshot(syn.arena, syn.arena.region)
-    return syn.arena, syn.arena.region, syn.strategy
+    arena = build_arena(oracle_machine, braking_sc, driver_params, "full")
+    strategy = synthesize(arena)
+    synthesis_counts[braking_sc.name] = synthesis_snapshot(arena, arena.region)
+    return arena, arena.region, strategy
 
 
 @pytest.fixture

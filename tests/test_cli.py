@@ -5,7 +5,7 @@ import pytest
 from sharedctrl import cli, cosim
 from sharedctrl.cli import EXIT_OK, EXIT_UNREALIZABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
-from sharedctrl.lstar import EqOracleConfig
+from sharedctrl.lstar import EqOracleConfig, LearningSession
 from sharedctrl.mealy import serialize
 
 
@@ -30,7 +30,7 @@ def test_validate_runs_a_synthesized_strategy(tmp_path, oracle_machine, default_
 def test_validate_fails_a_fallback_episode(tmp_path, monkeypatch, oracle_machine,
                                           default_synthesis):
     # the verdict passes, but the fail-safe fallback fired once: exit 3
-    real_execute = cli.execute
+    real_execute = cosim.execute
     misses = iter([1])
 
     def one_miss(*args, **kwargs):
@@ -38,7 +38,7 @@ def test_validate_fails_a_fallback_episode(tmp_path, monkeypatch, oracle_machine
         trace.lookup_misses = next(misses, trace.lookup_misses)
         return trace
 
-    monkeypatch.setattr(cli, "execute", one_miss)
+    monkeypatch.setattr(cosim, "execute", one_miss)
     _arena, _region, strategy = default_synthesis
     code, out = validate(tmp_path, oracle_machine, strategy, "fallback")
     assert code == EXIT_VALIDATION
@@ -112,6 +112,19 @@ def test_synth_names_the_bad_line_of_a_scenario_file(tmp_path, capsys, oracle_ma
     assert "line 2: unknown key 'horizon_epoch'" in capsys.readouterr().err
 
 
+def test_synth_rejects_a_dest_at_the_start(tmp_path, capsys, oracle_machine):
+    # it used to certify a strategy of 0 entries and exit 0
+    scenario_path = tmp_path / "at-start.scenario"
+    scenario_path.write_text("dest=0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--scenario", str(scenario_path),
+                 "--hm", str(write_hm(tmp_path, oracle_machine)), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert (f"{scenario_path}: dest (0.0) must lie ahead of follow_pos (0.0)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_synth_names_the_bad_line_of_an_abstraction_file(tmp_path, capsys, oracle_machine):
     lines = serialize(oracle_machine).splitlines()
     lines[-1] = "t 0 x 1 0"
@@ -162,16 +175,46 @@ def test_demo_reaches_the_destination(capsys):
 
 def test_demo_fails_a_fallback_episode(capsys, monkeypatch):
     # the verdict passes, but the fail-safe fallback fired once: exit 3
-    real_execute = cli.execute
+    real_execute = cosim.execute
 
     def one_miss(*args, **kwargs):
         trace = real_execute(*args, **kwargs)
         trace.lookup_misses = 1
         return trace
 
-    monkeypatch.setattr(cli, "execute", one_miss)
+    monkeypatch.setattr(cosim, "execute", one_miss)
     assert main(["demo"]) == EXIT_VALIDATION
     assert "verdict: safe-and-reached" in capsys.readouterr().out
+
+
+class Unconverged(LearningSession):
+    """A session that learns as usual but reports it did not converge."""
+
+    def run(self):
+        machine, stats = super().run()
+        stats.converged = False
+        return machine, stats
+
+
+def test_learn_writes_an_unconverged_abstraction_and_exits_1(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(cosim, "LearningSession", Unconverged)
+    out = tmp_path / "out"
+    assert main(["learn", "--out", str(out)]) == EXIT_USAGE
+    assert "did not converge" in capsys.readouterr().err
+    assert "converged=false" in (out / "learn_report.txt").read_text(encoding="utf-8")
+
+
+def test_demo_stops_on_an_unconverged_abstraction(capsys, monkeypatch):
+    # as `learn` does: no game is built on it
+    def never(*args, **kwargs):
+        raise AssertionError("built a game on an unconverged abstraction")
+
+    monkeypatch.setattr(cosim, "LearningSession", Unconverged)
+    monkeypatch.setattr(cli, "build_arena", never)
+    assert main(["demo"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "did not converge" in err and out == ""
 
 
 def test_refine_passes_on_default(tmp_path):

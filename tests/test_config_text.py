@@ -25,7 +25,7 @@ def scenarios(draw):
         lead_vel=draw(floats(0.0, 40.0)),
         follow_pos=follow_pos,
         follow_vel=draw(floats(0.0, 40.0)),
-        dest=draw(floats(0.0, 1e4)),
+        dest=follow_pos + draw(floats(0.01, 1e4)),
         epoch=draw(floats(0.01, 5.0)),
         horizon_epochs=draw(st.integers(0, 1000)),
         sensor_offset=draw(st.integers(0, 5)),

@@ -15,9 +15,11 @@ from sharedctrl.cosim import (
     TraceRow,
     Verdict,
     derive_seed,
+    episode,
     episode_passed,
     epoch_context,
     execute,
+    learning_session,
     monitor,
     refine,
     refine_loop,
@@ -54,11 +56,11 @@ def run_once(strategy, scenario, params, hm, seed=0):
 
 def edge_scenario(follow_pos, dest):
     """A lattice scenario whose follower starts at `follow_pos`, the lead at
-    30 m.  `Scenario` refuses a start at or past the lead, so that one is
-    placed directly."""
+    30 m.  `Scenario` refuses a start at or past the lead or `dest`, so such
+    a start is placed directly."""
     sc = Scenario(name="edge", lead_pos=30.0, lead_vel=10.0, follow_vel=10.0, dest=dest,
                   horizon_epochs=6, sensor_offset=0, v_max=16.0)
-    if follow_pos < sc.lead_pos:
+    if follow_pos < min(sc.lead_pos, dest):
         return replace(sc, follow_pos=follow_pos)
     object.__setattr__(sc, "follow_pos", follow_pos)
     return sc
@@ -135,8 +137,10 @@ def test_execute_stub_crashes_on_braking(braking_sc, driver_params, oracle_machi
 
 
 def test_execute_zero_epoch_scenario(driver_params, oracle_machine):
-    sc = Scenario(name="done", lead_pos=20.0, lead_vel=10.0, follow_pos=0.0,
+    # `Scenario` refuses a start at `dest`, so it is placed directly
+    sc = Scenario(name="done", lead_pos=20.0, lead_vel=10.0, follow_pos=-1.0,
                   follow_vel=10.0, dest=0.0, horizon_epochs=0, v_max=16.0)
+    object.__setattr__(sc, "follow_pos", 0.0)
     trace = run_once(ConstantStrategy("none"), sc, driver_params, oracle_machine)
     assert trace.rows == []
     verdict = monitor(trace, sc.dest, sc.supervisor_config().thresholds)
@@ -402,6 +406,15 @@ def make_session(params, seed=0, state_cap=None):
     return LearningSession(sul, sul.alphabet, oracle, state_cap=state_cap)
 
 
+def test_learning_session_seeds_its_oracle_from_the_seed(driver_params):
+    # the walk settings are kept; the oracle's own seed is replaced
+    oracle = EqOracleConfig(num_walks=7, max_walk_len=3, reset_prob=0.5, rng_seed=123)
+    session = learning_session(driver_params, oracle, seed=5, state_cap=4)
+    assert session.oracle.cfg == replace(oracle, rng_seed=derive_seed(5, "oracle"))
+    assert session.oracle.sul is session.sul and session.state_cap == 4
+    assert session.table.alphabet == driver_params.levels()
+
+
 def test_refine_skips_agreeing_trace(driver_params, oracle_machine,
                                      default_synthesis, default_sc):
     session = make_session(driver_params)
@@ -502,24 +515,25 @@ def test_refine_loop_relearns_a_driver_that_differs_only_in_its_rule_chains(name
 
 @pytest.fixture(scope="module")
 def coarse_synthesis(default_sc, driver_params):
-    """Synthesis on the 2-state machine a state-capped session learns first."""
+    """Arena and strategy of the 2-state machine a state-capped session
+    learns first."""
     hm, _stats = make_session(driver_params, state_cap=2).run()
-    return hm, synthesize(hm, default_sc, driver_params, "full")
+    arena = build_arena(hm, default_sc, driver_params, "full")
+    return hm, arena, synthesize(arena)
 
 
 def test_refine_counts_only_words_that_add_a_suffix(default_sc, driver_params,
                                                     coarse_synthesis):
     # the coarse strategy's 25 episodes, seeded as a loop's first iteration
     # seeds them: 25 distinguishing words, 21 of them find their suffix in E
-    hm, syn = coarse_synthesis
-    session = make_session(driver_params, seed=derive_seed(0, "oracle"), state_cap=2)
+    hm, _arena, strategy = coarse_synthesis
+    session = learning_session(driver_params, EqOracleConfig(), 0, state_cap=2)
     assert serialize(session.run()[0]) == serialize(hm)
-    cfg = default_sc.supervisor_config()
     violating = []
     for r in range(25):
-        trace = execute(syn.strategy, CognitiveDriver(driver_params), default_sc, cfg,
-                        derive_seed(0, f"it0:run{r}"), hm, driver_params)
-        if not episode_passed(trace, monitor(trace, default_sc.dest, cfg.thresholds)):
+        trace, verdict = episode(strategy, default_sc, driver_params, hm,
+                                 derive_seed(0, f"it0:run{r}"))
+        if not episode_passed(trace, verdict):
             violating.append(trace)
     assert len(violating) == 25
     words = [trace.stimulus_word() for trace in violating]
@@ -619,20 +633,20 @@ def test_refine_loop_does_not_pass_a_fallback_episode(default_sc, monkeypatch,
 
 def test_synthesize_certifies_or_reports_a_lost_initial_state(
         oracle_machine, default_sc, braking_sc, driver_params, default_synthesis):
-    won = synthesize(oracle_machine, default_sc, driver_params, "full")
-    assert won.strategy.actions == default_synthesis[2].actions
-    assert won.strategy.report.safety_ok and won.strategy.report.min_intervention_ok
-    lost = synthesize(oracle_machine, braking_sc, driver_params, "no-override")
-    assert lost.strategy is None
-    assert lost.arena.initial not in lost.arena.region
+    won = synthesize(build_arena(oracle_machine, default_sc, driver_params, "full"))
+    assert won.actions == default_synthesis[2].actions
+    assert won.report.safety_ok and won.report.min_intervention_ok
+    arena = build_arena(oracle_machine, braking_sc, driver_params, "no-override")
+    assert synthesize(arena) is None
+    assert arena.initial not in arena.region
 
 
 def test_coarse_synthesis_is_pinned(coarse_synthesis):
     # the arena of the 2-state machine a coarse loop starts from
-    hm, syn = coarse_synthesis
+    hm, arena, strategy = coarse_synthesis
     assert len(hm.states) == 2
-    text = serialize_strategy(syn.strategy)
-    assert (syn.arena.n_states, syn.arena.region.iterations, len(syn.strategy.actions),
+    text = serialize_strategy(strategy)
+    assert (arena.n_states, arena.region.iterations, len(strategy.actions),
             hashlib.sha256(text.encode()).hexdigest()) == (
         67337, 46171, 30912,
         "f043e27441fd71dae9f01c3a5cb5ed9c2cc1434da39d39be6fcee2a5c655d917")
@@ -651,10 +665,11 @@ def refcount_only():
 def test_synthesis_is_freed_by_reference_counting(oracle_machine, default_sc,
                                                   driver_params, refcount_only):
     # no reference cycle keeps an arena alive until the cyclic GC runs
-    syn = synthesize(oracle_machine, default_sc, driver_params, "full")
-    arena = weakref.ref(syn.arena)
-    del syn
-    assert arena() is None
+    arena = build_arena(oracle_machine, default_sc, driver_params, "full")
+    strategy = synthesize(arena)
+    dead = weakref.ref(arena)
+    del arena, strategy
+    assert dead() is None
 
 
 def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount_only):
@@ -726,7 +741,7 @@ def test_epoch_cache_keeps_no_machine_strategy_or_driver(default_sc, driver_para
     # a scenario outlives its episodes; what they ran on dies with them
     scenario = _cold(default_sc)
     hm = explicit_machine(driver_params)
-    strategy = synthesize(hm, scenario, driver_params, "full").strategy
+    strategy = synthesize(build_arena(hm, scenario, driver_params, "full"))
     sul = CognitiveDriver(driver_params)
     trace = execute(strategy, sul, scenario, scenario.supervisor_config(), 3, hm,
                     driver_params)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from sharedctrl import game
-from sharedctrl.cosim import episode_passed, execute, monitor, synthesize
+from sharedctrl.cosim import episode, episode_passed, synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
@@ -803,14 +803,16 @@ def test_extraction_report_is_the_template_check(scenario, params, machine, vari
 
 @st.composite
 def scenarios_with_dest_in_reach(draw, max_horizon):
-    """Lattice scenarios whose `dest` lies no farther past the start than the
-    follower gets at its initial speed within the horizon, so that enough
-    draws are realizable for a property about won games to say something.
-    `dest` is drawn as the lattice steps it falls short of that point, so
-    small draws put it where the follower must not slow down much."""
+    """Lattice scenarios whose `dest` lies ahead of the start, but no farther
+    than the follower gets at its initial speed within the horizon (or one
+    lattice step, if that is farther), so that enough draws are realizable
+    for a property about won games to say something.  `dest` is drawn as the
+    lattice steps it falls short of that point, so small draws put it where
+    the follower must not slow down much."""
     scenario = draw(lattice_scenarios(max_horizon=max_horizon))
-    reach = round(scenario.follow_vel * scenario.epoch * scenario.horizon_epochs * POS_SCALE)
-    short = draw(st.integers(0, reach))
+    reach = max(1, round(scenario.follow_vel * scenario.epoch * scenario.horizon_epochs
+                         * POS_SCALE))
+    short = draw(st.integers(0, reach - 1))
     return replace(scenario, dest=scenario.follow_pos + (reach - short) / POS_SCALE)
 
 
@@ -822,19 +824,18 @@ def test_realizable_strategies_pass_co_simulation(scenario, params, variant):
     # certified strategy on the exact machine passes unless the strategy lost
     # track of the driver; under default params it never does
     hm = abstractions(params)["exact"]
-    strategy = synthesize(hm, scenario, params, variant).strategy
+    strategy = synthesize(build_arena(hm, scenario, params, variant))
     if strategy is None:
         event("unrealizable")
         return
     event("realizable")
-    cfg = scenario.supervisor_config()
     for seed in range(10):
-        trace = execute(strategy, CognitiveDriver(params), scenario, cfg, seed, hm, params)
+        trace, verdict = episode(strategy, scenario, params, hm, seed)
         if trace.lookup_misses:
             event("episode with a lookup miss")
             assert params != DriverParams()
         else:
-            assert episode_passed(trace, monitor(trace, scenario.dest, cfg.thresholds))
+            assert episode_passed(trace, verdict)
 
 
 def synthesized_texts(hm, scenario, params, variant, check_driver):

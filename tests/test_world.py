@@ -221,6 +221,18 @@ def test_scenario_rejects_non_positive_v_max_and_negative_speeds(fields, message
         Scenario.from_text(text)
 
 
+@pytest.mark.parametrize("fields", [dict(dest=0.0), dict(follow_pos=20.0, dest=12.5)])
+def test_scenario_rejects_a_dest_not_ahead_of_the_start(fields):
+    # such a start is already reached: a pipeline would pass it doing nothing
+    message = (fr"dest \({fields['dest']}\) must lie ahead of "
+               fr"follow_pos \({fields.get('follow_pos', 0.0)}\)")
+    with pytest.raises(ValueError, match=message):
+        Scenario(**fields)
+    text = "".join(f"{key}={value}\n" for key, value in fields.items())
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_text(text)
+
+
 def test_equal_scenarios_hash_equal():
     # a frozen value: equal scenarios hash equal, caches or not
     sc = default_scenario()
