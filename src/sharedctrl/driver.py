@@ -116,21 +116,32 @@ class CognitiveDriver:
 
     One instance is single-owner mutable state: interleaved queries from
     concurrent callers are not supported, but independent instances are.
-    Since `driver_step` is pure, its results are kept in one transition
-    table per `DriverParams`, shared by every instance built with equal
-    params: a driver made for one episode starts with what earlier ones
-    computed.  A table holds at most one entry per reachable internal state
-    and level, and an entry never changes once written, so instances in
-    different threads at worst compute one twice.
+    Since `driver_step` is pure, its results are kept in one table per
+    `DriverParams`, shared by every instance built with equal params: a
+    driver made for one episode starts with what earlier ones computed.
+    The table maps each internal state reached so far to its row `(state,
+    {level: (successor row, response)})`, and a driver holds its current
+    row, so a step taken before is one lookup on that row.  The level is
+    checked and `driver_step` called only on a miss, so an out-of-range
+    level never gets an entry and always raises `ValueError`.  A row or
+    entry never changes once written, so instances in different threads at
+    worst build one twice and keep the first.
     """
 
-    _tables = {}  # DriverParams -> {(state, level): (state', response)}
+    _tables = {}  # DriverParams -> {state: (state, {level: (successor row, response)})}
 
     def __init__(self, params):
         self.params = params
         self._level_set = set(self.params.levels())
-        self._table = self._tables.setdefault(self.params, {})
-        self.reset()
+        self._rows = self._tables.setdefault(self.params, {})
+        self._initial = self._row_of(initial_driver_state(self.params))
+        self._row = self._initial
+
+    def _row_of(self, state):
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows.setdefault(state, (state, {}))
+        return row
 
     @property
     def alphabet(self):
@@ -138,25 +149,27 @@ class CognitiveDriver:
 
     @property
     def state(self):
-        return self._state
+        return self._row[0]
 
     def reset(self):
-        self._state = initial_driver_state(self.params)
+        self._row = self._initial
 
     def query(self, level):
         """Deliberate on one stimulus; returns the `(rule_chain, acc)` response."""
-        if level not in self._level_set:
-            raise ValueError(f"stimulus level {level!r} out of range")
-        key = (self._state, level)
-        step = self._table.get(key)
+        step = self._row[1].get(level)
         if step is None:
-            step = self._table[key] = driver_step(self._state, level, self.params)
-        self._state, response = step
+            if level not in self._level_set:
+                raise ValueError(f"stimulus level {level!r} out of range")
+            state, steps = self._row
+            succ, response = driver_step(state, level, self.params)
+            step = steps.setdefault(level, (self._row_of(succ), response))
+        self._row, response = step
         return response
 
     def apply_hint(self):
         """Force full deliberation on the next stimulus (clears the cached level)."""
-        self._state = (None, self._state[1], self._state[2])
+        _level, acc, thw = self._row[0]
+        self._row = self._row_of((None, acc, thw))
 
 
 def explicit_machine(params):

@@ -206,21 +206,36 @@ def random_walk_eq(sul, hypothesis, cfg, stats):
     Runs `num_walks` walks with geometric restarts; returns the first input
     prefix on which SUL and hypothesis outputs diverge, else None.  Fully
     deterministic for a given `rng_seed`.
+
+    Each symbol is drawn exactly as `random.Random(rng_seed).choice(alphabet)`
+    draws it, after the same `random()` restart check: the rejection loop
+    that `choice` runs on `getrandbits` is written out, which consumes the
+    same bits and saves three calls per step of the loop that dominates a
+    learn.  The hypothesis steps through `delta` unchecked for the same
+    reason.
     """
     rng = random.Random(cfg.rng_seed)
-    alphabet = hypothesis.inputs
+    rand, getrandbits = rng.random, rng.getrandbits
+    reset, query = sul.reset, sul.query
+    delta, initial, alphabet = hypothesis.delta, hypothesis.initial, hypothesis.inputs
+    n = len(alphabet)
+    k = n.bit_length()
+    reset_prob, max_walk_len = cfg.reset_prob, cfg.max_walk_len
     stats.equivalence_queries += 1
     for _ in range(cfg.num_walks):
-        sul.reset()
-        state = hypothesis.initial
+        reset()
+        state = initial
         word = []
-        while len(word) < cfg.max_walk_len:
-            if word and rng.random() < cfg.reset_prob:
+        for length in range(max_walk_len):
+            if length and rand() < reset_prob:
                 break
-            symbol = rng.choice(alphabet)
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            symbol = alphabet[r]
             word.append(symbol)
-            actual = sul.query(symbol)
-            state, predicted = hypothesis.step(state, symbol)
+            actual = query(symbol)
+            state, predicted = delta[state][symbol]
             if actual != predicted:
                 return tuple(word)
     return None

@@ -51,7 +51,8 @@ class Scenario:
 
     def __post_init__(self):
         if self.lead_pos <= self.follow_pos:
-            raise ValueError("initial gap must be positive")
+            raise ValueError(f"lead_pos ({self.lead_pos}) must lie ahead of "
+                             f"follow_pos ({self.follow_pos})")
         if self.dest <= self.follow_pos:
             raise ValueError(f"dest ({self.dest}) must lie ahead of "
                              f"follow_pos ({self.follow_pos})")

@@ -125,6 +125,18 @@ def test_synth_rejects_a_dest_at_the_start(tmp_path, capsys, oracle_machine):
     assert not out.exists()
 
 
+def test_synth_rejects_a_start_past_the_lead(tmp_path, capsys, oracle_machine):
+    scenario_path = tmp_path / "past-lead.scenario"
+    scenario_path.write_text("follow_pos=60.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--scenario", str(scenario_path),
+                 "--hm", str(write_hm(tmp_path, oracle_machine)), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert (f"{scenario_path}: lead_pos (50.0) must lie ahead of follow_pos (60.0)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_synth_names_the_bad_line_of_an_abstraction_file(tmp_path, capsys, oracle_machine):
     lines = serialize(oracle_machine).splitlines()
     lines[-1] = "t 0 x 1 0"

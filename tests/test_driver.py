@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,8 +188,84 @@ def test_shared_transition_table_matches_driver_step(driver_params, ops):
     tables = CognitiveDriver._tables
     assert tables[driver_params] is not tables[OTHER_PARAMS]
     for params in (driver_params, OTHER_PARAMS):
-        for (state, level), step in tables[params].items():
-            assert step == driver_step(state, level, params)
+        rows = tables[params]
+        for state, (row_state, steps) in rows.items():
+            assert row_state == state
+            for level, (succ_row, response) in steps.items():
+                assert (succ_row[0], response) == driver_step(state, level, params)
+                assert rows[succ_row[0]] is succ_row
+
+
+def test_drivers_with_equal_params_share_rows():
+    a, b = CognitiveDriver(DriverParams()), CognitiveDriver(DriverParams())
+    other = CognitiveDriver(OTHER_PARAMS)
+    assert a._row is b._row is not other._row
+    for level in (4, 1, 1, 3, "hint", 3, 2):
+        for driver in (a, b, other):
+            if level == "hint":
+                driver.apply_hint()
+            else:
+                driver.query(level)
+        assert a._row is b._row is CognitiveDriver._tables[DriverParams()][a.state]
+        assert other._row is CognitiveDriver._tables[OTHER_PARAMS][other.state]
+    a.reset()
+    assert a._row is CognitiveDriver(DriverParams())._row
+
+
+def test_out_of_range_level_raises_on_fresh_and_filled_rows():
+    params = DriverParams(k1=1.75, thw_levels=(1.25, 2.5))  # a table of its own
+    driver = CognitiveDriver(params)
+    start = driver.state
+    steps = CognitiveDriver._tables[params][start][1]
+    assert steps == {}
+    for level in (0, 4, "1", None):
+        with pytest.raises(ValueError, match="out of range"):
+            driver.query(level)
+    assert steps == {}  # a refused level gets no entry
+    for level in (1, 2):
+        driver.query(level)
+        driver.reset()
+    assert set(steps) == {1, 2}
+    for level in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            driver.query(level)
+    assert driver.state == start
+    assert set(steps) == {1, 2}
+
+
+def test_threads_filling_one_table_agree_with_driver_step():
+    params = DriverParams(k1=1.25, thw_levels=(0.75, 1.5, 2.25, 3.0))  # a table of its own
+    levels = params.levels()
+    mismatches = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            driver = CognitiveDriver(params)
+            state = driver.state
+            for _ in range(25):
+                level = rng.choice(levels)
+                state, expected = driver_step(state, level, params)
+                if driver.query(level) != expected or driver.state != state:
+                    mismatches.append((seed, level))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    rows = CognitiveDriver._tables[params]
+    for state, (_state, steps) in rows.items():
+        for level, (succ_row, response) in steps.items():
+            assert (succ_row[0], response) == driver_step(state, level, params)
+            assert rows[succ_row[0]] is succ_row
 
 
 def test_params_hold_tuples():

@@ -1,7 +1,11 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sharedctrl.driver import CognitiveDriver
+from sharedctrl.cosim import learning_session
+from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.lstar import (
     EqOracleConfig,
     LearnStats,
@@ -191,6 +195,93 @@ def test_random_walk_eq_deterministic(fresh_driver):
     fresh_driver.reset()
     second = random_walk_eq(fresh_driver, stub, cfg, LearnStats())
     assert first == second
+
+
+def choice_random_walk_eq(sul, hypothesis, cfg, stats):
+    """The random-walk oracle as first written: `rng.choice` for each symbol
+    and `hypothesis.step` for each prediction."""
+    rng = random.Random(cfg.rng_seed)
+    alphabet = hypothesis.inputs
+    stats.equivalence_queries += 1
+    for _ in range(cfg.num_walks):
+        sul.reset()
+        state = hypothesis.initial
+        word = []
+        while len(word) < cfg.max_walk_len:
+            if word and rng.random() < cfg.reset_prob:
+                break
+            symbol = rng.choice(alphabet)
+            word.append(symbol)
+            actual = sul.query(symbol)
+            state, predicted = hypothesis.step(state, symbol)
+            if actual != predicted:
+                return tuple(word)
+    return None
+
+
+class CallLog:
+    """A SUL that forwards to `sul` and logs each call: None for a reset,
+    the symbol for a query."""
+
+    def __init__(self, sul):
+        self.sul = sul
+        self.calls = []
+
+    def reset(self):
+        self.calls.append(None)
+        self.sul.reset()
+
+    def query(self, symbol):
+        self.calls.append(symbol)
+        return self.sul.query(symbol)
+
+
+EIGHT_LEVELS = DriverParams(thw_levels=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+
+
+@lru_cache(maxsize=None)
+def walk_hypothesis(params, kind):
+    """The exact machine of `params`, or the 1- or 2-state machine L* builds
+    under that state cap."""
+    if kind == "exact":
+        return minimize(explicit_machine(params))
+    sul = CognitiveDriver(params)
+    machine, _ = LearningSession(sul, sul.alphabet, None, state_cap=kind).run()
+    return machine
+
+
+@pytest.mark.parametrize("params", [DriverParams(), EIGHT_LEVELS], ids=["4-level", "8-level"])
+@pytest.mark.parametrize("kind", ["exact", 1, 2])
+@pytest.mark.parametrize("cfg", [EqOracleConfig(),
+                                 EqOracleConfig(num_walks=37, max_walk_len=5, reset_prob=0.3)],
+                         ids=["default", "short"])
+def test_random_walk_eq_walks_as_rng_choice_does(params, kind, cfg):
+    hypothesis = walk_hypothesis(params, kind)
+    found = 0
+    for seed in range(50):
+        seeded = EqOracleConfig(cfg.num_walks, cfg.max_walk_len, cfg.reset_prob, seed)
+        runs = []
+        for oracle in (random_walk_eq, choice_random_walk_eq):
+            sul, stats = CallLog(CognitiveDriver(params)), LearnStats()
+            runs.append((oracle(sul, hypothesis, seeded, stats), sul.calls, stats))
+        assert runs[0] == runs[1]
+        found += runs[0][0] is not None
+    # the exact machine passes every walk; the capped ones are caught
+    assert found == (0 if kind == "exact" else 50)
+
+
+@pytest.mark.parametrize("seed, word", [(0, (4, 4)), (1, (2, 1, 4, 4)), (2, (1, 3, 3))])
+def test_random_walk_eq_counterexamples_are_pinned(seed, word):
+    hypothesis = walk_hypothesis(DriverParams(), 2)
+    cfg = EqOracleConfig(rng_seed=seed)
+    assert random_walk_eq(CognitiveDriver(DriverParams()), hypothesis, cfg, LearnStats()) == word
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_learning_session_stats_are_pinned(seed):
+    _machine, stats = learning_session(DriverParams(), EqOracleConfig(), seed).run()
+    assert stats.report_text() == ("rounds=1\nmembership_queries=148\nequivalence_queries=1\n"
+                                   "states=9\ntransitions=36\nconverged=true\n")
 
 
 def test_learn_toggle():

@@ -233,6 +233,17 @@ def test_scenario_rejects_a_dest_not_ahead_of_the_start(fields):
         Scenario.from_text(text)
 
 
+@pytest.mark.parametrize("fields", [dict(follow_pos=60.0), dict(lead_pos=20.0, follow_pos=20.0)])
+def test_scenario_rejects_a_start_not_behind_the_lead(fields):
+    message = (fr"lead_pos \({fields.get('lead_pos', 50.0)}\) must lie ahead of "
+               fr"follow_pos \({fields['follow_pos']}\)")
+    with pytest.raises(ValueError, match=message):
+        Scenario(**fields)
+    text = "".join(f"{key}={value}\n" for key, value in fields.items())
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_text(text)
+
+
 def test_equal_scenarios_hash_equal():
     # a frozen value: equal scenarios hash equal, caches or not
     sc = default_scenario()

@@ -62,6 +62,11 @@ thw_follow=2.0
 thw_levels=1.0,2.0,3.0
 """
 
+# five stimulus levels: the oracle draws from an alphabet of 5, not 4
+FIVE_LEVELS_TEXT = """\
+thw_levels=0.5,1.0,2.0,3.0
+"""
+
 
 def runs():
     """The argv of each run, with `{tmp}` for the temporary directory."""
@@ -90,6 +95,8 @@ def runs():
                "--oracle-reset-prob", "0.2"]
     yield ["learn", *learner, "--out", "{tmp}/learn-seed7"]
     yield ["refine", "--scenario", "default", *learner, "--out", "{tmp}/refine-seed7"]
+    yield ["learn", "--driver-params", "{tmp}/files/five-levels.txt",
+           "--out", "{tmp}/learn-five-levels"]
 
 
 def _digest(data, tmp):
@@ -127,7 +134,8 @@ def main():
         sys.exit(f"sharedctrl was imported from {cli.__file__}, not from {SRC}")
     with tempfile.TemporaryDirectory() as tmp:
         os.makedirs(os.path.join(tmp, "files"))
-        for name, text in (("scenario.txt", SCENARIO_TEXT), ("params.txt", PARAMS_TEXT)):
+        for name, text in (("scenario.txt", SCENARIO_TEXT), ("params.txt", PARAMS_TEXT),
+                           ("five-levels.txt", FIVE_LEVELS_TEXT)):
             with open(os.path.join(tmp, "files", name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for argv in runs():
