@@ -29,10 +29,8 @@ from .driver import CognitiveDriver, DriverParams, FULL_CHAIN
 from .game import (
     AbstractDriver,
     DriverDisagrees,
-    POS_SCALE,
     TURN_CTRL,
     VARIANT_ACTIONS,
-    VEL_SCALE,
     build_arena,
     certify,
     extract_strategy,
@@ -124,18 +122,17 @@ def epoch_context(scenario, params, k, fpos, fvel):
     """What the follower state `(k, fpos, fvel)` of an episode determines.
 
     The empty tuple when `world.judge` finds that it has overtaken or
-    reached, else `(t, lead_pos, lead_vel, thw, ttc, perceivable, pos, vel)`:
-    the row time, the lead from `scenario.lead_track`, the headway metrics,
-    the levels the sensor may report, and the lattice position and velocity
-    of the strategy key.  Of `params`, only the boundaries `thw_levels` count.
+    reached, else `(t, lead_pos, lead_vel, thw, ttc, perceivable)`: the row
+    time, the lead from `scenario.lead_track`, the headway metrics and the
+    levels the sensor may report.  Of `params`, only the boundaries
+    `thw_levels` count.
     """
     _t, lpos, lvel, _lacc = scenario.lead_track[k]
     if any(judge(fpos, lpos, scenario.dest)):
         return ()
     thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
     perceivable = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
-    return (k * scenario.epoch, lpos, lvel, thw, ttc, perceivable,
-            round(fpos * POS_SCALE), round(fvel * VEL_SCALE))
+    return k * scenario.epoch, lpos, lvel, thw, ttc, perceivable
 
 
 def execute(strategy, sul, scenario, cfg, seed, hm, params):
@@ -143,11 +140,13 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
 
     Per epoch: sample the perceived headway level, query the full driver,
     resolve the matching game state through the abstraction mirror, look up
-    the strategy action, arbitrate, and advance the follower.  A lookup miss
-    means the driver left the learned abstraction; the fail-safe fallback
-    forces Intervention at maximal braking and is counted on the trace.
-    Rows whose action the strategy supplied carry its `certified` flag;
-    fallback rows are never certified.
+    the strategy action, arbitrate, and advance the follower.  The key looked
+    up is the game's controller state `(TURN_CTRL, k, fpos, fvel, q, dacc)`
+    in the episode's own floats, since the game plays in the same metres.  A
+    lookup miss means the driver left the learned abstraction; the fail-safe
+    fallback forces Intervention at maximal braking and is counted on the
+    trace.  Rows whose action the strategy supplied carry its `certified`
+    flag; fallback rows are never certified.
 
     What depends only on the follower's state `(k, fpos, fvel)` is its
     `epoch_context`, cached in `scenario.epoch_contexts` under the boundaries
@@ -178,11 +177,11 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
             context = contexts[k, fpos, fvel] = epoch_context(scenario, params, k, fpos, fvel)
         if not context:
             break
-        t, lpos, lvel, thw, ttc, perceivable, key_pos, key_vel = context
+        t, lpos, lvel, thw, ttc, perceivable = context
         perceived = choice(perceivable)
         chain, dacc = query(perceived)
         q, _dacc_pred, _full = step(q, hinted, perceived)
-        action = action_for((TURN_CTRL, k, key_pos, key_vel, q, dacc))
+        action = action_for((TURN_CTRL, k, fpos, fvel, q, dacc))
         if action is None:
             misses += 1
             action = ACTION_OVERRIDE

@@ -16,16 +16,19 @@ controller turn at `k`, a controller edge to the environment turn at
 `k + 1`, so a built arena is a DAG of depth 2·horizon.  The solver needs
 the arena to be acyclic and raises `ValueError` on a cycle.
 
-Positions and velocities are held on an exact lattice (0.25 m, 0.5 m/s
-units) so that the gridded game dynamics coincide bit-for-bit with the
-continuous simulation.  The objective is `monitor`'s strong until over
+The game plays in the metres and floats of co-simulation: it reads the lead
+from `scenario.lead_track`, steps the follower with `world.advance` and
+judges with `world.judge`, so a game state holds an episode's follower state
+exactly.  The lattice (0.25 m, 0.5 m/s) is the precondition that keeps every
+float exact, checked by `grid_lattice_checks`, and the integer encoding of
+strategy files.  The objective is `monitor`'s strong until over
 `world.judge`'s atoms: never overtake the lead, reach `dest` by the horizon.
 
 State encoding.  Environment turn: `(0, k, fpos, fvel, hm, hinted)`;
-controller turn: `(1, k, fpos, fvel, hm, driver_acc)` with positions and
-velocities in lattice units.  The supervision mode and the perceived level
-are deliberately not part of the state: both are functions of the incoming
-edge (mode follows the chosen action one-to-one, the perceived level is
+controller turn: `(1, k, fpos, fvel, hm, driver_acc)` in metres and metres
+per second.  The supervision mode and the perceived level are deliberately
+not part of the state: both are functions of the incoming edge (mode
+follows the chosen action one-to-one, the perceived level is
 subsumed by the driver successor and its emitted acceleration), so folding
 them out is a bisimulation quotient that leaves the winning region and all
 checked properties unchanged while keeping the product tractable.  An
@@ -63,7 +66,7 @@ from .supervisor import (
     ACTIONS,
     arbitrate,
 )
-from .world import headway_metrics, judge, quantize_thw
+from .world import advance, headway_metrics, judge, quantize_thw
 
 TURN_ENV = 0
 TURN_CTRL = 1
@@ -126,10 +129,12 @@ class DriverDisagrees(RuntimeError):
 
 
 def _scaled(value, scale, what):
-    q = round(value * scale)
-    if not math.isclose(q, value * scale, rel_tol=0.0, abs_tol=1e-9):
+    """`value * scale`, which must be a whole number: a value a rounding
+    error off the lattice is refused, not rounded onto it."""
+    scaled = value * scale
+    if not float(scaled).is_integer():
         raise ValueError(f"{what} {value!r} is not on the arena lattice")
-    return q
+    return int(scaled)
 
 
 class AbstractDriver:
@@ -259,23 +264,25 @@ class GameArena:
         return sum(len(e) for e in self.edges if e is not None)
 
 
-def grid_lattice_checks(scenario, params, cfg):
-    """The epoch and each acceleration's step must sit on the lattice;
-    `build_arena` checks positions and velocities as it converts them."""
+def grid_lattice_checks(hm, scenario, params, cfg):
+    """The one check that every value the arena of `hm` reads is on the
+    lattice, in order: the epoch, the velocity increment of each
+    acceleration (the driver's, the lead's, the clamp's and `hm`'s outputs),
+    the lead track, `dest`, `v_max` and the follower's start."""
     eps = scenario.epoch
-    if not math.isclose(eps * POS_SCALE / VEL_SCALE, round(eps * POS_SCALE / VEL_SCALE)):
+    if not float(eps * POS_SCALE / VEL_SCALE).is_integer():
         raise ValueError(f"epoch {eps} incompatible with the position lattice")
     accs = set(params.acc_set) | {a for _, a in scenario.profile.segments}
-    accs |= {cfg.acc_floor, cfg.acc_cap}
+    accs |= {cfg.acc_floor, cfg.acc_cap} | {acc for _chain, acc in hm.outputs}
     for a in sorted(accs):
         _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
-
-
-def lead_trajectory(scenario):
-    """Scaled lead (pos, vel) per epoch index, 0..horizon inclusive: the
-    scenario's `lead_track`, which co-simulation reads too, on the lattice."""
-    return [(_scaled(pos, POS_SCALE, "lead position"), _scaled(vel, VEL_SCALE, "lead velocity"))
-            for _t, pos, vel, _acc in scenario.lead_track]
+    for _t, pos, vel, _acc in scenario.lead_track:
+        _scaled(pos, POS_SCALE, "lead position")
+        _scaled(vel, VEL_SCALE, "lead velocity")
+    _scaled(scenario.dest, POS_SCALE, "dest")
+    _scaled(scenario.v_max, VEL_SCALE, "v_max")
+    _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
+    _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel")
 
 
 def build_arena(hm, scenario, params, variant, *, check_driver=False):
@@ -294,18 +301,15 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             f"the {params.num_levels} quantization levels")
     if variant not in VARIANT_ACTIONS:
         raise ValueError(f"unknown variant {variant!r}")
-    grid_lattice_checks(scenario, params, cfg)
+    grid_lattice_checks(hm, scenario, params, cfg)
 
     actions = VARIANT_ACTIONS[variant]
-    eps = scenario.epoch
+    eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
     horizon = scenario.horizon_epochs
-    lead = lead_trajectory(scenario)
-    dest_q = _scaled(scenario.dest, POS_SCALE, "dest")
-    vmax_q = _scaled(scenario.v_max, VEL_SCALE, "v_max")
-    pos_step = round(eps * POS_SCALE / VEL_SCALE)
+    lead = scenario.lead_track
     perceived = scenario.perceptions(params.num_levels)
     driver = AbstractDriver.shared(hm, params)
-    moves_of = {}  # (fv, driver acc) -> [(clamped fv', hinted)] per action
+    moves_of = {}  # (fv, driver acc) -> [(fv after the step, hinted)] per action
     responses = {}  # (level, q, hinted) -> [(q2, driver acc)] per perception
 
     def explore(arena, i):
@@ -315,9 +319,8 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         succs = []
         if s[0] == TURN_ENV:
             _, k, fp, fv, q, hinted = s
-            lp, lv = lead[k]
-            thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
-                                        fp / POS_SCALE, fv / VEL_SCALE)
+            _t, lp, lv, _lacc = lead[k]
+            thw, _ttc = headway_metrics(lp, lv, fp, fv)
             level = quantize_thw(thw, params.thw_levels)
             labels = perceived[level]
             replies = responses.get((level, q, hinted))
@@ -331,15 +334,15 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             return labels, tuple(succs)
         _, k, fp, fv, q2, dacc = s
         moves = moves_of.get((fv, dacc))
-        if moves is None:
+        if moves is None:  # the velocity after `advance` does not depend on the position
             moves = moves_of[fv, dacc] = [
-                (min(max(fv + _scaled(arbitrate(action, dacc, cfg) * eps, VEL_SCALE,
-                                      "velocity increment"), 0), vmax_q),
+                (advance(fp, fv, arbitrate(action, dacc, cfg), eps, v_max)[1],
                  1 if action == ACTION_HINT else 0)
                 for action in actions]
         k += 1
-        fp += fv * pos_step
-        bad, goal = judge(fp, lead[k][0], dest_q)  # shared by every successor
+        # `advance` moves the follower by its old velocity, alike under every action
+        fp = advance(fp, fv, dacc, eps, v_max)[0]
+        bad, goal = judge(fp, lead[k][1], dest)  # shared by every successor
         terminal = bad or goal or k == horizon
         for fv2, h in moves:
             t = (TURN_ENV, k, fp, fv2, q2, h)
@@ -351,10 +354,9 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     if check_driver:
         explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, meta)
-    fp0 = _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
-    s0 = (TURN_ENV, 0, fp0, _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel"),
-          hm.initial, 0)
-    bad0, goal0 = judge(fp0, lead[0][0], dest_q)
+    fp0 = scenario.follow_pos
+    s0 = (TURN_ENV, 0, fp0, scenario.follow_vel, hm.initial, 0)
+    bad0, goal0 = judge(fp0, lead[0][1], dest)
     arena.initial = arena.add(s0, TURN_ENV, bad0, goal0, bad0 or goal0 or horizon == 0)
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
@@ -521,6 +523,9 @@ def winning_actions(arena, region, i, below):
 class Strategy:
     """Memoryless controller: winning controller-turn state -> action.
 
+    Keys are the game's controller states `(TURN_CTRL, k, fpos, fvel, q,
+    dacc)`, position and velocity in metres and metres per second, so
+    `cosim.execute` looks up the floats its episode holds.
     `extract_strategy` labels the controller states the strategy's own plays
     reach, so files hold those states only; files that label every winning
     state, as older versions wrote them, parse and validate as well.  Its
@@ -722,17 +727,21 @@ def certify(arena, strategy, region):
 
 def serialize_strategy(strategy):
     """Canonical text form: sorted `state-key action` lines, one per
-    controller state the strategy labels (those its plays reach)."""
+    controller state the strategy labels (those its plays reach).  The file
+    encodes the key's position and velocity as whole lattice units; a key
+    off the lattice raises `ValueError`."""
     lines = [f"strategy v1 {strategy.variant} {len(strategy.actions)}"]
     for state in sorted(strategy.actions):
         _, k, fp, fv, hm_state, dacc = state
         action = strategy.actions[state]
-        lines.append(f"{k} {fp} {fv} {hm_state} {dacc!r} {action}")
+        lines.append(f"{k} {_scaled(fp, POS_SCALE, 'strategy position')} "
+                     f"{_scaled(fv, VEL_SCALE, 'strategy velocity')} {hm_state} {dacc!r} {action}")
     return "\n".join(lines) + "\n"
 
 
 def parse_strategy(text):
-    """Inverse of `serialize_strategy`; a malformed line raises `ValueError`
+    """Inverse of `serialize_strategy`: lattice units back to the metres and
+    metres per second of the keys.  A malformed line raises `ValueError`
     naming its line number and text."""
     lines = ((number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip())
     number, ln = next(lines, (0, None))
@@ -759,9 +768,10 @@ def parse_strategy(text):
             raise bad(number, ln, "bad strategy line")
         try:
             k, fp, fv, hm_state = (int(x) for x in parts[:4])
+            fp, fv = fp / POS_SCALE, fv / VEL_SCALE
             raw = parts[4]
             dacc = int(raw) if raw.lstrip("-").isdigit() else float(raw)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise bad(number, ln, "bad number in strategy line") from None
         if isinstance(dacc, float) and not math.isfinite(dacc):
             raise bad(number, ln, "non-finite dacc in strategy line")

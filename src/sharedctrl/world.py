@@ -7,9 +7,10 @@ velocity; velocities are clamped to [0, v_max].
 
 `advance` is the one definition of a vehicle's step, and `judge` of safety
 and reach at a follower position.  `step_world` applies `advance` to both
-vehicles; co-simulation applies it to the follower alone, since the lead's
-motion depends only on the scenario: `Scenario.lead_track` integrates it
-with `step_world` once, and every episode reads it from there.
+vehicles; the game and co-simulation apply it to the follower alone, since
+the lead's motion depends only on the scenario: `Scenario.lead_track`
+integrates it with `step_world` once, and the game and every episode read
+it from there.
 
 `VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
 frozen one costs about three times as much to construct.  Nothing mutates a
@@ -84,8 +85,15 @@ def step_world(world, follow_acc, dt, profile, *, v_max):
 
 def advance(pos, vel, acc, dt, v_max):
     """One explicit Euler step of one vehicle: `(pos, vel)` after `dt`, the
-    position advanced by the old velocity, the velocity clamped to [0, v_max]."""
-    return pos + vel * dt, min(max(vel + acc * dt, 0.0), v_max)
+    position advanced by the old velocity, the velocity clamped to [0, v_max].
+
+    The clamp is `min(max(v, 0.0), v_max)` written out: the same result for
+    every `v`, -0.0 and NaN included, at a third of the cost of two calls,
+    since the game steps with it once per controller state."""
+    v = vel + acc * dt
+    if v < 0.0:
+        v = 0.0
+    return pos + vel * dt, v_max if v_max < v else v
 
 
 def judge(follow_pos, lead_pos, dest):

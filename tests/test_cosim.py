@@ -37,7 +37,7 @@ from sharedctrl.driver import (
 )
 from sharedctrl.game import (
     AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE, build_arena,
-    serialize_strategy,
+    parse_strategy, serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
@@ -311,11 +311,29 @@ def test_trace_files_are_pinned(tmp_path, synthesized, driver_params,
     assert digest.hexdigest() == PINNED_TRACES[name]
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_a_strategy_read_back_from_its_file_runs_the_same_episodes(
+        tmp_path, synthesized, driver_params, oracle_machine, name):
+    # the file holds lattice units, the keys metres: reading a written
+    # strategy back gives the keys co-simulation looks up, so its episodes
+    # write the same trace files and never miss
+    scenario, _arena, strategy = synthesized[name]
+    parsed = parse_strategy(serialize_strategy(strategy))
+    assert parsed.actions == dict(strategy.actions)
+    for seed in range(20):
+        files = []
+        for label, s in (("made", strategy), ("read", parsed)):
+            trace, _verdict = episode(s, scenario, driver_params, oracle_machine, seed)
+            assert trace.lookup_misses == 0
+            files.append(tmp_path / f"{label}_{seed:03d}.csv")
+            write_trace_csv(trace, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+
 def _env_state(k, pos, vel, q, hinted):
     """The arena's environment state of a follower on the lattice."""
-    for value, scale in ((pos, POS_SCALE), (vel, VEL_SCALE)):
-        assert math.isclose(value * scale, round(value * scale), rel_tol=0.0, abs_tol=1e-9)
-    return (TURN_ENV, k, round(pos * POS_SCALE), round(vel * VEL_SCALE), q, hinted)
+    assert (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
+    return (TURN_ENV, k, pos, vel, q, hinted)
 
 
 def _explored(arena, state):

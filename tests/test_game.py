@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 import sys
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from sharedctrl import game
 from sharedctrl.cosim import episode, episode_passed, synthesize
-from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
+from sharedctrl.driver import FULL_CHAIN, CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
     AbstractDriver,
     ArenaCapExceeded,
@@ -26,7 +27,6 @@ from sharedctrl.game import (
     certify,
     check_templates,
     extract_strategy,
-    lead_trajectory,
     minimal_intervention,
     parse_strategy,
     realizable,
@@ -35,7 +35,7 @@ from sharedctrl.game import (
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import AlphabetMismatch, MealyMachine, minimize
-from sharedctrl.scenario import Scenario
+from sharedctrl.scenario import Scenario, braking_scenario
 from sharedctrl.supervisor import ACTION_HINT, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
@@ -404,18 +404,24 @@ def abstractions(params):
     return {"exact": minimize(explicit_machine(params)), "coarse": coarse}
 
 
+def on_lattice(pos, vel):
+    """Whether a position and a velocity are whole lattice units."""
+    return (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
+
+
 def documented_row(arena, state, hm, params):
     """`(labels, successor states)` of a non-terminal built-arena state, from
-    the documented dynamics alone: the lead's lattice track, the quantized
-    headway and the sensor's perception set of its level, a fresh driver
-    mirror, arbitration, and the follower's Euler step with its velocity
-    clamped into [0, v_max]."""
+    the documented dynamics alone, in metres: the lead's track, the
+    quantized headway and the sensor's perception set of its level, a fresh
+    driver mirror, arbitration, and the follower's Euler step with its
+    velocity clamped into [0, v_max].  Every position and velocity it reads
+    or makes sits on the lattice."""
     scenario, variant = arena.meta["scenario"], arena.meta["variant"]
     if state[0] == TURN_ENV:
         _, k, fp, fv, q, hinted = state
-        lp, lv = lead_trajectory(scenario)[k]
-        thw, _ttc = headway_metrics(lp / POS_SCALE, lv / VEL_SCALE,
-                                    fp / POS_SCALE, fv / VEL_SCALE)
+        _t, lp, lv, _acc = scenario.lead_track[k]
+        assert on_lattice(lp, lv) and on_lattice(fp, fv)
+        thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
         mirror = AbstractDriver(hm, params)
         return labels, [(TURN_CTRL, k, fp, fv, *mirror.step(q, hinted, p)[:2])
@@ -425,11 +431,9 @@ def documented_row(arena, state, hm, params):
     cfg = scenario.supervisor_config()
     succs = []
     for action in labels:
-        pos, vel = advance(fp / POS_SCALE, fv / VEL_SCALE, arbitrate(action, dacc, cfg),
-                           scenario.epoch, scenario.v_max)
-        assert (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
-        succs.append((TURN_ENV, k + 1, int(pos * POS_SCALE), int(vel * VEL_SCALE), q,
-                      1 if action == ACTION_HINT else 0))
+        pos, vel = advance(fp, fv, arbitrate(action, dacc, cfg), scenario.epoch, scenario.v_max)
+        assert on_lattice(pos, vel)
+        succs.append((TURN_ENV, k + 1, pos, vel, q, 1 if action == ACTION_HINT else 0))
     return labels, succs
 
 
@@ -441,8 +445,8 @@ def documented_flags(arena, state):
         return False, False, False
     scenario = arena.meta["scenario"]
     _, k, fp, *_rest = state
-    bad = fp / POS_SCALE >= scenario.lead_track[k][1]
-    goal = not bad and fp / POS_SCALE >= scenario.dest
+    bad = fp >= scenario.lead_track[k][1]
+    goal = not bad and fp >= scenario.dest
     return bad, goal, bad or goal or k == scenario.horizon_epochs
 
 
@@ -456,8 +460,8 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
     hm = abstractions(params)[machine]
     arena = build_arena(hm, scenario, params=params, variant=variant)
     assert arena.states[arena.initial] == (
-        TURN_ENV, 0, round(scenario.follow_pos * POS_SCALE),
-        round(scenario.follow_vel * VEL_SCALE), hm.initial, 0)
+        TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, hm.initial, 0)
+    assert on_lattice(scenario.follow_pos, scenario.follow_vel)
     i = 0
     while i < arena.n_states:
         state = arena.states[i]
@@ -475,16 +479,65 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
     assert len(arena.index) == arena.n_states == len(arena.won)
 
 
+# one value off the lattice per checked field, in the order the check
+# reports them, with the message that names it
+OFF_LATTICE = (
+    ({"epoch": 0.3}, "epoch 0.3 incompatible with the position lattice"),
+    ({"acc_floor": -2.9}, "velocity increment for acc -1.45 is not on the arena lattice"),
+    ({"lead_pos": 30.1}, "lead position 30.1 is not on the arena lattice"),
+    ({"lead_vel": 10.1}, "lead velocity 10.1 is not on the arena lattice"),
+    ({"dest": 40.1}, "dest 40.1 is not on the arena lattice"),
+    ({"v_max": 16.1}, "v_max 16.1 is not on the arena lattice"),
+    ({"follow_pos": 0.1}, "follow_pos 0.1 is not on the arena lattice"),
+    ({"follow_vel": 10.1}, "follow_vel 10.1 is not on the arena lattice"),
+)
+
+
 def test_build_arena_rejects_off_lattice(oracle_machine):
-    bad_sc = replace(mini_scenario(), epoch=0.3)
-    with pytest.raises(ValueError):
-        build_arena(oracle_machine, bad_sc, DriverParams(), "full")
-    # the game reads the float lead track, each point checked onto the lattice
-    sc = mini_scenario()
-    assert lead_trajectory(sc) == [(round(pos * 4), round(vel * 2))
-                                   for _t, pos, vel, _acc in sc.lead_track]
-    with pytest.raises(ValueError, match="lead position .* is not on the arena lattice"):
-        lead_trajectory(replace(sc, lead_pos=sc.lead_pos + 0.1))
+    # with every field from one on off the lattice, that one is named
+    for first, (_fields, message) in enumerate(OFF_LATTICE):
+        changes = {}
+        for fields, _message in OFF_LATTICE[first:]:
+            changes.update(fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_arena(oracle_machine, replace(mini_scenario(), **changes), DriverParams(),
+                        "full")
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("follow_pos", 0.25 + 1e-12, "follow_pos"),
+    ("dest", 150.25 + 1e-11, "dest"),
+    ("lead_pos", 40.0 - 1e-12, "lead position"),
+    ("follow_vel", 14.0 + 1e-13, "follow_vel"),
+], ids=["follow_pos", "dest", "lead_pos", "follow_vel"])
+def test_build_arena_rejects_near_lattice_values(oracle_machine, field, value, named):
+    # a value a rounding error off the lattice is refused, not rounded onto it
+    sc = replace(braking_scenario(), **{field: value})
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{named} {value!r} is not on the arena lattice")):
+        build_arena(oracle_machine, sc, DriverParams(), "full")
+
+
+def test_build_arena_rejects_an_abstraction_output_off_the_lattice():
+    params = DriverParams()
+    hm = MealyMachine(params.levels(), {0: {level: (0, (FULL_CHAIN, 0.3))
+                                            for level in params.levels()}}, initial=0)
+    with pytest.raises(ValueError, match="velocity increment for acc 0.15 is not on"):
+        build_arena(hm, mini_scenario(), params, "full")
+
+
+def test_a_dest_near_the_lattice_no_longer_splits_game_and_co_simulation(oracle_machine):
+    # `dest` 1e-11 m past 150.25 was rounded onto the lattice: the game took
+    # a follower at 150.25 m as arrived, co-simulation did not, and seed 259
+    # ran an epoch past the strategy into the fail-safe fallback
+    params = DriverParams()
+    near = replace(braking_scenario(), dest=150.25000000001)
+    with pytest.raises(ValueError, match=r"dest 150\.25000000001 is not on the arena lattice"):
+        build_arena(oracle_machine, near, params, "full")
+    sc = replace(braking_scenario(), dest=150.25)
+    strategy = synthesize(build_arena(oracle_machine, sc, params, "full"))
+    trace, verdict = episode(strategy, sc, params, oracle_machine, 259)
+    assert episode_passed(trace, verdict)
 
 
 def test_built_arena_bipartite(oracle_machine):
@@ -607,6 +660,17 @@ def test_strategy_serialization_round_trip(default_synthesis):
     assert serialize_strategy(again) == text
 
 
+@pytest.mark.parametrize("fp, fv, named", [(0.1, 15.0, "strategy position 0.1"),
+                                           (0.25, 15.2, "strategy velocity 15.2")],
+                         ids=["position", "velocity"])
+def test_serialize_strategy_refuses_a_key_off_the_lattice(fp, fv, named):
+    # the file holds whole lattice units, so an off-lattice key is refused,
+    # not truncated onto a neighbouring state
+    strategy = Strategy({(TURN_CTRL, 0, fp, fv, 0, 0): "none"}, "full")
+    with pytest.raises(ValueError, match=f"{named} is not on the arena lattice"):
+        serialize_strategy(strategy)
+
+
 def test_parse_strategy_rejects_garbage():
     with pytest.raises(ValueError):
         parse_strategy("")
@@ -637,7 +701,10 @@ def test_parse_strategy_rejects_garbage():
      "line 2: non-finite dacc in strategy line: '0 0 30 0 -inf none'"),
     ("strategy v1 full 1\n\n0 0 30 0 1e400 none\n",
      "line 3: non-finite dacc in strategy line: '0 0 30 0 1e400 none'"),
-], ids=["field", "dacc", "count", "variant", "nan", "inf", "-inf", "overflow"])
+    (f"strategy v1 full 1\n0 {10 ** 400} 30 0 0 none\n",
+     f"line 2: bad number in strategy line: '0 {10 ** 400} 30 0 0 none'"),
+], ids=["field", "dacc", "count", "variant", "nan", "inf", "-inf", "overflow",
+        "position-overflow"])
 def test_parse_strategy_names_the_bad_line(text, message):
     with pytest.raises(ValueError) as err:
         parse_strategy(text)

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario, load_scenario
 from sharedctrl.world import (
@@ -9,6 +10,7 @@ from sharedctrl.world import (
     LeadProfile,
     VehicleState,
     WorldState,
+    advance,
     headway_metrics,
     judge,
     quantize_thw,
@@ -64,6 +66,19 @@ def test_step_world_uses_profile():
     w1b = WorldState(w1.lead, w1.follow, 1.0)
     w2 = step_world(w1b, 0.0, 0.5, profile, v_max=40.0)
     assert w2.lead.vel == 9.0           # braking segment active
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-40, 40), st.sampled_from((0.0, -0.0, 0)))
+
+
+@given(pos=NUMBERS, vel=NUMBERS, acc=NUMBERS, dt=NUMBERS, v_max=NUMBERS)
+def test_advance_clamps_as_min_of_max(pos, vel, acc, dt, v_max):
+    # the written-out clamp returns what `min(max(v, 0.0), v_max)` returns,
+    # down to the sign of a zero, the type and NaN
+    v = vel + acc * dt
+    expected = (pos + vel * dt, min(max(v, 0.0), v_max))
+    got = advance(pos, vel, acc, dt, v_max)
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in expected]
 
 
 def test_step_world_rejects_bad_dt():
@@ -174,7 +189,7 @@ def test_an_empty_profile_is_rejected():
     (30.0, 30.0, 40.0, (True, False)),    # at the lead
     (40.0, 40.0, 40.0, (True, False)),    # at both: overtaken, so not reached
     (55.0, 50.0, 40.0, (True, False)),    # past the lead and dest
-    (159, 160, 159, (False, True)),       # lattice units, as the game asks
+    (159, 160, 159, (False, True)),       # integers: the atoms hold in any one unit
     (160, 160, 159, (True, False)),
 ])
 def test_judge_gives_overtaken_and_reached(follow_pos, lead_pos, dest, atoms):
