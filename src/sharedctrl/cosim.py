@@ -180,7 +180,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         t, lpos, lvel, thw, ttc, perceivable = context
         perceived = choice(perceivable)
         chain, dacc = query(perceived)
-        q, _dacc_pred, _full = step(q, hinted, perceived)
+        q, _dacc_pred = step(q, hinted, perceived)
         action = action_for((TURN_CTRL, k, fpos, fvel, q, dacc))
         if action is None:
             misses += 1
@@ -308,7 +308,7 @@ def refine(session, words):
 class RefineLoopConfig:
     """`refine_loop`'s settings and the CLI's defaults for them.  Of
     `oracle` only the walk settings count: `learning_session` draws from
-    `seed`, so `oracle.rng_seed` is never read."""
+    `seed`, so an `oracle.rng_seed` other than the default is refused."""
 
     oracle: EqOracleConfig = field(default_factory=EqOracleConfig)
     params: DriverParams = field(default_factory=DriverParams)
@@ -322,6 +322,9 @@ class RefineLoopConfig:
     def __post_init__(self):
         if self.runs < 1 or self.max_iterations < 1:
             raise ValueError("runs and max_iterations must be >= 1")
+        if self.oracle.rng_seed != EqOracleConfig.rng_seed:
+            raise ValueError(f"oracle.rng_seed ({self.oracle.rng_seed}) is never read: "
+                             "the learner draws from seed")
 
 
 @dataclass

@@ -41,7 +41,11 @@ Asked to, `build_arena` wraps it to check each new controller state reached
 on a hint-free path against the real driver, and raises `DriverDisagrees`
 at the first output (rule chain and acceleration) the driver does not give.
 
-A strategy's plays are walked in one place, `_walk`, which applies the
+`AbstractDriver`, the abstraction's mirror shared with co-simulation, is
+the one reader of its `(rule_chain, acc)` outputs and refuses any other
+shape.  The response to a hint is the driver's, checked by `monitor`.
+
+A strategy's plays are walked in one place, `_walk`, which applies the three
 template checks and asks a picker for the edge taken at each controller
 state: `extract_strategy` picks the solver's actions and keeps the walk's
 report, `check_templates` looks each action up in a given strategy, and
@@ -140,17 +144,25 @@ def _scaled(value, scale, what):
 class AbstractDriver:
     """Driver dimension of the game: abstraction states plus a hint flag.
 
-    Normal moves follow the learned machine.  After a hint the next repeated
-    stimulus re-deliberates instead of replaying the cached decision: the
-    response is recomputed with the acceleration law at the level's
-    representative headway, and the successor is resolved through the
-    (level, acc) state annotations recovered from incoming edges.  It keeps
-    the machine's table, not the machine, so `shared` lets it die with it.
+    The one reader of `hm`'s `(rule_chain, acc)` outputs: it raises
+    `ValueError` naming an output that is no such pair with a real-number
+    `acc`.  Normal moves follow the learned machine.  After a hint, a
+    repeated stimulus (a chain other than `FULL_CHAIN`) re-deliberates
+    instead of replaying the cached decision: the acceleration law runs at
+    the level's representative headway, and the successor is resolved
+    through the (level, acc) state annotations recovered from incoming
+    edges.  It keeps the machine's table, not the machine, so `shared` lets
+    it die with it.
     """
 
     _shared = weakref.WeakKeyDictionary()  # machine -> {DriverParams: mirror}
 
     def __init__(self, hm, params):
+        for out in hm.outputs:
+            if not (type(out) is tuple and len(out) == 2 and type(out[1]) in (int, float)):
+                raise ValueError(f"abstraction output {out!r} is not a (rule_chain, acc) "
+                                 "pair with a real-number acc")
+        self.accelerations = frozenset(acc for _chain, acc in hm.outputs)
         self._delta = hm.delta
         self.params = params
         self._by_profile = {}
@@ -171,22 +183,18 @@ class AbstractDriver:
         return mirrors.get(params) or mirrors.setdefault(params, cls(hm, params))
 
     def step(self, state, hinted, level):
-        """Returns (successor, driver_acc, full_deliberation)."""
+        """Returns (successor, driver_acc)."""
         key = (state, hinted, level)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         succ, (chain, acc) = self._delta[state][level]
-        if not hinted or chain == FULL_CHAIN:
-            result = (succ, acc, chain == FULL_CHAIN)
-        else:
+        if hinted and chain != FULL_CHAIN:
             # hinted repeated stimulus: re-deliberate at the same headway
             rep = self.params.representative(level)
-            acc2 = decide_acceleration(rep, rep, self.params.decision_epoch,
-                                       self.params, acc)
-            succ2 = self._by_profile.get((level, acc2), succ)
-            result = (succ2, acc2, True)
-        self._memo[key] = result
+            acc = decide_acceleration(rep, rep, self.params.decision_epoch, self.params, acc)
+            succ = self._by_profile.get((level, acc), succ)
+        result = self._memo[key] = (succ, acc)
         return result
 
 
@@ -264,16 +272,17 @@ class GameArena:
         return sum(len(e) for e in self.edges if e is not None)
 
 
-def grid_lattice_checks(hm, scenario, params, cfg):
-    """The one check that every value the arena of `hm` reads is on the
-    lattice, in order: the epoch, the velocity increment of each
-    acceleration (the driver's, the lead's, the clamp's and `hm`'s outputs),
-    the lead track, `dest`, `v_max` and the follower's start."""
+def grid_lattice_checks(driver, scenario, cfg):
+    """The one check that every value the arena of `driver`, a mirror, reads
+    is on the lattice, in order: the epoch, the velocity increment of each
+    acceleration (the driver's, the lead's, the clamp's and the
+    abstraction's outputs), the lead track, `dest`, `v_max` and the
+    follower's start."""
     eps = scenario.epoch
     if not float(eps * POS_SCALE / VEL_SCALE).is_integer():
         raise ValueError(f"epoch {eps} incompatible with the position lattice")
-    accs = set(params.acc_set) | {a for _, a in scenario.profile.segments}
-    accs |= {cfg.acc_floor, cfg.acc_cap} | {acc for _chain, acc in hm.outputs}
+    accs = set(driver.params.acc_set) | {a for _, a in scenario.profile.segments}
+    accs |= {cfg.acc_floor, cfg.acc_cap} | driver.accelerations
     for a in sorted(accs):
         _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
     for _t, pos, vel, _acc in scenario.lead_track:
@@ -301,14 +310,14 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             f"the {params.num_levels} quantization levels")
     if variant not in VARIANT_ACTIONS:
         raise ValueError(f"unknown variant {variant!r}")
-    grid_lattice_checks(hm, scenario, params, cfg)
+    driver = AbstractDriver.shared(hm, params)
+    grid_lattice_checks(driver, scenario, cfg)
 
     actions = VARIANT_ACTIONS[variant]
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
     horizon = scenario.horizon_epochs
     lead = scenario.lead_track
     perceived = scenario.perceptions(params.num_levels)
-    driver = AbstractDriver.shared(hm, params)
     moves_of = {}  # (fv, driver acc) -> [(fv after the step, hinted)] per action
     responses = {}  # (level, q, hinted) -> [(q2, driver acc)] per perception
 
@@ -326,7 +335,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             replies = responses.get((level, q, hinted))
             if replies is None:
                 replies = responses[level, q, hinted] = [
-                    driver.step(q, hinted, p)[:2] for p in labels]
+                    driver.step(q, hinted, p) for p in labels]
             for q2, dacc in replies:
                 t = (TURN_CTRL, k, fp, fv, q2, dacc)
                 j = index.get(t)
@@ -350,7 +359,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             succs.append(arena.add(t, TURN_ENV, bad, goal, terminal) if j is None else j)
         return actions, tuple(succs)
 
-    meta = {"scenario": scenario, "variant": variant, "driver": driver}
+    meta = {"scenario": scenario, "variant": variant}
     if check_driver:
         explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, meta)
@@ -561,8 +570,6 @@ class TemplateReport:
     reach_ok: bool = True
     min_intervention_ok: bool = True
     min_intervention_witness: object = None
-    response_ok: bool = True
-    response_witness: object = None
 
     def text(self):
         lines = [
@@ -571,33 +578,30 @@ class TemplateReport:
             f"reachability={'pass' if self.reach_ok else 'FAIL'} "
             f"(goal_terminals={self.goal_terminals}, horizon_terminals={self.horizon_terminals})",
             f"min_intervention={'pass' if self.min_intervention_ok else 'FAIL'}",
-            f"response={'pass' if self.response_ok else 'FAIL'}",
         ]
         if self.safety_witness is not None:
             lines.append(f"safety_witness={self.safety_witness!r}")
         if self.min_intervention_witness is not None:
             lines.append(f"min_intervention_witness={self.min_intervention_witness!r}")
-        if self.response_witness is not None:
-            lines.append(f"response_witness={self.response_witness!r}")
         return "\n".join(lines) + "\n"
 
 
 def _walk(arena, region, pick):
     """The one walk of a strategy's plays: breadth-first over every state
-    they reach from the initial state, applying the four template checks.
+    they reach from the initial state, applying the three template checks.
 
     (i) no bad state is reached; (ii) every maximal play ends in a goal
     state, as `monitor` demands, not at the horizon short of it (counted
     apart); (iii) every controller decision satisfies `minimal_intervention`
     against `region`, which is asked only about actions less severe than the
-    chosen one; (iv) a hint is always followed by a full-deliberation driver
-    edge (built arenas only).  At each controller state, `pick(state, labels,
-    successors)` gives the position of the edge the strategy takes, or
-    raises `StrategyRejected` with the reason, which the walk completes
-    with the checks up to there.  Returns the `TemplateReport`.
+    chosen one.  The response to a hint is the driver's: the mirror's step
+    models it and `monitor` checks it.  At each controller state,
+    `pick(state, labels, successors)` gives the position of the edge the
+    strategy takes, or raises `StrategyRejected` with the reason, which the
+    walk completes with the checks up to there.  Returns the
+    `TemplateReport`.
     """
     report = TemplateReport()
-    driver = arena.meta["driver"]
     states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
     seen = {arena.initial}
     queue = deque([arena.initial])
@@ -618,12 +622,6 @@ def _walk(arena, region, pick):
         targets = arena.successors(i)
         labels = arena.labels[i]
         if turn[i] == TURN_ENV:
-            if driver is not None and s[5]:
-                for p in labels:
-                    _q2, _acc, full = driver.step(s[4], 1, p)
-                    if not full and report.response_ok:
-                        report.response_ok = False
-                        report.response_witness = (s, p)
             for j in targets:
                 if j not in seen:
                     seen.add(j)
@@ -706,8 +704,7 @@ def check_templates(arena, strategy, region):
 
 def certify(arena, strategy, region):
     """Template-check a strategy; raise `StrategyRejected` unless every
-    template it reports holds: safety, reachability, min-intervention and
-    response.
+    template it reports holds: safety, reachability and min-intervention.
 
     The report of a strategy that `extract_strategy` made from this very
     arena is the one its walk built, so it is reused; any other strategy (a
@@ -719,8 +716,7 @@ def certify(arena, strategy, region):
         report = strategy.report
     else:
         report = check_templates(arena, strategy, region)
-    if not (report.safety_ok and report.reach_ok and report.min_intervention_ok
-            and report.response_ok):
+    if not (report.safety_ok and report.reach_ok and report.min_intervention_ok):
         raise StrategyRejected("template check rejected the strategy\n" + report.text())
     return report
 

@@ -13,6 +13,10 @@ from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
 from sharedctrl.world import LeadProfile
 
+# default params, and params whose hinted re-deliberation changes the
+# driver's acceleration, so that a hint changes the successor
+HINT_PARAMS = (DriverParams(), DriverParams(k1=0.5, k2=1.0, thw_levels=(1.5, 3.0)))
+
 
 def make_toggle():
     """Two states flipping on 'a'; output is the current state id as text."""

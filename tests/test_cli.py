@@ -148,6 +148,22 @@ def test_synth_names_the_bad_line_of_an_abstraction_file(tmp_path, capsys, oracl
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("output", ["'x'", "(('attend',), 'x')"])
+def test_synth_names_a_malformed_abstraction_output(tmp_path, capsys, oracle_machine,
+                                                    output):
+    # the file parses; the mirror refuses the output before the arena reads it
+    lines = serialize(oracle_machine).splitlines()
+    first_out = next(i for i, line in enumerate(lines) if line.startswith("out "))
+    lines[first_out] = f"out {output}"
+    hm_path = tmp_path / "hm.mealy"
+    hm_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["synth", "--hm", str(hm_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"error: abstraction output {output} is not a (rule_chain, acc) "
+                   "pair with a real-number acc\n")
+
+
 def test_validate_names_the_bad_line_of_a_strategy_file(tmp_path, capsys, oracle_machine):
     hm_path = write_hm(tmp_path, oracle_machine)
     strategy_path = tmp_path / "s.txt"

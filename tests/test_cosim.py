@@ -360,7 +360,7 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
     env = arena.states[arena.initial]  # where the previous row's action led
     for k, row in enumerate(trace.rows):
         assert env == _env_state(k, row.follow_pos, row.follow_vel, q, hinted)
-        q, _acc, _full = mirror.step(q, hinted, row.perceived_level)
+        q, _acc = mirror.step(q, hinted, row.perceived_level)
         key = (TURN_CTRL, k, env[2], env[3], q, row.driver_acc)
         assert _explored(arena, env)[row.perceived_level] == key
         assert strategy.action_for(key) == row.action
@@ -431,6 +431,15 @@ def test_learning_session_seeds_its_oracle_from_the_seed(driver_params):
     assert session.oracle.cfg == replace(oracle, rng_seed=derive_seed(5, "oracle"))
     assert session.oracle.sul is session.sul and session.state_cap == 4
     assert session.table.alphabet == driver_params.levels()
+
+
+def test_refine_loop_config_refuses_an_oracle_seed_it_never_reads():
+    # the learner draws from `seed`; the walk settings are kept
+    with pytest.raises(ValueError, match=r"^oracle\.rng_seed \(3\) is never read: "
+                                         r"the learner draws from seed$"):
+        RefineLoopConfig(oracle=EqOracleConfig(rng_seed=3))
+    walks = EqOracleConfig(num_walks=7, max_walk_len=3)
+    assert RefineLoopConfig(oracle=walks, seed=3).oracle == walks
 
 
 def test_refine_skips_agreeing_trace(driver_params, oracle_machine,
@@ -694,7 +703,9 @@ def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount
     # build_arena and execute share the mirror; dropping the machine frees it
     hm = explicit_machine(driver_params)
     mirror = AbstractDriver.shared(hm, driver_params)
-    assert build_arena(hm, default_sc, driver_params, "full").meta["driver"] is mirror
+    assert not mirror._memo
+    build_arena(hm, default_sc, driver_params, "full")
+    assert mirror._memo and AbstractDriver.shared(hm, driver_params) is mirror
     assert AbstractDriver.shared(hm, replace(driver_params, k1=0.5)) is not mirror
     dead = weakref.ref(mirror)
     del hm, mirror

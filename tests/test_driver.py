@@ -18,6 +18,8 @@ from sharedctrl.driver import (
 )
 from sharedctrl.mealy import minimize
 
+from conftest import HINT_PARAMS
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -136,11 +138,45 @@ def test_query_rejects_bad_level(fresh_driver):
         fresh_driver.query(5)
 
 
-def test_hint_forces_full_deliberation(fresh_driver):
-    fresh_driver.query(1)
-    fresh_driver.apply_hint()
-    chain, _ = fresh_driver.query(1)
-    assert chain == FULL_CHAIN
+def paths_under_stimuli_and_hints(params):
+    """`{state: path}` for every internal state a driver of `params` reaches
+    from its start by stimuli and hints, with a shortest path of ops to it;
+    an op is a level or "hint"."""
+    start = initial_driver_state(params)
+    paths = {start: ()}
+    queue = [start]
+    for state in queue:
+        _level, acc, thw = state
+        moves = [("hint", (None, acc, thw))]
+        moves += [(level, driver_step(state, level, params)[0]) for level in params.levels()]
+        for op, succ in moves:
+            if succ not in paths:
+                paths[succ] = paths[state] + (op,)
+                queue.append(succ)
+    return paths
+
+
+REACHED = [(params, state, path) for params in HINT_PARAMS
+           for state, path in paths_under_stimuli_and_hints(params).items()]
+
+
+@pytest.mark.parametrize("params,state,path", REACHED,
+                         ids=[f"params{HINT_PARAMS.index(p)}-{s}" for p, s, _ in REACHED])
+def test_hint_forces_full_deliberation(params, state, path):
+    # the response the game's mirror models and monitor checks on traces:
+    # after a hint, every level deliberates fully from the cached
+    # acceleration and headway
+    driver = CognitiveDriver(params)
+    _level, acc, thw = state
+    for level in params.levels():
+        driver.reset()
+        for op in path:
+            driver.apply_hint() if op == "hint" else driver.query(op)
+        assert driver.state == state
+        driver.apply_hint()
+        chain, acc2 = driver.query(level)
+        assert chain == FULL_CHAIN
+        assert acc2 == driver_step((None, acc, thw), level, params)[1][1]
 
 
 def test_hint_on_fresh_driver_is_noop(driver_params):

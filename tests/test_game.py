@@ -40,7 +40,8 @@ from sharedctrl.supervisor import ACTION_HINT, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
 from conftest import (
-    ConstantStrategy, RecordingStrategy, arena_from_graph, lattice_scenarios, region_members,
+    HINT_PARAMS, ConstantStrategy, RecordingStrategy, arena_from_graph, lattice_scenarios,
+    region_members,
 )
 
 
@@ -345,7 +346,7 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
     arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
                                     "no-override"))
     actions = VARIANT_ACTIONS["no-override"]
-    rows = arena.meta["scenario"].perceptions(arena.meta["driver"].params.num_levels)
+    rows = arena.meta["scenario"].perceptions(DriverParams().num_levels)
     assert len(arena.won) == arena.n_states
     for i in range(arena.n_states):
         labels, targets = arena.labels[i], arena.edges[i]
@@ -370,6 +371,18 @@ def test_build_arena_alphabet_mismatch(default_sc):
         build_arena(wrong, default_sc, DriverParams(), "full")
 
 
+@pytest.mark.parametrize("bad", ["x", (("attend",), "x"), ((), True), ((), -1, 0)])
+def test_build_arena_names_a_malformed_output(default_sc, driver_params, bad):
+    # the mirror is the one reader of the outputs, and refuses any but a
+    # (rule_chain, acc) pair with a real-number acc before the arena reads one
+    levels = driver_params.levels()
+    hm = MealyMachine(levels, {0: {level: (0, bad if level == 1 else (FULL_CHAIN, 0))
+                                   for level in levels}})
+    with pytest.raises(ValueError, match=re.escape(
+            f"abstraction output {bad!r} is not a (rule_chain, acc) pair")):
+        build_arena(hm, default_sc, driver_params, "full")
+
+
 def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
     monkeypatch.setattr(game, "ARENA_STATE_CAP", 100)
     with pytest.raises(ArenaCapExceeded):
@@ -385,11 +398,6 @@ def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_param
     monkeypatch.setattr(game, "ARENA_STATE_CAP", 2941)
     with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 2941 states$"):
         build_arena(oracle_machine, default_sc, driver_params, "full")
-
-
-# default params, and params whose hinted re-deliberation changes the
-# driver's acceleration, so that a hint changes the successor
-HINT_PARAMS = (DriverParams(), DriverParams(k1=0.5, k2=1.0, thw_levels=(1.5, 3.0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,7 +432,7 @@ def documented_row(arena, state, hm, params):
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
         mirror = AbstractDriver(hm, params)
-        return labels, [(TURN_CTRL, k, fp, fv, *mirror.step(q, hinted, p)[:2])
+        return labels, [(TURN_CTRL, k, fp, fv, *mirror.step(q, hinted, p))
                         for p in labels]
     _, k, fp, fv, q, dacc = state
     labels = VARIANT_ACTIONS[variant]
@@ -588,10 +596,10 @@ SYNTHESIS_PINS = {
 TEMPLATE_PINS = {
     "default": ("states_visited=1421\nsafety=pass\n"
                 "reachability=pass (goal_terminals=158, horizon_terminals=0)\n"
-                "min_intervention=pass\nresponse=pass\n"),
+                "min_intervention=pass\n"),
     "braking": ("states_visited=35133\nsafety=pass\n"
                 "reachability=pass (goal_terminals=2022, horizon_terminals=0)\n"
-                "min_intervention=pass\nresponse=pass\n"),
+                "min_intervention=pass\n"),
 }
 
 
@@ -634,7 +642,6 @@ def test_default_templates_pass(default_synthesis):
     assert report.safety_ok
     assert report.reach_ok
     assert report.min_intervention_ok
-    assert report.response_ok
     assert report.goal_terminals > 0 and report.horizon_terminals == 0
 
 
@@ -643,12 +650,6 @@ def test_always_override_fails_minimal_intervention(default_synthesis):
     report = check_templates(arena, ConstantStrategy("override"), solve(arena))
     assert not report.min_intervention_ok
     assert report.min_intervention_witness is not None
-
-
-def test_always_hint_keeps_response_property(default_synthesis):
-    arena, _region, _strategy = default_synthesis
-    report = check_templates(arena, ConstantStrategy("hint"), solve(arena))
-    assert report.response_ok  # hinted edges always re-deliberate
 
 
 def test_strategy_serialization_round_trip(default_synthesis):

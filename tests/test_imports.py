@@ -1,14 +1,16 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+top-level function and class of the package is used or exported.
 
-`__init__.py` is skipped: its imports are the package's exports.
+`__init__.py` is skipped by the import scan: its imports are the package's
+exports.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in [*ROOT.glob("src/sharedctrl/*.py"), *ROOT.glob("tests/*.py")]
-               if p.name != "__init__.py")
+PACKAGE = sorted(ROOT.glob("src/sharedctrl/*.py"))
+FILES = sorted(p for p in [*PACKAGE, *ROOT.glob("tests/*.py")] if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -39,3 +41,40 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(ROOT)}: {name}"
               for p in FILES for name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def unreferenced_definitions(sources, exported):
+    """`name: definition` for each top-level function and class of
+    `sources` (`{name: text}`) that no source names, as a name or an
+    attribute, and that is not in `exported`."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used)
+
+
+def exports(source):
+    """The definitions an `__init__.py` imports, which the package exports."""
+    return {alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_scan_flags_an_unreferenced_definition():
+    sources = {"a.py": "def used():\n    pass\n\n\ndef dead():\n    used()\n\n\n"
+                       "class Kept:\n    pass\n\n\nclass Gone:\n    pass\n",
+               "b.py": "import a\n\n\ndef helper():\n    return a.Kept\n"}
+    assert unreferenced_definitions(sources, {"helper"}) == ["a.py: Gone", "a.py: dead"]
+    assert exports("from .a import Gone, dead as alias\n__version__ = '1'\n") == {
+        "Gone", "dead"}
+
+
+def test_every_definition_is_used_or_exported():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    dead = unreferenced_definitions(sources, exports(sources.pop("__init__.py")))
+    assert not dead, "defined but never used or exported: " + ", ".join(dead)
