@@ -139,8 +139,8 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     """Run one seeded episode of `sul`, the driver of `params`; returns the trace.
 
     Per epoch: sample the perceived headway level, query the full driver,
-    resolve the matching game state through the abstraction mirror, look up
-    the strategy action, arbitrate, and advance the follower.  The key looked
+    find the matching abstraction state in the mirror's table, look up the
+    strategy action, arbitrate, and advance the follower.  The key looked
     up is the game's controller state `(TURN_CTRL, k, fpos, fvel, q, dacc)`
     in the episode's own floats, since the game plays in the same metres.  A
     lookup miss means the driver left the learned abstraction; the fail-safe
@@ -152,16 +152,16 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     `epoch_context`, cached in `scenario.epoch_contexts` under the boundaries
     and the exact floats the episode holds, so every later episode that
     reaches the state reuses it.  The cache holds no machine, strategy or
-    driver: the perception draw, the driver query, the mirror step and the
+    driver: the perception draw, the driver query, the mirror's row and the
     lookup run every epoch.  The follower is advanced in local variables
     with `advance`, so an epoch builds only its `TraceRow`, and the final
     world is built once.  Every float is what iterating `step_world` gives.
     """
-    mirror = AbstractDriver.shared(hm, params)
+    mirror_rows = AbstractDriver.shared(hm, params).rows
     contexts = scenario.epoch_contexts.setdefault(params.thw_levels, {})
     context_of = contexts.get
     choice = random.Random(seed).choice
-    query, apply_hint, step = sul.query, sul.apply_hint, mirror.step
+    query, apply_hint = sul.query, sul.apply_hint
     action_for, certified_entry = strategy.action_for, strategy.certified
     eps, v_max = scenario.epoch, scenario.v_max
     sul.reset()
@@ -180,7 +180,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         t, lpos, lvel, thw, ttc, perceivable = context
         perceived = choice(perceivable)
         chain, dacc = query(perceived)
-        q, _dacc_pred = step(q, hinted, perceived)
+        q = mirror_rows[q, hinted][perceived][0]
         action = action_for((TURN_CTRL, k, fpos, fvel, q, dacc))
         if action is None:
             misses += 1

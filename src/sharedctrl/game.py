@@ -42,8 +42,11 @@ on a hint-free path against the real driver, and raises `DriverDisagrees`
 at the first output (rule chain and acceleration) the driver does not give.
 
 `AbstractDriver`, the abstraction's mirror shared with co-simulation, is
-the one reader of its `(rule_chain, acc)` outputs and refuses any other
-shape.  The response to a hint is the driver's, checked by `monitor`.
+the one place that interprets its `(rule_chain, acc)` outputs and refuses
+any other shape.  It is one table, built once, that the game and
+co-simulation only look up in: per abstraction state and hint flag, the
+successor and acceleration of each level.  The response to a hint is the
+driver's, checked by `monitor`.
 
 A strategy's plays are walked in one place, `_walk`, which applies the three
 template checks and asks a picker for the edge taken at each controller
@@ -144,15 +147,16 @@ def _scaled(value, scale, what):
 class AbstractDriver:
     """Driver dimension of the game: abstraction states plus a hint flag.
 
-    The one reader of `hm`'s `(rule_chain, acc)` outputs: it raises
-    `ValueError` naming an output that is no such pair with a real-number
-    `acc`.  Normal moves follow the learned machine.  After a hint, a
-    repeated stimulus (a chain other than `FULL_CHAIN`) re-deliberates
-    instead of replaying the cached decision: the acceleration law runs at
-    the level's representative headway, and the successor is resolved
-    through the (level, acc) state annotations recovered from incoming
-    edges.  It keeps the machine's table, not the machine, so `shared` lets
-    it die with it.
+    The one place that interprets `hm`'s `(rule_chain, acc)` outputs: it
+    raises `ValueError` naming an output that is no such pair with a
+    real-number `acc`.  One table, built once and never changed:
+    `rows[state, hinted]` maps each level to `(successor, acc)`, the
+    machine's own entry unless hinted.  After a hint, a repeated stimulus
+    (a chain other than `FULL_CHAIN`) re-deliberates instead of replaying
+    the cached decision: the acceleration law runs at the level's
+    representative headway, and the successor is resolved through the
+    (level, acc) state annotations recovered from incoming edges.  It keeps
+    no reference to the machine, so `shared` lets it die with it.
     """
 
     _shared = weakref.WeakKeyDictionary()  # machine -> {DriverParams: mirror}
@@ -163,17 +167,25 @@ class AbstractDriver:
                 raise ValueError(f"abstraction output {out!r} is not a (rule_chain, acc) "
                                  "pair with a real-number acc")
         self.accelerations = frozenset(acc for _chain, acc in hm.outputs)
-        self._delta = hm.delta
         self.params = params
-        self._by_profile = {}
+        by_profile = {}
         annotated = set()
         for state in hm.reachable_states():
             for level in hm.inputs:
                 succ, (_chain, acc) = hm.delta[state][level]
                 if succ not in annotated:
                     annotated.add(succ)
-                    self._by_profile.setdefault((level, acc), succ)
-        self._memo = {}
+                    by_profile.setdefault((level, acc), succ)
+        self.rows = {}  # (state, hinted) -> {level: (successor, acc)}
+        for state, row in hm.delta.items():
+            plain = {level: (succ, out[1]) for level, (succ, out) in row.items()}
+            hinted = dict(plain)
+            for level, (succ, (chain, acc)) in row.items():
+                if chain != FULL_CHAIN:  # a repeated stimulus: re-deliberate
+                    rep = params.representative(level)
+                    acc = decide_acceleration(rep, rep, params.decision_epoch, params, acc)
+                    hinted[level] = (by_profile.get((level, acc), succ), acc)
+            self.rows[state, 0], self.rows[state, 1] = plain, hinted
 
     @classmethod
     def shared(cls, hm, params):
@@ -181,21 +193,6 @@ class AbstractDriver:
         episode `execute` runs; a `MealyMachine` is immutable."""
         mirrors = cls._shared.setdefault(hm, {})
         return mirrors.get(params) or mirrors.setdefault(params, cls(hm, params))
-
-    def step(self, state, hinted, level):
-        """Returns (successor, driver_acc)."""
-        key = (state, hinted, level)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        succ, (chain, acc) = self._delta[state][level]
-        if hinted and chain != FULL_CHAIN:
-            # hinted repeated stimulus: re-deliberate at the same headway
-            rep = self.params.representative(level)
-            acc = decide_acceleration(rep, rep, self.params.decision_epoch, self.params, acc)
-            succ = self._by_profile.get((level, acc), succ)
-        result = self._memo[key] = (succ, acc)
-        return result
 
 
 class GameArena:
@@ -215,12 +212,12 @@ class GameArena:
     count what has been explored so far.  `region` is the arena's
     winning region, decided as it is asked; the solver keeps its decisions
     in `won` (per state: None while undecided, else whether the controller
-    wins) and `iterations`.
+    wins) and `iterations`.  `variant` names the controller's action set.
     """
 
-    def __init__(self, explore, meta):
+    def __init__(self, explore, variant):
         self._explore = explore
-        self.meta = meta
+        self.variant = variant
         self.states = []
         self.index = {}
         self.turn = bytearray()
@@ -333,9 +330,9 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             level = quantize_thw(thw, params.thw_levels)
             labels = perceived[level]
             replies = responses.get((level, q, hinted))
-            if replies is None:
-                replies = responses[level, q, hinted] = [
-                    driver.step(q, hinted, p) for p in labels]
+            if replies is None:  # the mirror's row, narrowed to the perceivable levels
+                row = driver.rows[q, hinted]
+                replies = responses[level, q, hinted] = [row[p] for p in labels]
             for q2, dacc in replies:
                 t = (TURN_CTRL, k, fp, fv, q2, dacc)
                 j = index.get(t)
@@ -359,10 +356,9 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             succs.append(arena.add(t, TURN_ENV, bad, goal, terminal) if j is None else j)
         return actions, tuple(succs)
 
-    meta = {"scenario": scenario, "variant": variant}
     if check_driver:
         explore = _driver_checked(explore, hm, params)
-    arena = GameArena(explore, meta)
+    arena = GameArena(explore, variant)
     fp0 = scenario.follow_pos
     s0 = (TURN_ENV, 0, fp0, scenario.follow_vel, hm.initial, 0)
     bad0, goal0 = judge(fp0, lead[0][1], dest)
@@ -382,10 +378,12 @@ def _driver_checked(explore, hm, params):
     and the path's perceptions, linked backwards.  When the state is
     explored, its entry is handed on to its new successors.  At an
     environment state, the abstraction's output for the perception on the
-    edge to each new successor, rule chain and acceleration, must be the
-    driver's.  A hint edge hands on nothing, since the alphabet has no hint
-    symbol to replay it with.  A state reached again later is not checked
-    again, so no disagreement is no proof that the abstraction conforms.
+    edge to each new successor must equal the driver's whole, rule chain
+    included: the check interprets neither part, the mirror is the one
+    place that does.  A hint edge hands on nothing, since the alphabet has
+    no hint symbol to replay it with.  A state reached again later is not
+    checked again, so no disagreement is no proof that the abstraction
+    conforms.
     """
     truth = explicit_machine(params)
     pending = {0: (truth.initial, None, None)}
@@ -594,8 +592,8 @@ def _walk(arena, region, pick):
     state, as `monitor` demands, not at the horizon short of it (counted
     apart); (iii) every controller decision satisfies `minimal_intervention`
     against `region`, which is asked only about actions less severe than the
-    chosen one.  The response to a hint is the driver's: the mirror's step
-    models it and `monitor` checks it.  At each controller state,
+    chosen one.  The response to a hint is the driver's: the mirror's hinted
+    rows model it and `monitor` checks it.  At each controller state,
     `pick(state, labels, successors)` gives the position of the edge the
     strategy takes, or raises `StrategyRejected` with the reason, which the
     walk completes with the checks up to there.  Returns the
@@ -675,7 +673,7 @@ def extract_strategy(arena, region):
         raise RuntimeError(f"winning controller state {s!r} has no winning action")
 
     report = _walk(arena, region, pick)
-    strategy = Strategy(MappingProxyType(mapping), arena.meta["variant"])
+    strategy = Strategy(MappingProxyType(mapping), arena.variant)
     strategy.report = report
     strategy._arena = weakref.ref(arena)
     return strategy
@@ -794,7 +792,7 @@ def arena_stats_text(arena, region):
         f"environment_states={arena.n_states - n_ctrl}",
         f"bad_states={sum(arena.bad)}",
         f"goal_states={sum(arena.goal)}",
-        f"variant={arena.meta['variant']}",
+        f"variant={arena.variant}",
         f"winning_states={len(region)}",
         f"solver_iterations={region.iterations}",
         f"realizable={'true' if realizable(arena, region) else 'false'}",

@@ -79,7 +79,7 @@ def arena_from_graph(nodes, initial, bad=(), goal=()):
             edges = sorted(edges, key=lambda e: ACTION_SEVERITY.get(e[0], 0))
         return tuple(e[0] for e in edges), tuple(arena.index[e[1]] for e in edges)
 
-    arena = GameArena(explore, {"variant": "full", "driver": None})
+    arena = GameArena(explore, "full")
     for name, (turn, edges) in nodes.items():
         if turn == "c" and len({e[0] for e in edges}) != len(edges):
             raise ValueError(f"controller state {name!r} has two edges with the same label")

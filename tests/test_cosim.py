@@ -360,7 +360,7 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
     env = arena.states[arena.initial]  # where the previous row's action led
     for k, row in enumerate(trace.rows):
         assert env == _env_state(k, row.follow_pos, row.follow_vel, q, hinted)
-        q, _acc = mirror.step(q, hinted, row.perceived_level)
+        q, _acc = mirror.rows[q, hinted][row.perceived_level]
         key = (TURN_CTRL, k, env[2], env[3], q, row.driver_acc)
         assert _explored(arena, env)[row.perceived_level] == key
         assert strategy.action_for(key) == row.action
@@ -384,12 +384,32 @@ def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
         assert len(strategy.asked) == len(trace.rows)
         q, hinted = hm.initial, 0
         for row, key in zip(trace.rows, strategy.asked):
-            plain = mirror.step(q, 0, row.perceived_level)[0]
-            q = mirror.step(q, hinted, row.perceived_level)[0]
+            plain = mirror.rows[q, 0][row.perceived_level][0]
+            q = mirror.rows[q, hinted][row.perceived_level][0]
             moved += q != plain
             assert key[4] == q
             hinted = 1 if row.action == ACTION_HINT else 0
     assert moved  # the episodes took the hinted path
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the plain machine has no state for the acceleration a hinted "
+                          "re-deliberation reaches, so the mirror's successor remembers another")
+def test_a_repeated_hinted_step_keeps_a_realizable_strategy_on_track():
+    # a known mispredict of the mirror: under these params the pair is
+    # realizable, yet seed 2 perceives level 1 three times, with a hint after
+    # the first two.  The driver brakes at -2 at the second, which no state of
+    # the plain machine holds, so the mirror resolves a state that remembers
+    # -1.  At the third the driver brakes at -3 where the mirror predicts -2:
+    # the strategy misses once, and the fallback's override ends the episode
+    # a min-intervention-violation
+    params = DriverParams(k1=0.5, k2=1.0, thw_levels=(1.5, 3.0))
+    hm = minimize(explicit_machine(params))
+    sc = Scenario(lead_pos=30.75, lead_vel=16.0, follow_vel=16.0, dest=19.75,
+                  horizon_epochs=7)
+    strategy = synthesize(build_arena(hm, sc, params, "advisory-only"))
+    trace, verdict = episode(strategy, sc, params, hm, 2)
+    assert episode_passed(trace, verdict)
 
 
 @settings(max_examples=80, deadline=None)
@@ -703,9 +723,8 @@ def test_one_mirror_per_machine_dies_with_it(default_sc, driver_params, refcount
     # build_arena and execute share the mirror; dropping the machine frees it
     hm = explicit_machine(driver_params)
     mirror = AbstractDriver.shared(hm, driver_params)
-    assert not mirror._memo
     build_arena(hm, default_sc, driver_params, "full")
-    assert mirror._memo and AbstractDriver.shared(hm, driver_params) is mirror
+    assert AbstractDriver.shared(hm, driver_params) is mirror
     assert AbstractDriver.shared(hm, replace(driver_params, k1=0.5)) is not mirror
     dead = weakref.ref(mirror)
     del hm, mirror

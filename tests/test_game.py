@@ -2,6 +2,7 @@ import functools
 import hashlib
 import re
 import sys
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -307,32 +308,31 @@ def mini_scenario(offset=0, horizon=6):
     )
 
 
-def explore_all(arena):
-    """Expand every reachable state of a lazily explored arena, so that
-    structure checks see the whole arena and not just what deciding the
-    initial state needed."""
+def explore_all(arena, scenario):
+    """Expand every reachable state of a lazily explored arena built for
+    `scenario`, so that structure checks see the whole arena and not just
+    what deciding the initial state needed."""
     i = 0
     while i < arena.n_states:
         arena.successors(i)
         i += 1
     assert all(es is not None for es in arena.edges)
     # non-trivial: the expansion reached the horizon through a full-depth play
-    horizon = arena.meta["scenario"].horizon_epochs
-    assert any(s[1] == horizon for s in arena.states)
+    assert any(s[1] == scenario.horizon_epochs for s in arena.states)
     return arena
 
 
 def test_build_arena_zero_offset_collapses_sensor(oracle_machine):
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=0), DriverParams(),
-                                    "full"))
+    sc = mini_scenario(offset=0)
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     for i in range(arena.n_states):
         if arena.turn[i] == TURN_ENV and not arena.terminal[i]:
             assert len(arena.edges[i]) == 1
 
 
 def test_build_arena_offset_one_branches(oracle_machine):
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
-                                    "full"))
+    sc = mini_scenario(offset=1)
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     widths = {len(arena.edges[i]) for i in range(arena.n_states)
               if arena.turn[i] == TURN_ENV and not arena.terminal[i]}
     assert widths <= {2, 3}
@@ -343,10 +343,10 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
     # labels are never per edge: an explored state holds the variant's action
     # tuple or one of the scenario's perception rows, position by position
     # with its successors' numbers
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
-                                    "no-override"))
+    sc = mini_scenario(offset=1)
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "no-override"), sc)
     actions = VARIANT_ACTIONS["no-override"]
-    rows = arena.meta["scenario"].perceptions(DriverParams().num_levels)
+    rows = sc.perceptions(DriverParams().num_levels)
     assert len(arena.won) == arena.n_states
     for i in range(arena.n_states):
         labels, targets = arena.labels[i], arena.edges[i]
@@ -383,6 +383,46 @@ def test_build_arena_names_a_malformed_output(default_sc, driver_params, bad):
         build_arena(hm, default_sc, driver_params, "full")
 
 
+def access_words(hm):
+    """A shortest input word to each reachable state of `hm`, breadth first."""
+    words = {hm.initial: ()}
+    queue = deque([hm.initial])
+    while queue:
+        state = queue.popleft()
+        for level in hm.inputs:
+            succ = hm.delta[state][level][0]
+            if succ not in words:
+                words[succ] = words[state] + (level,)
+                queue.append(succ)
+    return words
+
+
+@pytest.mark.parametrize("params,redeliberated", [
+    (HINT_PARAMS[0], 0), (HINT_PARAMS[1], 2), (DriverParams(k1=1.0, k2=1.0), 2),
+    (DriverParams(thw_levels=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), 0),
+], ids=["default", "hint-params", "k1-k2-1", "eight-levels"])
+def test_mirror_rows_give_the_driver_acceleration(params, redeliberated):
+    # the mirror's table against the black-box driver, not against itself:
+    # every state's access word replayed, a hint applied or not, one level
+    # perceived; `redeliberated` hinted entries differ from the plain ones
+    hm = minimize(explicit_machine(params))
+    rows = AbstractDriver(hm, params).rows
+    words = access_words(hm)
+    assert len(words) == len(hm.states)
+    sul = CognitiveDriver(params)
+    for q, word in words.items():
+        for hinted in (0, 1):
+            for level in hm.inputs:
+                sul.reset()
+                for symbol in word:
+                    sul.query(symbol)
+                if hinted:
+                    sul.apply_hint()
+                assert sul.query(level)[1] == rows[q, hinted][level][1], (word, hinted, level)
+    assert sum(rows[q, 1][level][1] != rows[q, 0][level][1]
+               for q in hm.states for level in hm.inputs) == redeliberated
+
+
 def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
     monkeypatch.setattr(game, "ARENA_STATE_CAP", 100)
     with pytest.raises(ArenaCapExceeded):
@@ -417,14 +457,13 @@ def on_lattice(pos, vel):
     return (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
 
 
-def documented_row(arena, state, hm, params):
+def documented_row(scenario, variant, state, hm, params):
     """`(labels, successor states)` of a non-terminal built-arena state, from
     the documented dynamics alone, in metres: the lead's track, the
     quantized headway and the sensor's perception set of its level, a fresh
     driver mirror, arbitration, and the follower's Euler step with its
     velocity clamped into [0, v_max].  Every position and velocity it reads
     or makes sits on the lattice."""
-    scenario, variant = arena.meta["scenario"], arena.meta["variant"]
     if state[0] == TURN_ENV:
         _, k, fp, fv, q, hinted = state
         _t, lp, lv, _acc = scenario.lead_track[k]
@@ -432,8 +471,7 @@ def documented_row(arena, state, hm, params):
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
         mirror = AbstractDriver(hm, params)
-        return labels, [(TURN_CTRL, k, fp, fv, *mirror.step(q, hinted, p))
-                        for p in labels]
+        return labels, [(TURN_CTRL, k, fp, fv, *mirror.rows[q, hinted][p]) for p in labels]
     _, k, fp, fv, q, dacc = state
     labels = VARIANT_ACTIONS[variant]
     cfg = scenario.supervisor_config()
@@ -445,13 +483,12 @@ def documented_row(arena, state, hm, params):
     return labels, succs
 
 
-def documented_flags(arena, state):
+def documented_flags(scenario, state):
     """`(bad, goal, terminal)` of a built-arena state: an environment state
     is bad once the follower reaches the lead, a goal once it reaches `dest`
     without being bad, and terminal when either holds or at the horizon."""
     if state[0] == TURN_CTRL:
         return False, False, False
-    scenario = arena.meta["scenario"]
     _, k, fp, *_rest = state
     bad = fp >= scenario.lead_track[k][1]
     goal = not bad and fp >= scenario.dest
@@ -475,12 +512,12 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
         state = arena.states[i]
         assert arena.index[state] == i and arena.turn[i] == state[0]
         assert (arena.bad[i], arena.goal[i], arena.terminal[i]) == \
-            documented_flags(arena, state)
+            documented_flags(scenario, state)
         targets = arena.successors(i)
         if arena.terminal[i]:
             assert arena.labels[i] == targets == ()
         else:
-            labels, succs = documented_row(arena, state, hm, params)
+            labels, succs = documented_row(scenario, variant, state, hm, params)
             assert arena.labels[i] == labels
             assert [arena.states[j] for j in targets] == succs
         i += 1
@@ -551,8 +588,8 @@ def test_a_dest_near_the_lattice_no_longer_splits_game_and_co_simulation(oracle_
 def test_built_arena_bipartite(oracle_machine):
     # env turn k -> ctrl turn k -> env turn k + 1: (k, turn) grows along every
     # edge, so the arena is acyclic, as the solver needs
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1), DriverParams(),
-                                    "full"))
+    sc = mini_scenario(offset=1)
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     for i in range(arena.n_states):
         k = arena.states[i][1]
         step = (TURN_CTRL, k) if arena.turn[i] == TURN_ENV else (TURN_ENV, k + 1)
@@ -630,8 +667,8 @@ def test_template_report_is_pinned(request, name):
 
 def test_default_solver_matches_brute_force_on_subsample(oracle_machine):
     # brute force is quadratic; check agreement on a small built arena
-    arena = explore_all(build_arena(oracle_machine, mini_scenario(offset=1, horizon=5),
-                                    DriverParams(), "full"))
+    sc = mini_scenario(offset=1, horizon=5)
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     region = solve(arena)
     assert set(region_members(region)) == brute_force_region(arena)
 
@@ -721,11 +758,11 @@ def test_arena_stats_text(default_synthesis):
 
 def test_variant_restricts_actions(oracle_machine):
     sc = mini_scenario(offset=1)
-    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "no-override"))
+    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "no-override"), sc)
     labels = {a for i in range(arena.n_states) if arena.turn[i] == TURN_CTRL
               for a in arena.labels[i]}
     assert labels <= {"none", "hint"}
-    arena2 = explore_all(build_arena(oracle_machine, sc, DriverParams(), "advisory-only"))
+    arena2 = explore_all(build_arena(oracle_machine, sc, DriverParams(), "advisory-only"), sc)
     labels2 = {a for i in range(arena2.n_states) if arena2.turn[i] == TURN_CTRL
                for a in arena2.labels[i]}
     assert labels2 == {"hint"}
@@ -771,11 +808,11 @@ def test_solver_rejects_a_cyclic_arena():
 
 def test_built_arena_decides_only_what_the_initial_state_needs(oracle_machine):
     # a horizon of 8 epochs leaves time to reach `dest`, so the game is won
-    arena = build_arena(oracle_machine, mini_scenario(offset=1, horizon=8), DriverParams(),
-                        "full")
+    sc = mini_scenario(offset=1, horizon=8)
+    arena = build_arena(oracle_machine, sc, DriverParams(), "full")
     explored = arena.n_states
     assert realizable(arena, arena.region)
-    assert explored < explore_all(arena).n_states
+    assert explored < explore_all(arena, sc).n_states
 
 
 SEVERITY = {"none": 0, "hint": 1, "override": 2}

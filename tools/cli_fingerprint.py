@@ -67,6 +67,15 @@ FIVE_LEVELS_TEXT = """\
 thw_levels=0.5,1.0,2.0,3.0
 """
 
+# driver parameters under which a hinted repeated stimulus re-deliberates to
+# another acceleration than the cached one, so the game's hinted rows differ
+# from the plain ones (never under the defaults)
+HINT_PARAMS_TEXT = """\
+k1=0.5
+k2=1.0
+thw_levels=1.5,3.0
+"""
+
 
 def runs():
     """The argv of each run, with `{tmp}` for the temporary directory."""
@@ -97,6 +106,11 @@ def runs():
     yield ["refine", "--scenario", "default", *learner, "--out", "{tmp}/refine-seed7"]
     yield ["learn", "--driver-params", "{tmp}/files/five-levels.txt",
            "--out", "{tmp}/learn-five-levels"]
+    yield ["learn", "--driver-params", "{tmp}/files/hint-params.txt", "--out", "{tmp}/learn-hint"]
+    for variant in ("full", "advisory-only"):
+        yield ["synth", "--scenario", "default", "--variant", variant,
+               "--driver-params", "{tmp}/files/hint-params.txt",
+               "--hm", "{tmp}/learn-hint/hm.mealy", "--out", f"{{tmp}}/synth-hint-{variant}"]
 
 
 def _digest(data, tmp):
@@ -135,7 +149,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.makedirs(os.path.join(tmp, "files"))
         for name, text in (("scenario.txt", SCENARIO_TEXT), ("params.txt", PARAMS_TEXT),
-                           ("five-levels.txt", FIVE_LEVELS_TEXT)):
+                           ("five-levels.txt", FIVE_LEVELS_TEXT),
+                           ("hint-params.txt", HINT_PARAMS_TEXT)):
             with open(os.path.join(tmp, "files", name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for argv in runs():
