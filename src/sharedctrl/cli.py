@@ -63,7 +63,7 @@ def _write(path, text):
 
 
 def _params(args):
-    return DriverParams.from_file(args.driver_params) if args.driver_params \
+    return read_file(args.driver_params, DriverParams.from_text) if args.driver_params \
         else DriverParams()
 
 

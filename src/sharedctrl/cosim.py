@@ -419,8 +419,7 @@ def refine_loop(scenario, cfg):
     variant = cfg.variant
     records = []
     reason = "max-iterations"
-    it = 0
-    while it < cfg.max_iterations:
+    for it in range(cfg.max_iterations):
         record = IterationRecord(it, hm, variant)
         records.append(record)
         try:
@@ -435,7 +434,6 @@ def refine_loop(scenario, cfg):
                 pos = ladder.index(variant)
                 if cfg.expand_on_unrealizable and pos + 1 < len(ladder):
                     variant = ladder[pos + 1]
-                    it += 1
                     continue
                 reason = "unrealizable"
                 break
@@ -452,5 +450,4 @@ def refine_loop(scenario, cfg):
             reason = "stable"
             break
         hm = new_hm
-        it += 1
     return RefinementReport(records, reason), records

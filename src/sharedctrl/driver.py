@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config_text import config_lines, parse_config, read_file
+from .config_text import config_lines, parse_config
 from .mealy import MealyMachine
 
 FULL_CHAIN = ("attend", "read", "encode", "retrieve", "decide")
@@ -75,10 +75,6 @@ class DriverParams:
     def from_text(cls, text):
         values, _rows = parse_config(cls, text)
         return cls(**values)
-
-    @classmethod
-    def from_file(cls, path):
-        return read_file(path, cls.from_text)
 
 
 def decide_acceleration(thw, prev_thw, dt, params, prev_acc):

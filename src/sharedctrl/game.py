@@ -309,6 +309,9 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         raise ValueError(f"unknown variant {variant!r}")
     driver = AbstractDriver.shared(hm, params)
     grid_lattice_checks(driver, scenario, cfg)
+    if scenario.epoch != params.decision_epoch:
+        raise ValueError(f"scenario epoch {scenario.epoch} differs from the driver's "
+                         f"decision_epoch {params.decision_epoch}")
 
     actions = VARIANT_ACTIONS[variant]
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
@@ -373,20 +376,20 @@ def _driver_checked(explore, hm, params):
 
     The driver's states under plain stimuli are those of `explicit_machine`.
     Each non-terminal state added on a hint-free path from the initial
-    state, state 0, waits in `pending` with the entry `(driver state, level,
-    entry before)` of the first such path: the driver's state after the path
-    and the path's perceptions, linked backwards.  When the state is
-    explored, its entry is handed on to its new successors.  At an
-    environment state, the abstraction's output for the perception on the
-    edge to each new successor must equal the driver's whole, rule chain
-    included: the check interprets neither part, the mirror is the one
-    place that does.  A hint edge hands on nothing, since the alphabet has
-    no hint symbol to replay it with.  A state reached again later is not
-    checked again, so no disagreement is no proof that the abstraction
-    conforms.
+    state, state 0, waits in `pending` with the entry `(driver state, word)`
+    of the first such path: the driver's state after the path and the
+    path's perceptions, first one first.  When the state is explored, its
+    entry is handed on to its new successors.  At an environment state, the
+    word grows by the perception on the edge to each new successor, and the
+    abstraction's output for that perception must equal the driver's whole,
+    rule chain included: the check interprets neither part, the mirror is
+    the one place that does.  A hint edge hands on nothing, since the
+    alphabet has no hint symbol to replay it with.  A state reached again
+    later is not checked again, so no disagreement is no proof that the
+    abstraction conforms.
     """
     truth = explicit_machine(params)
-    pending = {0: (truth.initial, None, None)}
+    pending = {0: (truth.initial, ())}
 
     def checked(arena, i):
         n = len(arena.states)
@@ -396,14 +399,15 @@ def _driver_checked(explore, hm, params):
             return labels, succs
         if arena.turn[i] == TURN_ENV:
             predicted = hm.delta[arena.states[i][4]]
-            actual = truth.delta[entry[0]]
+            d, word = entry
+            actual = truth.delta[d]
             for p, j in zip(labels, succs):
                 if j < n or j in pending:
                     continue
                 d2, out = actual[p]
                 if predicted[p][1] != out:
-                    raise DriverDisagrees(_path_word((d2, p, entry)), len(arena.states))
-                pending[j] = (d2, p, entry)
+                    raise DriverDisagrees(word + (p,), len(arena.states))
+                pending[j] = (d2, word + (p,))
         else:
             terminal = arena.terminal
             for action, j in zip(labels, succs):
@@ -412,15 +416,6 @@ def _driver_checked(explore, hm, params):
         return labels, succs
 
     return checked
-
-
-def _path_word(entry):
-    """The perceptions of a pending entry's path, first one first."""
-    word = []
-    while entry[1] is not None:
-        word.append(entry[1])
-        entry = entry[2]
-    return tuple(reversed(word))
 
 
 class WinningRegion:

@@ -227,6 +227,8 @@ def parse(text):
                 hash(symbol)  # symbols key the transition tables
             except (ValueError, SyntaxError, TypeError):
                 raise bad(pos, "bad symbol literal") from None
+            if symbol in found:
+                raise bad(pos, f"repeated {kind} symbol")
             found.append(symbol)
         return found
 

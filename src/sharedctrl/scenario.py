@@ -131,10 +131,6 @@ class Scenario:
                 raise ConfigError(f"line {number}: {exc}") from None
         return cls(**values)
 
-    @classmethod
-    def from_file(cls, path):
-        return read_file(path, cls.from_text)
-
 
 def default_scenario():
     """Car following with a lead braking phase at t in [5, 8) s.
@@ -175,4 +171,4 @@ def load_scenario(ref):
         return default_scenario()
     if ref == "braking":
         return braking_scenario()
-    return Scenario.from_file(ref)
+    return read_file(ref, Scenario.from_text)

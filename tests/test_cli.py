@@ -329,6 +329,23 @@ def test_synth_names_the_bad_driver_params_file(tmp_path, capsys, oracle_machine
     assert str(params_path) in err and "line 1: bad value for 'k1'" in err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--scenario", "epoch=1.0\nhorizon_epochs=14\n",
+     "scenario epoch 1.0 differs from the driver's decision_epoch 0.5"),
+    ("--driver-params", "decision_epoch=1.0\n",
+     "scenario epoch 0.5 differs from the driver's decision_epoch 1.0"),
+], ids=["scenario", "driver-params"])
+def test_synth_rejects_an_epoch_that_is_not_the_drivers(tmp_path, capsys, oracle_machine,
+                                                        flag, text, message):
+    # the game queries the driver once per epoch, which its law must integrate over
+    path = tmp_path / "epoch.txt"
+    path.write_text(text, encoding="utf-8")
+    code = main(["synth", flag, str(path), "--hm", str(write_hm(tmp_path, oracle_machine)),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_learn_rejects_a_negative_headway_level(tmp_path, capsys):
     params_path = tmp_path / "negative.params"
     params_path.write_text("thw_levels = -1.0, 2.0\n", encoding="utf-8")

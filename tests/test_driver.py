@@ -6,6 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharedctrl.config_text import read_file
 from sharedctrl.driver import (
     CognitiveDriver,
     DriverParams,
@@ -333,4 +334,4 @@ def test_explicit_machine_structure(oracle_machine):
 def test_params_file_round_trip(tmp_path, driver_params):
     path = tmp_path / "driver.params"
     path.write_text(driver_params.to_text())
-    assert DriverParams.from_file(path) == driver_params
+    assert read_file(path, DriverParams.from_text) == driver_params

@@ -149,6 +149,8 @@ def test_parse_rejects_garbage():
         ("in 'a'", "in 'a", "line 2: bad symbol literal: \"in 'a\""),
         ("out '0'", "out ['0']", "line 3: bad symbol literal: \"out ['0']\""),
         ("out '1'", "in '1'", "line 4: expected out symbol line: \"in '1'\""),
+        # `serialize` would drop a repeated output
+        ("out '1'", "out '0'", "line 4: repeated out symbol: \"out '0'\""),
         ("t 0 0 1 0", "\nt 0 x 1 0", "line 6: bad transition line: 't 0 x 1 0'"),
         ("t 0 0 1 0", "t 0 0 1", "line 5: bad transition line: 't 0 0 1'"),
         ("t 1 0 0 1", "t 1 0 2 1", "line 6: state out of range: 't 1 0 2 1'"),
@@ -158,6 +160,14 @@ def test_parse_rejects_garbage():
         with pytest.raises(FormatError) as err:
             parse(text.replace(old, new))
         assert str(err.value) == message
+
+
+def test_parse_names_a_repeated_input_at_its_line():
+    # named at its own line, not at the transition that uses it second
+    text = "mealy v1 1 2 1\nin 'a'\nin 'a'\nout 'x'\nt 0 0 0 0\nt 0 1 0 0\n"
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == "line 3: repeated in symbol: \"in 'a'\""
 
 
 def test_structured_output_symbols_round_trip():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from sharedctrl.config_text import read_file
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario, load_scenario
 from sharedctrl.world import (
     CollisionState,
@@ -208,7 +209,7 @@ def test_scenario_round_trip(tmp_path):
     sc = braking_scenario()
     path = tmp_path / "braking.scenario"
     path.write_text(sc.to_text(), encoding="utf-8")
-    assert Scenario.from_file(path) == sc
+    assert read_file(path, Scenario.from_text) == sc
 
 
 def test_scenario_text_round_trip():

@@ -16,7 +16,10 @@ every file the run wrote, each path relative to the temporary directory.
 The directory's path is masked as `<tmp>` in the argv, in the captured
 streams and in the files before they are hashed.  Two checkouts whose CLI
 behaves alike print identical lines, so `diff` of two outputs lists the runs
-whose behaviour changed.
+whose behaviour changed.  `tools/cli_fingerprint.txt` holds the lines of
+this checkout, and CI fails when the script's output differs from it:
+
+    python3 tools/cli_fingerprint.py | diff -u tools/cli_fingerprint.txt -
 """
 
 from __future__ import annotations
