@@ -40,6 +40,7 @@ from .game import (
     arena_stats_text,
     build_arena,
     certify,
+    grid_lattice_checks,
     parse_strategy,
     serialize_strategy,
     solve,
@@ -190,6 +191,7 @@ def _fmt_metric(value):
 
 def cmd_demo(args):
     scenario, params = _load_inputs(args)
+    grid_lattice_checks(scenario, params)  # before the learn, which takes the time
     hm, stats = _learn(args, params)
     if not stats.converged:
         return EXIT_USAGE

@@ -34,6 +34,7 @@ from .game import (
     build_arena,
     certify,
     extract_strategy,
+    grid_lattice_checks,
     minimal_intervention,
     realizable,
     solve,
@@ -322,6 +323,8 @@ class RefineLoopConfig:
     def __post_init__(self):
         if self.runs < 1 or self.max_iterations < 1:
             raise ValueError("runs and max_iterations must be >= 1")
+        if self.variant not in VARIANT_ACTIONS:
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.oracle.rng_seed != EqOracleConfig.rng_seed:
             raise ValueError(f"oracle.rng_seed ({self.oracle.rng_seed}) is never read: "
                              "the learner draws from seed")
@@ -414,6 +417,7 @@ def refine_loop(scenario, cfg):
     that `bench/run.py` unpacks.
     """
     params = cfg.params
+    grid_lattice_checks(scenario, params)
     session = learning_session(params, cfg.oracle, cfg.seed, cfg.initial_state_cap)
     hm, _stats = session.run()
     variant = cfg.variant

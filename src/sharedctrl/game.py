@@ -27,19 +27,21 @@ strategy files.  The objective is `monitor`'s strong until over
 State encoding.  Environment turn: `(0, k, fpos, fvel, hm, hinted)`;
 controller turn: `(1, k, fpos, fvel, hm, driver_acc)` in metres and metres
 per second.  The supervision mode and the perceived level are deliberately
-not part of the state: both are functions of the incoming edge (mode
-follows the chosen action one-to-one, the perceived level is
-subsumed by the driver successor and its emitted acceleration), so folding
-them out is a bisimulation quotient that leaves the winning region and all
-checked properties unchanged while keeping the product tractable.  An
-explored state stores its successors as a tuple of state numbers and its
-edge labels as one shared row: the variant's action tuple for a controller
-state, the perception set of the perceived level for an environment state.
-One kernel, `build_arena`'s `explore`, computes a state's successors, looks
-each up in the arena's index and numbers a new one with `GameArena.add`.
-Asked to, `build_arena` wraps it to check each new controller state reached
-on a hint-free path against the real driver, and raises `DriverDisagrees`
-at the first output (rule chain and acceleration) the driver does not give.
+not part of the state: both are functions of the incoming edge (mode follows
+the chosen action one-to-one, the perceived level is subsumed by the driver
+successor and its emitted acceleration), so folding them out is a
+bisimulation quotient that leaves the winning region and all checked
+properties unchanged while keeping the product tractable.  Each state has
+one outcome byte, `OPEN`, `GOAL`, `BAD` or `HORIZON`, which `build_arena`'s
+`outcome(k, fp)` decides for the start and every successor.  An explored
+state stores its successors as a tuple of state numbers and its edge labels
+as one shared row: the variant's action tuple for a controller state, the
+perception set of the perceived level for an environment state.  One kernel,
+`build_arena`'s `explore`, computes a state's successors, looks each up in
+the arena's index and numbers a new one with `GameArena.add`.  Asked to,
+`build_arena` wraps it to check each new controller state reached on a hint-
+free path against the real driver, and raises `DriverDisagrees` at the first
+output (rule chain and acceleration) the driver does not give.
 
 `AbstractDriver`, the abstraction's mirror shared with co-simulation, is
 the one place that interprets its `(rule_chain, acc)` outputs and refuses
@@ -77,6 +79,7 @@ from .world import advance, headway_metrics, judge, quantize_thw
 
 TURN_ENV = 0
 TURN_CTRL = 1
+OPEN, GOAL, BAD, HORIZON = range(4)  # a state's outcome: nonzero is terminal
 
 POS_SCALE = 4   # lattice units per metre
 VEL_SCALE = 2   # lattice units per (m/s)
@@ -167,7 +170,6 @@ class AbstractDriver:
                 raise ValueError(f"abstraction output {out!r} is not a (rule_chain, acc) "
                                  "pair with a real-number acc")
         self.accelerations = frozenset(acc for _chain, acc in hm.outputs)
-        self.params = params
         by_profile = {}
         annotated = set()
         for state in hm.reachable_states():
@@ -199,20 +201,22 @@ class GameArena:
     """Bipartite arena: interleaved controller/environment turns.
 
     States are opaque values, numbered in the order they are first reached.
-    `turn[i]` says who moves and `bad`/`goal`/`terminal` classify state `i`,
-    one byte each.  `edges[i]` is the tuple of its successors' numbers, or
-    None while `i` is unexplored; `labels[i]` labels them position by
-    position, with one row shared by all states of the same labels, never a
-    copy per edge.  `successors(i)` explores `i` on first use: it calls
-    `explore(arena, i)`, which returns `(labels, successors)` and numbers
-    each successor not in `index` with `add`, the one method that appends a
-    state's row and checks `ARENA_STATE_CAP`.  Environment edges are
-    uncontrollable (sensor level choices); controller edges carry
+    `turn[i]` says who moves and `outcome[i]` how plays end at state `i`,
+    one byte each: `OPEN` (0) while they go on, else terminal as `GOAL`
+    (reached `dest`), `BAD` (overtaken, even past `dest`) or `HORIZON` (out
+    of epochs short of both).  `edges[i]` is the tuple of its successors'
+    numbers, or None while `i` is unexplored; `labels[i]` labels them
+    position by position, with one row shared by all states of the same
+    labels, never a copy per edge.  `successors(i)` explores `i` on first
+    use: it calls `explore(arena, i)`, which returns `(labels, successors)`
+    and numbers each successor not in `index` with `add`, the one method
+    that appends a state's row and checks `ARENA_STATE_CAP`.  Environment
+    edges are uncontrollable (sensor level choices); controller edges carry
     supervision actions, held in severity order.  `n_states` and `n_edges`
-    count what has been explored so far.  `region` is the arena's
-    winning region, decided as it is asked; the solver keeps its decisions
-    in `won` (per state: None while undecided, else whether the controller
-    wins) and `iterations`.  `variant` names the controller's action set.
+    count what has been explored so far.  `region` is the arena's winning
+    region, decided as it is asked; the solver keeps its decisions in `won`
+    (per state: None while undecided, else whether the controller wins) and
+    `iterations`.  `variant` names the controller's action set.
     """
 
     def __init__(self, explore, variant):
@@ -221,16 +225,14 @@ class GameArena:
         self.states = []
         self.index = {}
         self.turn = bytearray()
-        self.bad = bytearray()
-        self.goal = bytearray()
-        self.terminal = bytearray()
+        self.outcome = bytearray()
         self.labels = []
         self.edges = []
         self.initial = None
         self.won = []  # per state: None while undecided, else whether the controller wins
         self.iterations = 0  # states the solver expanded
 
-    def add(self, state, turn, bad, goal, terminal):
+    def add(self, state, turn, outcome):
         """Number `state`, not reached before, as the next state: the one
         place that grows the arena and checks `ARENA_STATE_CAP`."""
         j = len(self.states)
@@ -239,11 +241,9 @@ class GameArena:
         self.index[state] = j
         self.states.append(state)
         self.turn.append(turn)
-        self.bad.append(bad)
-        self.goal.append(goal)
-        self.terminal.append(terminal)
-        self.labels.append(() if terminal else None)
-        self.edges.append(() if terminal else None)
+        self.outcome.append(outcome)
+        self.labels.append(() if outcome else None)
+        self.edges.append(() if outcome else None)
         self.won.append(None)
         return j
 
@@ -269,17 +269,17 @@ class GameArena:
         return sum(len(e) for e in self.edges if e is not None)
 
 
-def grid_lattice_checks(driver, scenario, cfg):
-    """The one check that every value the arena of `driver`, a mirror, reads
-    is on the lattice, in order: the epoch, the velocity increment of each
-    acceleration (the driver's, the lead's, the clamp's and the
+def grid_lattice_checks(scenario, params, accelerations=()):
+    """The one check of what an arena for `scenario` and the driver of
+    `params` reads, in order: that the epoch, the velocity increment of each
+    acceleration (`acc_set`, the lead's, the clamp's and `accelerations`, an
     abstraction's outputs), the lead track, `dest`, `v_max` and the
-    follower's start."""
+    follower's start are on the lattice, then that the epoch is the driver's."""
     eps = scenario.epoch
     if not float(eps * POS_SCALE / VEL_SCALE).is_integer():
         raise ValueError(f"epoch {eps} incompatible with the position lattice")
-    accs = set(driver.params.acc_set) | {a for _, a in scenario.profile.segments}
-    accs |= {cfg.acc_floor, cfg.acc_cap} | driver.accelerations
+    accs = set(params.acc_set) | {a for _, a in scenario.profile.segments}
+    accs |= {scenario.acc_floor, scenario.acc_cap, *accelerations}
     for a in sorted(accs):
         _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
     for _t, pos, vel, _acc in scenario.lead_track:
@@ -289,6 +289,9 @@ def grid_lattice_checks(driver, scenario, cfg):
     _scaled(scenario.v_max, VEL_SCALE, "v_max")
     _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel")
+    if eps != params.decision_epoch:
+        raise ValueError(f"scenario epoch {eps} differs from the driver's "
+                         f"decision_epoch {params.decision_epoch}")
 
 
 def build_arena(hm, scenario, params, variant, *, check_driver=False):
@@ -308,10 +311,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     if variant not in VARIANT_ACTIONS:
         raise ValueError(f"unknown variant {variant!r}")
     driver = AbstractDriver.shared(hm, params)
-    grid_lattice_checks(driver, scenario, cfg)
-    if scenario.epoch != params.decision_epoch:
-        raise ValueError(f"scenario epoch {scenario.epoch} differs from the driver's "
-                         f"decision_epoch {params.decision_epoch}")
+    grid_lattice_checks(scenario, params, driver.accelerations)
 
     actions = VARIANT_ACTIONS[variant]
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
@@ -319,7 +319,10 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     lead = scenario.lead_track
     perceived = scenario.perceptions(params.num_levels)
     moves_of = {}  # (fv, driver acc) -> [(fv after the step, hinted)] per action
-    responses = {}  # (level, q, hinted) -> [(q2, driver acc)] per perception
+
+    def outcome(k, fp):  # how plays end with the follower at `fp` in epoch `k`
+        bad, goal = judge(fp, lead[k][1], dest)
+        return BAD if bad else GOAL if goal else HORIZON if k == horizon else OPEN
 
     def explore(arena, i):
         # `add` is reached through `arena`: the closure holds no arena
@@ -330,16 +333,13 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             _, k, fp, fv, q, hinted = s
             _t, lp, lv, _lacc = lead[k]
             thw, _ttc = headway_metrics(lp, lv, fp, fv)
-            level = quantize_thw(thw, params.thw_levels)
-            labels = perceived[level]
-            replies = responses.get((level, q, hinted))
-            if replies is None:  # the mirror's row, narrowed to the perceivable levels
-                row = driver.rows[q, hinted]
-                replies = responses[level, q, hinted] = [row[p] for p in labels]
-            for q2, dacc in replies:
+            labels = perceived[quantize_thw(thw, params.thw_levels)]
+            row = driver.rows[q, hinted]
+            for p in labels:
+                q2, dacc = row[p]
                 t = (TURN_CTRL, k, fp, fv, q2, dacc)
                 j = index.get(t)
-                succs.append(arena.add(t, TURN_CTRL, 0, 0, 0) if j is None else j)
+                succs.append(arena.add(t, TURN_CTRL, OPEN) if j is None else j)
             return labels, tuple(succs)
         _, k, fp, fv, q2, dacc = s
         moves = moves_of.get((fv, dacc))
@@ -351,21 +351,18 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         k += 1
         # `advance` moves the follower by its old velocity, alike under every action
         fp = advance(fp, fv, dacc, eps, v_max)[0]
-        bad, goal = judge(fp, lead[k][1], dest)  # shared by every successor
-        terminal = bad or goal or k == horizon
+        out = outcome(k, fp)  # shared by every successor
         for fv2, h in moves:
             t = (TURN_ENV, k, fp, fv2, q2, h)
             j = index.get(t)
-            succs.append(arena.add(t, TURN_ENV, bad, goal, terminal) if j is None else j)
+            succs.append(arena.add(t, TURN_ENV, out) if j is None else j)
         return actions, tuple(succs)
 
     if check_driver:
         explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, variant)
-    fp0 = scenario.follow_pos
-    s0 = (TURN_ENV, 0, fp0, scenario.follow_vel, hm.initial, 0)
-    bad0, goal0 = judge(fp0, lead[0][1], dest)
-    arena.initial = arena.add(s0, TURN_ENV, bad0, goal0, bad0 or goal0 or horizon == 0)
+    s0 = (TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, hm.initial, 0)
+    arena.initial = arena.add(s0, TURN_ENV, outcome(0, scenario.follow_pos))
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
 
@@ -409,9 +406,8 @@ def _driver_checked(explore, hm, params):
                     raise DriverDisagrees(word + (p,), len(arena.states))
                 pending[j] = (d2, word + (p,))
         else:
-            terminal = arena.terminal
             for action, j in zip(labels, succs):
-                if j >= n and action != ACTION_HINT and not terminal[j]:
+                if j >= n and action != ACTION_HINT and not arena.outcome[j]:
                     pending[j] = entry
         return labels, succs
 
@@ -423,8 +419,8 @@ class WinningRegion:
     objective, decided one state at a time as they are asked about.
 
     `i in region` runs the solver from `i` unless `i` is already decided;
-    the arena must be acyclic.  A terminal state wins exactly when it is a
-    goal and not bad: a play that overtakes, even past the destination, or
+    the arena must be acyclic.  A terminal state wins exactly when its
+    outcome is `GOAL`: a play that overtakes, even past the destination, or
     stops at the horizon short of it loses, as `monitor` judges it.
     `len(region)` counts the states decided winning so far.
     `iterations` counts the states the solver expanded.  Both are kept by
@@ -460,10 +456,10 @@ class WinningRegion:
         has explored states raises `ValueError`.
         """
         arena, won = self.arena, self.won
-        states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
-        goal, labels, edges, explore = arena.goal, arena.labels, arena.edges, arena._explore
-        if terminal[root]:
-            won[root] = goal[root] and not bad[root]
+        states, turn, outcome = arena.states, arena.turn, arena.outcome
+        labels, edges, explore = arena.labels, arena.edges, arena._explore
+        if outcome[root]:
+            won[root] = outcome[root] == GOAL
             return won[root]
         stack = [[root, arena.successors(root), 0]]  # frame: [state, successors, next one]
         arena.iterations += 1
@@ -478,9 +474,9 @@ class WinningRegion:
                 pos += 1
                 r = won[j]
                 if r is None:
-                    if not terminal[j]:
+                    if not outcome[j]:
                         break
-                    r = won[j] = goal[j] and not bad[j]
+                    r = won[j] = outcome[j] == GOAL
                 decided = r == ctrl
             else:
                 # decided: i wins iff it is the controller's; otherwise no
@@ -560,9 +556,12 @@ class TemplateReport:
     safety_witness: object = None
     goal_terminals: int = 0
     horizon_terminals: int = 0
-    reach_ok: bool = True
     min_intervention_ok: bool = True
     min_intervention_witness: object = None
+
+    @property
+    def reach_ok(self):  # a view of the counts, so a partial report cannot contradict them
+        return self.horizon_terminals == 0 and self.goal_terminals > 0
 
     def text(self):
         lines = [
@@ -595,19 +594,19 @@ def _walk(arena, region, pick):
     `TemplateReport`.
     """
     report = TemplateReport()
-    states, turn, bad, terminal = arena.states, arena.turn, arena.bad, arena.terminal
+    states, turn, outcome = arena.states, arena.turn, arena.outcome
     seen = {arena.initial}
     queue = deque([arena.initial])
     while queue:
         i = queue.popleft()
         s = states[i]
-        if bad[i]:
+        if outcome[i] == BAD:
             if report.safety_ok:
                 report.safety_ok = False
                 report.safety_witness = s
             continue
-        if terminal[i]:
-            if arena.goal[i]:
+        if outcome[i]:
+            if outcome[i] == GOAL:
                 report.goal_terminals += 1
             else:
                 report.horizon_terminals += 1
@@ -638,7 +637,6 @@ def _walk(arena, region, pick):
                 seen.add(j)
                 queue.append(j)
     report.visited = len(seen)
-    report.reach_ok = report.horizon_terminals == 0 and report.goal_terminals > 0
     return report
 
 
@@ -785,8 +783,8 @@ def arena_stats_text(arena, region):
         f"edges={arena.n_edges}",
         f"controller_states={n_ctrl}",
         f"environment_states={arena.n_states - n_ctrl}",
-        f"bad_states={sum(arena.bad)}",
-        f"goal_states={sum(arena.goal)}",
+        f"bad_states={arena.outcome.count(BAD)}",
+        f"goal_states={arena.outcome.count(GOAL)}",
         f"variant={arena.variant}",
         f"winning_states={len(region)}",
         f"solver_iterations={region.iterations}",

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
-    ACTION_SEVERITY, TURN_CTRL, TURN_ENV, GameArena, arena_stats_text, build_arena,
-    extract_strategy, solve,
+    ACTION_SEVERITY, BAD, GOAL, HORIZON, OPEN, TURN_CTRL, TURN_ENV, GameArena,
+    arena_stats_text, build_arena, extract_strategy, solve,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
@@ -71,7 +71,9 @@ def make_constant(output="0", inputs=("a",)):
 
 def arena_from_graph(nodes, initial, bad=(), goal=()):
     """A fully explored arena from `{name: (turn, [(label, succ), ...])}`,
-    `turn` "c" or "e", numbered in order; controller labels must be unique."""
+    `turn` "c" or "e", numbered in order; controller labels must be unique.
+    A state in `bad` is `BAD`, even if in `goal`; else one in `goal` is
+    `GOAL`, and one without edges `HORIZON`."""
 
     def explore(arena, i):
         turn, edges = nodes[arena.states[i]]
@@ -83,9 +85,9 @@ def arena_from_graph(nodes, initial, bad=(), goal=()):
     for name, (turn, edges) in nodes.items():
         if turn == "c" and len({e[0] for e in edges}) != len(edges):
             raise ValueError(f"controller state {name!r} has two edges with the same label")
-        is_bad, is_goal = name in bad, name in goal
-        arena.add(name, TURN_CTRL if turn == "c" else TURN_ENV, is_bad, is_goal,
-                  not edges or is_bad or is_goal)
+        outcome = (BAD if name in bad else GOAL if name in goal else
+                   OPEN if edges else HORIZON)
+        arena.add(name, TURN_CTRL if turn == "c" else TURN_ENV, outcome)
     for i in range(arena.n_states):
         arena.successors(i)
     arena.initial = arena.index[initial]

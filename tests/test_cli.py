@@ -346,6 +346,15 @@ def test_synth_rejects_an_epoch_that_is_not_the_drivers(tmp_path, capsys, oracle
     assert message in capsys.readouterr().err
 
 
+def test_demo_checks_the_scenario_before_it_learns(tmp_path, capsys):
+    path = tmp_path / "epoch.txt"
+    path.write_text("epoch=1.0\nhorizon_epochs=14\n", encoding="utf-8")
+    assert main(["demo", "--scenario", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "scenario epoch 1.0 differs from the driver's decision_epoch 0.5" in err
+
+
 def test_learn_rejects_a_negative_headway_level(tmp_path, capsys):
     params_path = tmp_path / "negative.params"
     params_path.write_text("thw_levels = -1.0, 2.0\n", encoding="utf-8")

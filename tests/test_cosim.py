@@ -36,8 +36,8 @@ from sharedctrl.driver import (
     CognitiveDriver, DriverParams, FULL_CHAIN, SHORT_CHAIN, explicit_machine,
 )
 from sharedctrl.game import (
-    AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV, VEL_SCALE, build_arena,
-    parse_strategy, serialize_strategy,
+    BAD, GOAL, HORIZON, OPEN, AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV,
+    VEL_SCALE, build_arena, parse_strategy, realizable, serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
@@ -54,34 +54,37 @@ def run_once(strategy, scenario, params, hm, seed=0):
     return execute(strategy, sul, scenario, cfg, seed, hm, params)
 
 
-def edge_scenario(follow_pos, dest):
+def edge_scenario(follow_pos, dest, horizon=6):
     """A lattice scenario whose follower starts at `follow_pos`, the lead at
     30 m.  `Scenario` refuses a start at or past the lead or `dest`, so such
     a start is placed directly."""
     sc = Scenario(name="edge", lead_pos=30.0, lead_vel=10.0, follow_vel=10.0, dest=dest,
-                  horizon_epochs=6, sensor_offset=0, v_max=16.0)
+                  horizon_epochs=horizon, sensor_offset=0, v_max=16.0)
     if follow_pos < min(sc.lead_pos, dest):
         return replace(sc, follow_pos=follow_pos)
     object.__setattr__(sc, "follow_pos", follow_pos)
     return sc
 
 
-@pytest.mark.parametrize("follow_pos, dest, atoms", [
-    (30.0, 40.0, (True, False)),   # at the lead
-    (20.0, 20.0, (False, True)),   # at dest, below the lead
-    (30.0, 30.0, (True, False)),   # at both: overtaken, so not reached
-    (19.75, 20.0, (False, False)),  # one lattice step short of dest
+@pytest.mark.parametrize("follow_pos, dest, horizon, outcome", [
+    (30.0, 40.0, 6, BAD),       # at the lead
+    (20.0, 20.0, 6, GOAL),      # at dest, below the lead
+    (30.0, 30.0, 6, BAD),       # at both: overtaken, so not reached
+    (19.75, 20.0, 6, OPEN),     # one lattice step short of dest
+    (19.75, 20.0, 0, HORIZON),  # short of dest with no epoch left
 ])
-def test_game_episode_and_monitor_judge_the_start_alike(follow_pos, dest, atoms,
+def test_game_episode_and_monitor_judge_the_start_alike(follow_pos, dest, horizon, outcome,
                                                         oracle_machine, driver_params):
-    sc = edge_scenario(follow_pos, dest)
+    sc = edge_scenario(follow_pos, dest, horizon)
     overtaken, reached = judge(sc.follow_pos, sc.lead_pos, sc.dest)
-    assert (overtaken, reached) == atoms
-    stops = overtaken or reached
+    assert (overtaken, reached) == (outcome == BAD, outcome == GOAL)
+    stops = outcome != OPEN
     arena = build_arena(oracle_machine, sc, driver_params, "full")
-    i = arena.initial
-    assert (arena.bad[i], arena.goal[i], arena.terminal[i]) == (overtaken, reached, stops)
-    assert (epoch_context(sc, driver_params, 0, sc.follow_pos, sc.follow_vel) == ()) == stops
+    assert arena.outcome[arena.initial] == outcome
+    if stops:  # a terminal start wins exactly at a goal
+        assert realizable(arena, arena.region) == (outcome == GOAL)
+    assert (epoch_context(sc, driver_params, 0, sc.follow_pos, sc.follow_vel) == ()) == \
+        (overtaken or reached)
     trace = run_once(ConstantStrategy("none"), sc, driver_params, oracle_machine)
     assert (trace.rows == []) == stops
     verdict = monitor(SimTrace([], sc.initial_world()), sc.dest,
@@ -462,6 +465,12 @@ def test_refine_loop_config_refuses_an_oracle_seed_it_never_reads():
     assert RefineLoopConfig(oracle=walks, seed=3).oracle == walks
 
 
+def test_refine_loop_config_refuses_an_unknown_variant():
+    # refused when the settings are made, not after a learn
+    with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+        RefineLoopConfig(variant="bogus")
+
+
 def test_refine_skips_agreeing_trace(driver_params, oracle_machine,
                                      default_synthesis, default_sc):
     session = make_session(driver_params)
@@ -628,6 +637,17 @@ def test_refine_loop_iteration_cap(default_sc):
     report, _ = refine_loop(default_sc, cfg)
     assert len(report.iterations) == 1
     assert report.termination_reason == "max-iterations"
+
+
+def test_refine_loop_checks_the_scenario_before_it_learns(monkeypatch):
+    def learn(*_args):
+        raise AssertionError("learned before the scenario was checked")
+
+    monkeypatch.setattr(cosim, "learning_session", learn)
+    sc = replace(default_scenario(), epoch=1.0, horizon_epochs=14)
+    with pytest.raises(ValueError, match=r"^scenario epoch 1\.0 differs from the driver's "
+                                         r"decision_epoch 0\.5$"):
+        refine_loop(sc, RefineLoopConfig(runs=1))
 
 
 @pytest.mark.parametrize("cap", [0, -1])

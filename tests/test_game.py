@@ -14,7 +14,11 @@ from sharedctrl.driver import FULL_CHAIN, CognitiveDriver, DriverParams, explici
 from sharedctrl.game import (
     AbstractDriver,
     ArenaCapExceeded,
+    BAD,
     DriverDisagrees,
+    GOAL,
+    HORIZON,
+    OPEN,
     POS_SCALE,
     Strategy,
     StrategyRejected,
@@ -50,18 +54,17 @@ def brute_force_region(arena):
     """Naive set-based greatest fixpoint of the strong-until objective; the
     oracle for `solve`.
 
-    A terminal state wins exactly when it is a goal and not bad, so a play
+    A terminal state wins exactly when its outcome is `GOAL`, so a play
     that stops short of a goal loses, as `monitor` judges it; interior states
     follow the exists/forall rule until the set stabilizes.  On an acyclic
     arena the greatest fixpoint is the least one.
     """
-    win = [not arena.bad[i] and (arena.goal[i] or not arena.terminal[i])
-           for i in range(arena.n_states)]
+    win = [arena.outcome[i] in (OPEN, GOAL) for i in range(arena.n_states)]
     changed = True
     while changed:
         changed = False
         for i in range(arena.n_states):
-            if not win[i] or arena.terminal[i]:
+            if not win[i] or arena.outcome[i]:
                 continue
             if arena.turn[i] == TURN_CTRL:
                 ok = any(win[j] for j in arena.successors(i))
@@ -212,6 +215,25 @@ def test_a_play_that_stops_short_of_a_goal_loses():
         certify(arena, Strategy({"c0": "none", "c1": "none"}, "full"), region)
 
 
+def test_a_rejected_strategy_reports_reach_as_its_counts_say():
+    # the walk meets a play that ends at the horizon before the state the
+    # strategy leaves undefined, so its partial report fails reachability
+    nodes = {
+        "e0": ("e", [("u", "c0"), ("v", "x")]),
+        "c0": ("c", [("none", "end")]),
+        "x": ("e", [("u", "c1")]),
+        "c1": ("c", [("none", "g")]),
+        "end": ("e", []),
+        "g": ("e", []),
+    }
+    arena = arena_from_graph(nodes, goal={"g"}, initial="e0")
+    with pytest.raises(StrategyRejected, match=re.escape(
+            "undefined on reachable state 'c1'; checks up to there:\n"
+            "states_visited=5\nsafety=pass\n"
+            "reachability=FAIL (goal_terminals=0, horizon_terminals=1)\n")):
+        certify(arena, Strategy({"c0": "none"}, "full"), solve(arena))
+
+
 def test_strategy_picks_the_winning_action():
     arena = fixture_right_action()
     region = solve(arena)
@@ -278,7 +300,7 @@ def test_strategy_closure_stays_winning():
     while stack:
         i = stack.pop()
         assert i in region
-        if arena.terminal[i]:
+        if arena.outcome[i]:
             continue
         if arena.turn[i] == TURN_CTRL:
             action = strategy.actions[arena.states[i]]
@@ -326,7 +348,7 @@ def test_build_arena_zero_offset_collapses_sensor(oracle_machine):
     sc = mini_scenario(offset=0)
     arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     for i in range(arena.n_states):
-        if arena.turn[i] == TURN_ENV and not arena.terminal[i]:
+        if arena.turn[i] == TURN_ENV and not arena.outcome[i]:
             assert len(arena.edges[i]) == 1
 
 
@@ -334,7 +356,7 @@ def test_build_arena_offset_one_branches(oracle_machine):
     sc = mini_scenario(offset=1)
     arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     widths = {len(arena.edges[i]) for i in range(arena.n_states)
-              if arena.turn[i] == TURN_ENV and not arena.terminal[i]}
+              if arena.turn[i] == TURN_ENV and not arena.outcome[i]}
     assert widths <= {2, 3}
     assert 2 in widths or 3 in widths
 
@@ -350,7 +372,7 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
     assert len(arena.won) == arena.n_states
     for i in range(arena.n_states):
         labels, targets = arena.labels[i], arena.edges[i]
-        if arena.terminal[i]:
+        if arena.outcome[i]:
             assert labels == targets == ()
         elif arena.turn[i] == TURN_CTRL:
             assert labels is actions
@@ -360,9 +382,10 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
         assert all(type(j) is int for j in targets)
 
 
-def test_build_arena_no_bad_goal_overlap(oracle_machine, default_sc):
+def test_build_arena_outcomes_are_the_four_values(oracle_machine, default_sc):
+    # one byte per state: a state overtaken past `dest` is `BAD`, not also a goal
     arena = build_arena(oracle_machine, default_sc, DriverParams(), "full")
-    assert not any(b and g for b, g in zip(arena.bad, arena.goal))
+    assert set(arena.outcome) <= {OPEN, GOAL, BAD, HORIZON}
 
 
 def test_build_arena_alphabet_mismatch(default_sc):
@@ -483,16 +506,18 @@ def documented_row(scenario, variant, state, hm, params):
     return labels, succs
 
 
-def documented_flags(scenario, state):
-    """`(bad, goal, terminal)` of a built-arena state: an environment state
-    is bad once the follower reaches the lead, a goal once it reaches `dest`
-    without being bad, and terminal when either holds or at the horizon."""
+def documented_outcome(scenario, state):
+    """The outcome of a built-arena state: an environment state is `BAD` once
+    the follower reaches the lead, else `GOAL` once it reaches `dest`, else
+    `HORIZON` at the horizon; every other state is `OPEN`."""
     if state[0] == TURN_CTRL:
-        return False, False, False
+        return OPEN
     _, k, fp, *_rest = state
-    bad = fp >= scenario.lead_track[k][1]
-    goal = not bad and fp >= scenario.dest
-    return bad, goal, bad or goal or k == scenario.horizon_epochs
+    if fp >= scenario.lead_track[k][1]:
+        return BAD
+    if fp >= scenario.dest:
+        return GOAL
+    return HORIZON if k == scenario.horizon_epochs else OPEN
 
 
 @settings(max_examples=80, deadline=None)
@@ -511,10 +536,9 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
     while i < arena.n_states:
         state = arena.states[i]
         assert arena.index[state] == i and arena.turn[i] == state[0]
-        assert (arena.bad[i], arena.goal[i], arena.terminal[i]) == \
-            documented_flags(scenario, state)
+        assert arena.outcome[i] == documented_outcome(scenario, state)
         targets = arena.successors(i)
-        if arena.terminal[i]:
+        if arena.outcome[i]:
             assert arena.labels[i] == targets == ()
         else:
             labels, succs = documented_row(scenario, variant, state, hm, params)

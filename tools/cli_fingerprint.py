@@ -79,6 +79,13 @@ k2=1.0
 thw_levels=1.5,3.0
 """
 
+# a scenario on the lattice whose epoch is not the driver's: the commands that
+# learn must refuse it before they learn, with nothing on stdout
+BAD_EPOCH_TEXT = """\
+epoch=1.0
+horizon_epochs=14
+"""
+
 
 def runs():
     """The argv of each run, with `{tmp}` for the temporary directory."""
@@ -114,6 +121,8 @@ def runs():
         yield ["synth", "--scenario", "default", "--variant", variant,
                "--driver-params", "{tmp}/files/hint-params.txt",
                "--hm", "{tmp}/learn-hint/hm.mealy", "--out", f"{{tmp}}/synth-hint-{variant}"]
+    yield ["demo", "--scenario", "{tmp}/files/bad-epoch.txt"]
+    yield ["refine", "--scenario", "{tmp}/files/bad-epoch.txt", "--out", "{tmp}/refine-bad-epoch"]
 
 
 def _digest(data, tmp):
@@ -153,7 +162,8 @@ def main():
         os.makedirs(os.path.join(tmp, "files"))
         for name, text in (("scenario.txt", SCENARIO_TEXT), ("params.txt", PARAMS_TEXT),
                            ("five-levels.txt", FIVE_LEVELS_TEXT),
-                           ("hint-params.txt", HINT_PARAMS_TEXT)):
+                           ("hint-params.txt", HINT_PARAMS_TEXT),
+                           ("bad-epoch.txt", BAD_EPOCH_TEXT)):
             with open(os.path.join(tmp, "files", name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for argv in runs():
