@@ -24,14 +24,18 @@ float exact, checked by `grid_lattice_checks`, and the integer encoding of
 strategy files.  The objective is `monitor`'s strong until over
 `world.judge`'s atoms: never overtake the lead, reach `dest` by the horizon.
 
-State encoding.  Environment turn: `(0, k, fpos, fvel, hm, hinted)`;
-controller turn: `(1, k, fpos, fvel, hm, driver_acc)` in metres and metres
-per second.  The supervision mode and the perceived level are deliberately
-not part of the state: both are functions of the incoming edge (mode follows
-the chosen action one-to-one, the perceived level is subsumed by the driver
-successor and its emitted acceleration), so folding them out is a
-bisimulation quotient that leaves the winning region and all checked
-properties unchanged while keeping the product tractable.  Each state has
+State encoding.  Environment turn: `(0, k, fpos, fvel, row)`; controller
+turn: `(1, k, fpos, fvel, q, driver_acc)` in metres and metres per second,
+`q` an abstraction state.  The supervision mode and the perceived level are
+deliberately not part of the state: both are functions of the incoming edge
+(mode follows the chosen action one-to-one, the perceived level is subsumed
+by the driver successor and its emitted acceleration), so folding them out
+is a bisimulation quotient that leaves the winning region and all checked
+properties unchanged while keeping the product tractable.  So is `row`: an
+environment state reads the abstraction state and the hint flag only
+through the mirror's row of the pair, so it holds the row's number, and the
+pairs of equal rows, whose states have the same successors, share one
+state.  Controller states, the strategy's keys, keep `q`.  Each state has
 one outcome byte, `OPEN`, `GOAL`, `BAD` or `HORIZON`, which `build_arena`'s
 `outcome(k, fp)` decides for the start and every successor.  An explored
 state stores its successors as a tuple of state numbers and its edge labels
@@ -39,16 +43,18 @@ as one shared row: the variant's action tuple for a controller state, the
 perception set of the perceived level for an environment state.  One kernel,
 `build_arena`'s `explore`, computes a state's successors, looks each up in
 the arena's index and numbers a new one with `GameArena.add`.  Asked to,
-`build_arena` wraps it to check each new controller state reached on a hint-
-free path against the real driver, and raises `DriverDisagrees` at the first
-output (rule chain and acceleration) the driver does not give.
+`build_arena` wraps it to check each controller state that a hint-free path
+reaches before it is explored against the real driver, and raises
+`DriverDisagrees` at the first output (rule chain and acceleration) the
+driver does not give.
 
 `AbstractDriver`, the abstraction's mirror shared with co-simulation, is
 the one place that interprets its `(rule_chain, acc)` outputs and refuses
 any other shape.  It is one table, built once, that the game and
 co-simulation only look up in: per abstraction state and hint flag, the
-successor and acceleration of each level.  The response to a hint is the
-driver's, checked by `monitor`.
+successor and acceleration of each level, and the number of that row among
+the distinct ones, which the arena's environment states hold.  The
+response to a hint is the driver's, checked by `monitor`.
 
 A strategy's plays are walked in one place, `_walk`, which applies the three
 template checks and asks a picker for the edge taken at each controller
@@ -154,7 +160,10 @@ class AbstractDriver:
     raises `ValueError` naming an output that is no such pair with a
     real-number `acc`.  One table, built once and never changed:
     `rows[state, hinted]` maps each level to `(successor, acc)`, the
-    machine's own entry unless hinted.  After a hint, a repeated stimulus
+    machine's own entry unless hinted.  `row_number[state, hinted]` numbers
+    that row among the distinct ones, equal rows alike, and
+    `distinct_rows[number]` is the row, which an environment state of the
+    arena reads by the number it holds.  After a hint, a repeated stimulus
     (a chain other than `FULL_CHAIN`) re-deliberates instead of replaying
     the cached decision: the acceleration law runs at the level's
     representative headway, and the successor is resolved through the
@@ -188,6 +197,11 @@ class AbstractDriver:
                     acc = decide_acceleration(rep, rep, params.decision_epoch, params, acc)
                     hinted[level] = (by_profile.get((level, acc), succ), acc)
             self.rows[state, 0], self.rows[state, 1] = plain, hinted
+        numbers = {}  # a row's entries in level order -> its number
+        self.row_number = {
+            key: numbers.setdefault(tuple(row[level] for level in hm.inputs), len(numbers))
+            for key, row in self.rows.items()}
+        self.distinct_rows = [dict(zip(hm.inputs, entries)) for entries in numbers]
 
     @classmethod
     def shared(cls, hm, params):
@@ -312,6 +326,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         raise ValueError(f"unknown variant {variant!r}")
     driver = AbstractDriver.shared(hm, params)
     grid_lattice_checks(scenario, params, driver.accelerations)
+    row_number, distinct_rows = driver.row_number, driver.distinct_rows
 
     actions = VARIANT_ACTIONS[variant]
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
@@ -330,11 +345,11 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         index = arena.index
         succs = []
         if s[0] == TURN_ENV:
-            _, k, fp, fv, q, hinted = s
+            _, k, fp, fv, r = s
             _t, lp, lv, _lacc = lead[k]
             thw, _ttc = headway_metrics(lp, lv, fp, fv)
             labels = perceived[quantize_thw(thw, params.thw_levels)]
-            row = driver.rows[q, hinted]
+            row = distinct_rows[r]
             for p in labels:
                 q2, dacc = row[p]
                 t = (TURN_CTRL, k, fp, fv, q2, dacc)
@@ -353,7 +368,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         fp = advance(fp, fv, dacc, eps, v_max)[0]
         out = outcome(k, fp)  # shared by every successor
         for fv2, h in moves:
-            t = (TURN_ENV, k, fp, fv2, q2, h)
+            t = (TURN_ENV, k, fp, fv2, row_number[q2, h])
             j = index.get(t)
             succs.append(arena.add(t, TURN_ENV, out) if j is None else j)
         return actions, tuple(succs)
@@ -361,7 +376,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     if check_driver:
         explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, variant)
-    s0 = (TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, hm.initial, 0)
+    s0 = (TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, row_number[hm.initial, 0])
     arena.initial = arena.add(s0, TURN_ENV, outcome(0, scenario.follow_pos))
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
@@ -372,42 +387,44 @@ def _driver_checked(explore, hm, params):
     hint-free paths on the real driver.
 
     The driver's states under plain stimuli are those of `explicit_machine`.
-    Each non-terminal state added on a hint-free path from the initial
-    state, state 0, waits in `pending` with the entry `(driver state, word)`
-    of the first such path: the driver's state after the path and the
-    path's perceptions, first one first.  When the state is explored, its
-    entry is handed on to its new successors.  At an environment state, the
-    word grows by the perception on the edge to each new successor, and the
-    abstraction's output for that perception must equal the driver's whole,
-    rule chain included: the check interprets neither part, the mirror is
-    the one place that does.  A hint edge hands on nothing, since the
-    alphabet has no hint symbol to replay it with.  A state reached again
-    later is not checked again, so no disagreement is no proof that the
-    abstraction conforms.
+    Each non-terminal state reached on a hint-free path from the initial
+    state, state 0, waits in `pending` with the entry `(driver state, q,
+    word)` of the first such path to reach it before it is explored: the
+    driver's state and the abstraction state after the path, and the path's
+    perceptions, first one first.  The entry carries `q` because an
+    environment state holds only the mirror's row, which states of equal
+    rows share.  When the state is explored, its entry is handed on to every
+    hint-free successor neither explored nor pending.  At an environment
+    state, the word grows by the perception on the edge to each of them, and
+    `hm.delta[q]`'s output for that perception must equal the driver's
+    whole, rule chain included: the check interprets neither part, the
+    mirror is the one place that does.  A hint edge hands on nothing, since
+    the alphabet has no hint symbol to replay it with.  A state explored
+    before a path reaches it is not checked again, so no disagreement is no
+    proof that the abstraction conforms.
     """
     truth = explicit_machine(params)
-    pending = {0: (truth.initial, ())}
+    pending = {0: (truth.initial, hm.initial, ())}
 
     def checked(arena, i):
-        n = len(arena.states)
         labels, succs = explore(arena, i)
         entry = pending.pop(i, None)
         if entry is None:
             return labels, succs
+        edges = arena.edges
         if arena.turn[i] == TURN_ENV:
-            predicted = hm.delta[arena.states[i][4]]
-            d, word = entry
-            actual = truth.delta[d]
+            d, q, word = entry
+            predicted, actual = hm.delta[q], truth.delta[d]
             for p, j in zip(labels, succs):
-                if j < n or j in pending:
-                    continue
-                d2, out = actual[p]
-                if predicted[p][1] != out:
-                    raise DriverDisagrees(word + (p,), len(arena.states))
-                pending[j] = (d2, word + (p,))
+                if edges[j] is None and j not in pending:
+                    d2, out = actual[p]
+                    q2, predicted_out = predicted[p]
+                    if predicted_out != out:
+                        raise DriverDisagrees(word + (p,), len(arena.states))
+                    pending[j] = (d2, q2, word + (p,))
         else:
             for action, j in zip(labels, succs):
-                if j >= n and action != ACTION_HINT and not arena.outcome[j]:
+                if action != ACTION_HINT and edges[j] is None and j not in pending:
                     pending[j] = entry
         return labels, succs
 

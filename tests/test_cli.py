@@ -260,7 +260,7 @@ def test_refine_writes_only_the_machine_of_a_disagreeing_iteration(tmp_path, mon
     assert [p.name for p in (out / "iteration_00").iterdir()] == ["hm.mealy"]
     assert sorted(p.name for p in (out / "iteration_01").iterdir()) == [
         "hm.mealy", "strategy.txt", "trace_000.csv", "trace_001.csv"]
-    assert "disagrees_with_driver_on=3,3 after_states=8" in \
+    assert "disagrees_with_driver_on=3,3 after_states=7" in \
         (out / "refinement_report.txt").read_text(encoding="utf-8")
 
 

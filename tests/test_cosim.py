@@ -333,10 +333,10 @@ def test_a_strategy_read_back_from_its_file_runs_the_same_episodes(
         assert files[0].read_bytes() == files[1].read_bytes()
 
 
-def _env_state(k, pos, vel, q, hinted):
+def _env_state(k, pos, vel, row):
     """The arena's environment state of a follower on the lattice."""
     assert (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
-    return (TURN_ENV, k, pos, vel, q, hinted)
+    return (TURN_ENV, k, pos, vel, row)
 
 
 def _explored(arena, state):
@@ -362,7 +362,8 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
     q, hinted = oracle_machine.initial, 0
     env = arena.states[arena.initial]  # where the previous row's action led
     for k, row in enumerate(trace.rows):
-        assert env == _env_state(k, row.follow_pos, row.follow_vel, q, hinted)
+        assert env == _env_state(k, row.follow_pos, row.follow_vel,
+                                 mirror.row_number[q, hinted])
         q, _acc = mirror.rows[q, hinted][row.perceived_level]
         key = (TURN_CTRL, k, env[2], env[3], q, row.driver_acc)
         assert _explored(arena, env)[row.perceived_level] == key
@@ -370,7 +371,8 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
         env = _explored(arena, key)[row.action]
         hinted = 1 if row.action == ACTION_HINT else 0
     final = trace.final_world.follow
-    assert env == _env_state(len(trace.rows), final.pos, final.vel, q, hinted)
+    assert env == _env_state(len(trace.rows), final.pos, final.vel,
+                             mirror.row_number[q, hinted])
 
 
 def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
@@ -503,14 +505,14 @@ def test_refine_loop_exact_learner_passes_first_iteration(default_sc):
 
 
 def test_refine_loop_truncated_start_recovers(default_sc):
-    # the 2-state machine's arena leaves the driver after 8 states: that
+    # the 2-state machine's arena leaves the driver after 7 states: that
     # iteration synthesizes nothing and runs no episode, and its word relearns
     # the exact machine
     cfg = RefineLoopConfig(seed=0, runs=8, initial_state_cap=2)
     report, _ = refine_loop(default_sc, cfg)
     first, second = report.iterations
     assert (first.hm_states, first.realizable, first.verdicts) == (2, None, [])
-    assert first.disagreement == ((3, 3), 8)
+    assert first.disagreement == ((3, 3), 7)
     assert first.strategy is None and first.traces == []
     assert (second.hm_states, second.realizable, second.disagreement) == (9, True, None)
     assert second.strategy is not None and len(second.traces) == 8
@@ -525,7 +527,7 @@ def test_disagreement_record_says_where_the_abstraction_left_the_driver(default_
     first = report.iterations[0]
     assert (first.injected, first.redundant, first.skipped) == (0, 1, 0)
     assert first.line() == ("iteration=0 hm_states=2 variant=full "
-                            "disagrees_with_driver_on=3,3 after_states=8 "
+                            "disagrees_with_driver_on=3,3 after_states=7 "
                             "injected=0 redundant=1 skipped=0")
     assert "realizable" not in first.line()
     assert report.termination_reason == "all-pass"
@@ -615,7 +617,7 @@ def test_refine_loop_stops_on_a_disagreement_that_changes_no_machine(default_sc,
     monkeypatch.setattr(cosim, "LearningSession", Stuck)
     report, _ = refine_loop(default_sc, RefineLoopConfig(seed=0, runs=2, initial_state_cap=2))
     assert report.termination_reason == "stable"
-    assert [r.disagreement for r in report.iterations] == [((3, 3), 8)]
+    assert [r.disagreement for r in report.iterations] == [((3, 3), 7)]
 
 
 def test_refine_loop_ends_on_a_strategy_whose_plays_all_reach_dest():
@@ -715,7 +717,7 @@ def test_coarse_synthesis_is_pinned(coarse_synthesis):
     text = serialize_strategy(strategy)
     assert (arena.n_states, arena.region.iterations, len(strategy.actions),
             hashlib.sha256(text.encode()).hexdigest()) == (
-        67337, 46171, 30912,
+        49400, 46032, 30912,
         "f043e27441fd71dae9f01c3a5cb5ed9c2cc1434da39d39be6fcee2a5c655d917")
 
 

@@ -17,6 +17,7 @@ from sharedctrl.game import (
     BAD,
     DriverDisagrees,
     GOAL,
+    GameArena,
     HORIZON,
     OPEN,
     POS_SCALE,
@@ -446,6 +447,23 @@ def test_mirror_rows_give_the_driver_acceleration(params, redeliberated):
                for q in hm.states for level in hm.inputs) == redeliberated
 
 
+@pytest.mark.parametrize("params,keys,distinct", [
+    (HINT_PARAMS[0], 18, 3), (HINT_PARAMS[1], 8, 3), (DriverParams(k1=1.0, k2=1.0), 22, 6),
+    (DriverParams(thw_levels=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), 72, 13),
+], ids=["default", "hint-params", "k1-k2-1", "eight-levels"])
+def test_mirror_numbers_each_distinct_row_once(params, keys, distinct):
+    # an environment state holds the number of its row: each `(q, hinted)`
+    # key's number names its own row, and no two numbers name equal rows
+    hm = minimize(explicit_machine(params))
+    mirror = AbstractDriver(hm, params)
+    assert len(mirror.row_number) == len(mirror.rows) == keys
+    for key, row in mirror.rows.items():
+        assert mirror.distinct_rows[mirror.row_number[key]] == row
+    assert len(mirror.distinct_rows) == distinct
+    assert all(a != b for i, a in enumerate(mirror.distinct_rows)
+               for b in mirror.distinct_rows[i + 1:])
+
+
 def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
     monkeypatch.setattr(game, "ARENA_STATE_CAP", 100)
     with pytest.raises(ArenaCapExceeded):
@@ -454,12 +472,12 @@ def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
 
 def test_build_arena_state_cap_boundary(oracle_machine, default_sc, driver_params,
                                         monkeypatch):
-    # the pinned default/full build explores exactly 2942 states
-    monkeypatch.setattr(game, "ARENA_STATE_CAP", 2942)
+    # the pinned default/full build explores exactly 1590 states
+    monkeypatch.setattr(game, "ARENA_STATE_CAP", 1590)
     arena = build_arena(oracle_machine, default_sc, driver_params, "full")
-    assert arena.n_states == 2942 and realizable(arena, arena.region)
-    monkeypatch.setattr(game, "ARENA_STATE_CAP", 2941)
-    with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 2941 states$"):
+    assert arena.n_states == 1590 and realizable(arena, arena.region)
+    monkeypatch.setattr(game, "ARENA_STATE_CAP", 1589)
+    with pytest.raises(ArenaCapExceeded, match=r"^arena exceeds 1589 states$"):
         build_arena(oracle_machine, default_sc, driver_params, "full")
 
 
@@ -480,21 +498,21 @@ def on_lattice(pos, vel):
     return (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
 
 
-def documented_row(scenario, variant, state, hm, params):
+def documented_row(scenario, variant, state, mirror, params):
     """`(labels, successor states)` of a non-terminal built-arena state, from
     the documented dynamics alone, in metres: the lead's track, the
-    quantized headway and the sensor's perception set of its level, a fresh
-    driver mirror, arbitration, and the follower's Euler step with its
+    quantized headway and the sensor's perception set of its level, the
+    rows of `mirror`, a fresh driver mirror, arbitration, and the follower's
+    Euler step with its
     velocity clamped into [0, v_max].  Every position and velocity it reads
     or makes sits on the lattice."""
     if state[0] == TURN_ENV:
-        _, k, fp, fv, q, hinted = state
+        _, k, fp, fv, r = state
         _t, lp, lv, _acc = scenario.lead_track[k]
         assert on_lattice(lp, lv) and on_lattice(fp, fv)
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
-        mirror = AbstractDriver(hm, params)
-        return labels, [(TURN_CTRL, k, fp, fv, *mirror.rows[q, hinted][p]) for p in labels]
+        return labels, [(TURN_CTRL, k, fp, fv, *mirror.distinct_rows[r][p]) for p in labels]
     _, k, fp, fv, q, dacc = state
     labels = VARIANT_ACTIONS[variant]
     cfg = scenario.supervisor_config()
@@ -502,7 +520,8 @@ def documented_row(scenario, variant, state, hm, params):
     for action in labels:
         pos, vel = advance(fp, fv, arbitrate(action, dacc, cfg), scenario.epoch, scenario.v_max)
         assert on_lattice(pos, vel)
-        succs.append((TURN_ENV, k + 1, pos, vel, q, 1 if action == ACTION_HINT else 0))
+        succs.append((TURN_ENV, k + 1, pos, vel,
+                      mirror.row_number[q, 1 if action == ACTION_HINT else 0]))
     return labels, succs
 
 
@@ -529,8 +548,9 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
     # the documented dynamics give, numbered through the arena's index
     hm = abstractions(params)[machine]
     arena = build_arena(hm, scenario, params=params, variant=variant)
+    mirror = AbstractDriver(hm, params)
     assert arena.states[arena.initial] == (
-        TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, hm.initial, 0)
+        TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, mirror.row_number[hm.initial, 0])
     assert on_lattice(scenario.follow_pos, scenario.follow_vel)
     i = 0
     while i < arena.n_states:
@@ -541,7 +561,7 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
         if arena.outcome[i]:
             assert arena.labels[i] == targets == ()
         else:
-            labels, succs = documented_row(scenario, variant, state, hm, params)
+            labels, succs = documented_row(scenario, variant, state, mirror, params)
             assert arena.labels[i] == labels
             assert [arena.states[j] for j in targets] == succs
         i += 1
@@ -632,34 +652,34 @@ def test_default_arena_realizable(default_synthesis):
 # strategy's entries and the sha256 of its file), with the exact abstraction
 SYNTHESIS_PINS = {
     ("default", "full"): (
-        True, 2942, 1709, 4546,
-        "bd88a735415b71c4169c3121ea7872f757f05241e8003104268cbc9c718cc58a", 725,
+        True, 1590, 1287, 3549,
+        "168fa6155b4c9a91312c34953f6c7a599436c25dbb3aceb2a24daaf320ef03bd", 725,
         "ea493b6bcd683e609bb2e1c9307bf093089ce07560f103c2f3a3f99a31193200"),
     ("default", "no-override"): (
-        False, 776, 419, 874,
-        "30dda990e186f8b38dab3fd6647d56590a4144403e38fc8bdae7a9981a6932c0"),
+        False, 481, 377, 775,
+        "765f09306a426c1037b62c11b0a9cc3b48ef24ba4c4a7f376248e5e129a90785"),
     ("default", "advisory-only"): (
-        False, 527, 400, 572,
-        "a8a1f392e27fdc80b437fefa9ddb85dcca74d63d6e4376465159f6adde4fbe95"),
+        False, 481, 377, 526,
+        "a36c4da1028767297a9a0de94282a36f92c43a143c69b9260e821384ad427d8a"),
     ("braking", "full"): (
-        True, 79030, 50102, 141921,
-        "337518040272f69bbe2a6fe609ec5de0f3076af0ba65b80b6eede30ec0688738", 18098,
+        True, 42272, 34115, 98214,
+        "75e20f5830400e50edc4c852c6351faca5be304161bcd778817226713b00a69d", 18098,
         "e393615269080d768538d2b24e4938e0b7dd87888ecdf2c79d4f96c9e9422c49"),
     ("braking", "no-override"): (
-        False, 10867, 6287, 14143,
-        "0d4d4630ee85dc942029254472f5ee3391771396c855a840a8f420dd220791e1"),
+        False, 5568, 5045, 10866,
+        "35df9722d5a810b46364504e464e8c13d52b68e16f1108859ad15b8aed28d8d1"),
     ("braking", "advisory-only"): (
-        False, 7252, 6264, 10475,
-        "55580c9ccf5e12e3ea473836b11d9ac96c888d28cb07cb4b4968d49af623ac0e"),
+        False, 5568, 5045, 7251,
+        "0676db011077dd3f9fd8728b80c2d85966a87141bb60e111a55e09610f0b5d73"),
 }
 
 # template report of each realizable pair's strategy
 TEMPLATE_PINS = {
-    "default": ("states_visited=1421\nsafety=pass\n"
-                "reachability=pass (goal_terminals=158, horizon_terminals=0)\n"
+    "default": ("states_visited=1144\nsafety=pass\n"
+                "reachability=pass (goal_terminals=105, horizon_terminals=0)\n"
                 "min_intervention=pass\n"),
-    "braking": ("states_visited=35133\nsafety=pass\n"
-                "reachability=pass (goal_terminals=2022, horizon_terminals=0)\n"
+    "braking": ("states_visited=26104\nsafety=pass\n"
+                "reachability=pass (goal_terminals=1042, horizon_terminals=0)\n"
                 "min_intervention=pass\n"),
 }
 
@@ -681,6 +701,43 @@ def test_synthesis_is_pinned(request, oracle_machine, driver_params, synthesis_c
         got = (realizable(arena, arena.region), arena.n_states, arena.region.iterations,
                arena.n_edges, sha256_text(arena_stats_text(arena, arena.region)))
     assert got == SYNTHESIS_PINS[name, variant]
+
+
+# params -> {(scenario, variant): sha256 of the strategy file, None when
+# refuted}, with the exact abstraction: under each params set the six
+# built-in pairs keep their verdict and strategy however the arena numbers
+# its states (default params are pinned in SYNTHESIS_PINS)
+STRATEGY_PINS = {
+    HINT_PARAMS[1]: {
+        ("default", "full"):
+            "c03ca4e6dd4b5ff9d973a3a873635a33bb3a8c9c68c6677c1fea42fdbc240867",
+        ("braking", "full"):
+            "58df32b3430f8c2157a9d8fb67cb53a54a97ab770da063811c77933e4080177f",
+    },
+    DriverParams(k1=1.0, k2=1.0): {
+        ("default", "full"):
+            "4bdc13e81dd137bdecc2edeb2e0300ba602f79fef91bdca86ca45d1eeed28337",
+        ("braking", "full"):
+            "fc4c12b2521528a1a50e60b5e6c7b5e7fcaaf01e9421ddc984eae3369c522ab7",
+    },
+    DriverParams(thw_levels=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)): {
+        ("default", "full"):
+            "d8c08993984c3a073a8147e17b5f0547124ede7e57f694b2f3b77b9472894e7f",
+        ("braking", "full"):
+            "a5c4382002ae869700f42017352d554833980b85c6ac6c7d17ff550c6a73772a",
+    },
+}
+
+
+@pytest.mark.parametrize("params", list(STRATEGY_PINS),
+                         ids=["hint-params", "k1-k2-1", "eight-levels"])
+@pytest.mark.parametrize("name,variant", list(SYNTHESIS_PINS))
+def test_strategies_are_pinned_under_other_params(request, params, name, variant):
+    scenario = request.getfixturevalue(f"{name}_sc")
+    arena = build_arena(abstractions(params)["exact"], scenario, params, variant)
+    strategy = synthesize(arena)
+    got = strategy and sha256_text(serialize_strategy(strategy))
+    assert got == STRATEGY_PINS[params].get((name, variant))
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATE_PINS))
@@ -1011,6 +1068,70 @@ def test_driver_check_reports_only_words_that_tell_the_driver_apart(scenario, pa
         return
     event("no disagreement")
     assert checked == synthesized_texts(hm, scenario, params, variant, False)
+
+
+def test_driver_check_follows_the_abstraction_state_of_the_path(
+        oracle_machine, default_sc, driver_params):
+    # states 3, 4, 7 and 8 of the exact default machine give one mirror row,
+    # so one environment state stands for all four; they differ only in the
+    # rule chain of a repeated level.  A wrong chain there at state 7 leaves
+    # the mirror and the arena as they are: only the abstraction state that
+    # the check carries along the path can see it, not the first or the last
+    # state of the row
+    hm, q = oracle_machine, 7
+    mirror = AbstractDriver(hm, driver_params)
+    number = mirror.row_number
+    assert {s for (s, _h), r in number.items() if r == number[q, 0]} == {3, 4, 7, 8}
+    [(level, (succ, (chain, acc)))] = [(p, entry) for p, entry in hm.delta[q].items()
+                                        if entry[1][0] != FULL_CHAIN]
+    delta = {s: dict(row) for s, row in hm.delta.items()}
+    delta[q][level] = (succ, (chain[::-1], acc))
+    wrong = MealyMachine(hm.inputs, delta, initial=hm.initial)
+    assert AbstractDriver(wrong, driver_params).rows == mirror.rows
+    assert build_arena(wrong, default_sc, driver_params, "full").states == \
+        build_arena(hm, default_sc, driver_params, "full").states
+    with pytest.raises(DriverDisagrees) as caught:
+        build_arena(wrong, default_sc, driver_params, "full", check_driver=True)
+    word = caught.value.word
+    state = hm.initial
+    for p in word[:-1]:
+        state = hm.step(state, p)[0]
+    assert (state, word[-1]) == (q, level)
+    predicted, real = wrong.run(word), hm.run(word)  # the exact machine's are the driver's
+    assert predicted[:-1] == real[:-1] and predicted[-1] != real[-1]
+
+
+def test_driver_check_hands_on_to_a_state_a_hint_edge_numbered_first(
+        oracle_machine, driver_params):
+    # `e` is numbered by c1's hint edge, then reached from c2 without a hint
+    # before it is explored: it is checked on c2's path, where the
+    # abstraction's rule chain at state 2 for level 2 is wrong
+    delta = {s: dict(row) for s, row in oracle_machine.delta.items()}
+    succ, (chain, acc) = delta[2][2]
+    delta[2][2] = (succ, (chain[::-1], acc))
+    wrong = MealyMachine(oracle_machine.inputs, delta, initial=oracle_machine.initial)
+    nodes = {  # name -> (turn, outcome, [(label, successor)])
+        "s0": (TURN_ENV, OPEN, [(1, "c1"), (2, "c2")]),
+        "c1": (TURN_CTRL, OPEN, [("none", "goal"), ("hint", "e")]),
+        "c2": (TURN_CTRL, OPEN, [("none", "e")]),
+        "e": (TURN_ENV, OPEN, [(2, "c3")]),
+        "c3": (TURN_CTRL, OPEN, []),
+        "goal": (TURN_ENV, GOAL, []),
+    }
+
+    def explore(arena, i):
+        _turn, _outcome, edges = nodes[arena.states[i]]
+        succs = tuple(arena.index[t] if t in arena.index else arena.add(t, *nodes[t][:2])
+                      for _label, t in edges)
+        return tuple(label for label, _t in edges), succs
+
+    arena = GameArena(game._driver_checked(explore, wrong, driver_params), "full")
+    arena.initial = arena.add("s0", TURN_ENV, OPEN)
+    for name in ("s0", "c1", "c2"):
+        arena.successors(arena.index[name])
+    with pytest.raises(DriverDisagrees) as caught:
+        arena.successors(arena.index["e"])
+    assert caught.value.word == (2, 2)
 
 
 @pytest.fixture
