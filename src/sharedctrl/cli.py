@@ -45,7 +45,6 @@ from .game import (
     serialize_strategy,
     solve,
 )
-from .lstar import EqOracleConfig
 from .mealy import parse, serialize, to_dot
 from .scenario import load_scenario
 
@@ -72,16 +71,10 @@ def _load_inputs(args):
     return load_scenario(args.scenario), _params(args)
 
 
-def _oracle_config(args):
-    """The walk settings of the `--oracle-*` flags; the seed is `--seed`'s."""
-    return EqOracleConfig(num_walks=args.oracle_walks, max_walk_len=args.oracle_len,
-                          reset_prob=args.oracle_reset_prob)
-
-
 def _learn(args, params):
     """The driver abstraction and its learning stats; says so on stderr
     when learning did not converge."""
-    hm, stats = learning_session(params, _oracle_config(args), args.seed).run()
+    hm, stats = learning_session(params, args.seed).run()
     if not stats.converged:
         print("learning did not converge within the round cap", file=sys.stderr)
     return hm, stats
@@ -151,7 +144,6 @@ def cmd_validate(args):
 def cmd_refine(args):
     scenario, params = _load_inputs(args)
     cfg = RefineLoopConfig(
-        oracle=_oracle_config(args),
         params=params,
         variant=args.variant,
         seed=args.seed,
@@ -231,9 +223,6 @@ def build_parser():
         "seed": [("--seed", dict(type=int, default=RefineLoopConfig.seed))],
         "variant": [("--variant", dict(default=RefineLoopConfig.variant,
                                        choices=sorted(VARIANT_ACTIONS)))],
-        "oracle": [("--oracle-walks", dict(type=int, default=EqOracleConfig.num_walks)),
-                   ("--oracle-len", dict(type=int, default=EqOracleConfig.max_walk_len)),
-                   ("--oracle-reset-prob", dict(type=float, default=EqOracleConfig.reset_prob))],
         "runs": [("--runs", dict(type=int, default=RefineLoopConfig.runs))],
     }
 
@@ -246,7 +235,7 @@ def build_parser():
         return p
 
     command("learn", cmd_learn, "learn the driver abstraction",
-            "params", "out", "seed", "oracle")
+            "params", "out", "seed")
 
     p = command("synth", cmd_synth, "build the game and extract a strategy",
                 "scenario", "params", "out", "variant")
@@ -259,13 +248,13 @@ def build_parser():
     p.add_argument("--strategy", required=True)
 
     p = command("refine", cmd_refine, "run the full learn/synthesize/validate loop",
-                "scenario", "params", "out", "seed", "variant", "oracle", "runs")
+                "scenario", "params", "out", "seed", "variant", "runs")
     p.add_argument("--max-iter", type=int, default=RefineLoopConfig.max_iterations)
     p.add_argument("--expand-variants", action="store_true",
                    help="grow the controllable action set when unrealizable")
 
     command("demo", cmd_demo, "narrated single pass over the pipeline",
-            "scenario", "params", "seed", "variant", "oracle")
+            "scenario", "params", "seed", "variant")
     return parser
 
 

@@ -23,27 +23,23 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .driver import CognitiveDriver, DriverParams, FULL_CHAIN
 from .game import (
     AbstractDriver,
     DriverDisagrees,
-    TURN_CTRL,
     VARIANT_ACTIONS,
     build_arena,
     certify,
     extract_strategy,
     grid_lattice_checks,
-    minimal_intervention,
     realizable,
     solve,
 )
 from .lstar import EqOracleConfig, LearningSession, NotDistinguishing, RandomWalkOracle
 from .mealy import minimize, serialize
-from .supervisor import (
-    ACTION_HINT, ACTION_MODE, ACTION_NONE, ACTION_OVERRIDE, arbitrate, safe_now,
-)
+from .supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, arbitrate, safe_now
 from .world import VehicleState, WorldState, advance, headway_metrics, judge, quantize_thw
 
 TRACE_COLUMNS = (
@@ -142,8 +138,8 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     Per epoch: sample the perceived headway level, query the full driver,
     find the matching abstraction state in the mirror's table, look up the
     strategy action, arbitrate, and advance the follower.  The key looked
-    up is the game's controller state `(TURN_CTRL, k, fpos, fvel, q, dacc)`
-    in the episode's own floats, since the game plays in the same metres.  A
+    up is the game's controller state `(k, fpos, fvel, q, dacc)` in the
+    episode's own floats, since the game plays in the same metres.  A
     lookup miss means the driver left the learned abstraction; the fail-safe
     fallback forces Intervention at maximal braking and is counted on the
     trace.  Rows whose action the strategy supplied carry its `certified`
@@ -182,7 +178,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         perceived = choice(perceivable)
         chain, dacc = query(perceived)
         q = mirror_rows[q, hinted][perceived][0]
-        action = action_for((TURN_CTRL, k, fpos, fvel, q, dacc))
+        action = action_for((k, fpos, fvel, q, dacc))
         if action is None:
             misses += 1
             action = ACTION_OVERRIDE
@@ -209,12 +205,12 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
 def monitor(trace, dest, thresholds):
     """Classify a trace; the first violated objective (in priority order) wins.
 
-    Safety and reach are `world.judge`'s atoms.  Min-intervention is
-    `minimal_intervention` applied to each Intervention row.  A certified
-    override was chosen by the game under that predicate, so no less severe
-    action wins there.  For any other override (fail-safe fallback, stub
-    strategies, hand-built rows) the monitor takes a deep-safe state
-    (SafeNow) to leave the driver's own action winning.
+    Safety and reach are `world.judge`'s atoms.  A certified override was
+    chosen by the game, whose template check (iii) makes sure that no less
+    severe action wins there.  Any other override (fail-safe fallback, stub
+    strategies, hand-built rows) violates min-intervention in a deep-safe
+    state (SafeNow), where the driver's own action is taken to win: a
+    heuristic, and the program's second rule of min-intervention.
     """
     for idx, row in enumerate(trace.rows):
         if judge(row.follow_pos, row.lead_pos, dest)[0]:
@@ -226,11 +222,8 @@ def monitor(trace, dest, thresholds):
     if not reached:
         return Verdict(STATUS_GOAL, max(len(trace.rows) - 1, 0))
     for idx, row in enumerate(trace.rows):
-        if row.mode != ACTION_MODE[ACTION_OVERRIDE]:
-            continue
-        deep_safe = not row.certified and safe_now(row.thw, row.ttc, thresholds)
-        winning = (ACTION_NONE,) if deep_safe else (ACTION_OVERRIDE,)
-        if not minimal_intervention(ACTION_OVERRIDE, winning):
+        if (row.mode == ACTION_MODE[ACTION_OVERRIDE] and not row.certified
+                and safe_now(row.thw, row.ttc, thresholds)):
             return Verdict(STATUS_MIN_INTERVENTION, idx)
     for idx, row in enumerate(trace.rows):
         if row.action == ACTION_HINT and idx + 1 < len(trace.rows):
@@ -245,12 +238,12 @@ def episode_passed(trace, verdict):
     return verdict.passed and not trace.lookup_misses
 
 
-def learning_session(params, oracle, seed, state_cap=None):
+def learning_session(params, seed, state_cap=None):
     """The L* session on a fresh driver of `params`.  Its random-walk oracle
-    walks as `oracle` says and draws from the one seed derived for it from
-    `seed`: the only source of the learner's randomness."""
+    walks as `EqOracleConfig` says by default and draws from the one seed
+    derived for it from `seed`: the only source of the learner's randomness."""
     sul = CognitiveDriver(params)
-    oracle = RandomWalkOracle(sul, replace(oracle, rng_seed=derive_seed(seed, "oracle")))
+    oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=derive_seed(seed, "oracle")))
     return LearningSession(sul, params.levels(), oracle, state_cap=state_cap)
 
 
@@ -307,11 +300,8 @@ def refine(session, words):
 
 @dataclass
 class RefineLoopConfig:
-    """`refine_loop`'s settings and the CLI's defaults for them.  Of
-    `oracle` only the walk settings count: `learning_session` draws from
-    `seed`, so an `oracle.rng_seed` other than the default is refused."""
+    """`refine_loop`'s settings and the CLI's defaults for them."""
 
-    oracle: EqOracleConfig = field(default_factory=EqOracleConfig)
     params: DriverParams = field(default_factory=DriverParams)
     variant: str = "full"
     seed: int = 0
@@ -325,9 +315,6 @@ class RefineLoopConfig:
             raise ValueError("runs and max_iterations must be >= 1")
         if self.variant not in VARIANT_ACTIONS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.oracle.rng_seed != EqOracleConfig.rng_seed:
-            raise ValueError(f"oracle.rng_seed ({self.oracle.rng_seed}) is never read: "
-                             "the learner draws from seed")
 
 
 @dataclass
@@ -418,7 +405,7 @@ def refine_loop(scenario, cfg):
     """
     params = cfg.params
     grid_lattice_checks(scenario, params)
-    session = learning_session(params, cfg.oracle, cfg.seed, cfg.initial_state_cap)
+    session = learning_session(params, cfg.seed, cfg.initial_state_cap)
     hm, _stats = session.run()
     variant = cfg.variant
     records = []

@@ -24,18 +24,20 @@ float exact, checked by `grid_lattice_checks`, and the integer encoding of
 strategy files.  The objective is `monitor`'s strong until over
 `world.judge`'s atoms: never overtake the lead, reach `dest` by the horizon.
 
-State encoding.  Environment turn: `(0, k, fpos, fvel, row)`; controller
-turn: `(1, k, fpos, fvel, q, driver_acc)` in metres and metres per second,
-`q` an abstraction state.  The supervision mode and the perceived level are
-deliberately not part of the state: both are functions of the incoming edge
-(mode follows the chosen action one-to-one, the perceived level is subsumed
-by the driver successor and its emitted acceleration), so folding them out
-is a bisimulation quotient that leaves the winning region and all checked
-properties unchanged while keeping the product tractable.  So is `row`: an
-environment state reads the abstraction state and the hint flag only
-through the mirror's row of the pair, so it holds the row's number, and the
-pairs of equal rows, whose states have the same successors, share one
-state.  Controller states, the strategy's keys, keep `q`.  Each state has
+State encoding.  Environment turn: `(k, fpos, fvel, row)`; controller
+turn: `(k, fpos, fvel, q, driver_acc)` in metres and metres per second, `q`
+an abstraction state, which is the strategy's key.  No state carries a turn
+tag: `arena.turn` records who moves, and the two tuple lengths keep the two
+kinds apart in `arena.index`.  The supervision mode and the perceived level
+are deliberately not part of the state: both are functions of the incoming
+edge (mode follows the chosen action one-to-one, the perceived level is
+subsumed by the driver successor and its emitted acceleration), so folding
+them out is a bisimulation quotient that leaves the winning region and all
+checked properties unchanged while keeping the product tractable.  So is
+`row`: an environment state reads the abstraction state and the hint flag
+only through the mirror's row of the pair, so it holds the row's number,
+and the pairs of equal rows, whose states have the same successors, share
+one state.  Controller states, the strategy's keys, keep `q`.  Each state has
 one outcome byte, `OPEN`, `GOAL`, `BAD` or `HORIZON`, which `build_arena`'s
 `outcome(k, fp)` decides for the start and every successor.  An explored
 state stores its successors as a tuple of state numbers and its edge labels
@@ -91,34 +93,13 @@ POS_SCALE = 4   # lattice units per metre
 VEL_SCALE = 2   # lattice units per (m/s)
 ARENA_STATE_CAP = 2_000_000  # explored states at most, per arena
 
-# ordered by growing action set: each variant includes the actions of the one before
+# ordered by growing action set: each variant includes the actions of the one
+# before, and each tuple keeps the severity order of `ACTIONS`
 VARIANT_ACTIONS = {
     "advisory-only": (ACTION_HINT,),
     "no-override": (ACTION_NONE, ACTION_HINT),
     "full": (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE),
 }
-
-ACTION_SEVERITY = {ACTION_NONE: 0, ACTION_HINT: 1, ACTION_OVERRIDE: 2}
-
-
-def _severity(action):
-    return ACTION_SEVERITY.get(action, 0)
-
-
-def minimal_intervention(action, winning_actions):
-    """The min-intervention objective, shared by synthesis, template check
-    and monitor.
-
-    A supervision choice is minimal when no strictly less severe action
-    (none < hint < override) among `winning_actions`, the actions that keep
-    the play in the winning region, would do as well.  So an override is
-    allowed exactly when neither `none` nor `hint` still wins: the
-    minimal-interference condition of safety shields.  Labels outside the
-    three supervision actions (hand-written fixtures) rank with `none`.
-    """
-    severity = _severity(action)
-    return all(_severity(a) >= severity for a in winning_actions)
-
 
 class ArenaCapExceeded(RuntimeError):
     """Explored product grew past `ARENA_STATE_CAP` states."""
@@ -226,7 +207,8 @@ class GameArena:
     and numbers each successor not in `index` with `add`, the one method
     that appends a state's row and checks `ARENA_STATE_CAP`.  Environment
     edges are uncontrollable (sensor level choices); controller edges carry
-    supervision actions, held in severity order.  `n_states` and `n_edges`
+    supervision actions, and their order is the severity order: an edge is
+    more severe than every edge before it.  `n_states` and `n_edges`
     count what has been explored so far.  `region` is the arena's winning
     region, decided as it is asked; the solver keeps its decisions in `won`
     (per state: None while undecided, else whether the controller wins) and
@@ -344,19 +326,19 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         s = arena.states[i]
         index = arena.index
         succs = []
-        if s[0] == TURN_ENV:
-            _, k, fp, fv, r = s
+        if arena.turn[i] == TURN_ENV:
+            k, fp, fv, r = s
             _t, lp, lv, _lacc = lead[k]
             thw, _ttc = headway_metrics(lp, lv, fp, fv)
             labels = perceived[quantize_thw(thw, params.thw_levels)]
             row = distinct_rows[r]
             for p in labels:
                 q2, dacc = row[p]
-                t = (TURN_CTRL, k, fp, fv, q2, dacc)
+                t = (k, fp, fv, q2, dacc)
                 j = index.get(t)
                 succs.append(arena.add(t, TURN_CTRL, OPEN) if j is None else j)
             return labels, tuple(succs)
-        _, k, fp, fv, q2, dacc = s
+        k, fp, fv, q2, dacc = s
         moves = moves_of.get((fv, dacc))
         if moves is None:  # the velocity after `advance` does not depend on the position
             moves = moves_of[fv, dacc] = [
@@ -368,7 +350,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         fp = advance(fp, fv, dacc, eps, v_max)[0]
         out = outcome(k, fp)  # shared by every successor
         for fv2, h in moves:
-            t = (TURN_ENV, k, fp, fv2, row_number[q2, h])
+            t = (k, fp, fv2, row_number[q2, h])
             j = index.get(t)
             succs.append(arena.add(t, TURN_ENV, out) if j is None else j)
         return actions, tuple(succs)
@@ -376,7 +358,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     if check_driver:
         explore = _driver_checked(explore, hm, params)
     arena = GameArena(explore, variant)
-    s0 = (TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, row_number[hm.initial, 0])
+    s0 = (0, scenario.follow_pos, scenario.follow_vel, row_number[hm.initial, 0])
     arena.initial = arena.add(s0, TURN_ENV, outcome(0, scenario.follow_pos))
     realizable(arena, arena.region)  # explore until the initial state is decided
     return arena
@@ -524,27 +506,18 @@ def realizable(arena, region):
     return arena.initial in region
 
 
-def winning_actions(arena, region, i, below):
-    """Labels of the edges from controller state `i` that stay in `region`,
-    asking only about those strictly less severe than `below`: all that
-    `minimal_intervention(below, ...)` needs."""
-    severity = _severity(below)
-    targets = arena.successors(i)
-    return [label for label, j in zip(arena.labels[i], targets)
-            if _severity(label) < severity and j in region]
-
-
 @dataclass
 class Strategy:
     """Memoryless controller: winning controller-turn state -> action.
 
-    Keys are the game's controller states `(TURN_CTRL, k, fpos, fvel, q,
-    dacc)`, position and velocity in metres and metres per second, so
-    `cosim.execute` looks up the floats its episode holds.
+    Keys are the game's controller states `(k, fpos, fvel, q, dacc)`, the
+    five fields of a strategy-file line with position and velocity in
+    metres and metres per second, so `cosim.execute` looks up the floats
+    its episode holds.
     `extract_strategy` labels the controller states the strategy's own plays
     reach, so files hold those states only; files that label every winning
     state, as older versions wrote them, parse and validate as well.  Its
-    entries are certified: each was chosen under `minimal_intervention`, so
+    entries are certified: each is the first winning edge of its state, so
     `monitor` trusts their overrides instead of applying its deep-safe
     check.  `parse_strategy` trusts the file it reads; `sharedctrl validate`
     certifies it against the game before running it.
@@ -601,10 +574,12 @@ def _walk(arena, region, pick):
 
     (i) no bad state is reached; (ii) every maximal play ends in a goal
     state, as `monitor` demands, not at the horizon short of it (counted
-    apart); (iii) every controller decision satisfies `minimal_intervention`
-    against `region`, which is asked only about actions less severe than the
-    chosen one.  The response to a hint is the driver's: the mirror's hinted
-    rows model it and `monitor` checks it.  At each controller state,
+    apart); (iii) at every controller decision, no earlier edge, that is no
+    less severe action, leads into `region`: the one definition of
+    min-intervention, the minimal-interference condition of safety shields,
+    so an override is allowed exactly where neither `none` nor `hint` still
+    wins.  The response to a hint is the driver's: the mirror's hinted rows
+    model it and `monitor` checks it.  At each controller state,
     `pick(state, labels, successors)` gives the position of the edge the
     strategy takes, or raises `StrategyRejected` with the reason, which the
     walk completes with the checks up to there.  Returns the
@@ -629,7 +604,6 @@ def _walk(arena, region, pick):
                 report.horizon_terminals += 1
             continue
         targets = arena.successors(i)
-        labels = arena.labels[i]
         if turn[i] == TURN_ENV:
             for j in targets:
                 if j not in seen:
@@ -637,17 +611,13 @@ def _walk(arena, region, pick):
                     queue.append(j)
         else:
             try:
-                pos = pick(s, labels, targets)
+                pos = pick(s, arena.labels[i], targets)
             except StrategyRejected as err:
                 report.visited = len(seen) - len(queue)  # the states taken off the queue
                 raise StrategyRejected(f"template check rejected the strategy: {err}; "
                                        "checks up to there:\n" + report.text()) from None
-            action = labels[pos]
             j = targets[pos]
-            # no action is less severe than `none`, so it is minimal by definition
-            if (report.min_intervention_ok and action != ACTION_NONE and
-                    not minimal_intervention(action,
-                                             winning_actions(arena, region, i, action))):
+            if report.min_intervention_ok and any(t in region for t in targets[:pos]):
                 report.min_intervention_ok = False
                 report.min_intervention_witness = s
             if j not in seen:
@@ -661,13 +631,13 @@ def extract_strategy(arena, region):
     """Pick one winning action per controller state the strategy's own plays
     reach from the initial state, template-checking those plays on the way.
 
-    The pick is the label of the first successor, in severity order, that
-    the solver decided winning in the arena's `won` list; the region is
-    asked only about successors still undecided.  Every less severe edge
-    loses, so the pick is the least severe winning action (none < hint <
-    override) and satisfies `minimal_intervention` by construction.  The
-    picks drive `_walk`, the walk `check_templates` makes, so the returned
-    strategy carries its `TemplateReport` and `certify` reuses it.
+    The pick is the label of the first successor, in edge order, that the
+    solver decided winning in the arena's `won` list; the region is asked
+    only about successors still undecided.  Every earlier edge loses, so the
+    pick is the least severe winning action and passes check (iii) of
+    `_walk` by construction.  The picks drive `_walk`, the walk
+    `check_templates` makes, so the returned strategy carries its
+    `TemplateReport` and `certify` reuses it.
     """
     if not realizable(arena, region):
         raise Unrealizable("initial state is not in the winning region")
@@ -736,7 +706,7 @@ def serialize_strategy(strategy):
     off the lattice raises `ValueError`."""
     lines = [f"strategy v1 {strategy.variant} {len(strategy.actions)}"]
     for state in sorted(strategy.actions):
-        _, k, fp, fv, hm_state, dacc = state
+        k, fp, fv, hm_state, dacc = state
         action = strategy.actions[state]
         lines.append(f"{k} {_scaled(fp, POS_SCALE, 'strategy position')} "
                      f"{_scaled(fv, VEL_SCALE, 'strategy velocity')} {hm_state} {dacc!r} {action}")
@@ -782,7 +752,7 @@ def parse_strategy(text):
         action = parts[5]
         if action not in ACTIONS:
             raise bad(number, ln, f"unknown action {action!r}")
-        key = (TURN_CTRL, k, fp, fv, hm_state, dacc)
+        key = (k, fp, fv, hm_state, dacc)
         if key in mapping:
             raise bad(number, ln, "repeated strategy state")
         mapping[key] = action

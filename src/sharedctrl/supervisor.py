@@ -14,6 +14,8 @@ from dataclasses import dataclass
 ACTION_NONE = "none"
 ACTION_HINT = "hint"
 ACTION_OVERRIDE = "override"
+# the severity order, least severe first: the game lists a controller state's
+# edges in this order, and an edge is more severe than every edge before it
 ACTIONS = (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE)
 
 # the mode label each action shows in a trace

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
-    ACTION_SEVERITY, BAD, GOAL, HORIZON, OPEN, TURN_CTRL, TURN_ENV, GameArena,
+    BAD, GOAL, HORIZON, OPEN, TURN_CTRL, TURN_ENV, GameArena,
     arena_stats_text, build_arena, extract_strategy, solve,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
+from sharedctrl.supervisor import ACTIONS
 from sharedctrl.world import LeadProfile
 
 # default params, and params whose hinted re-deliberation changes the
@@ -72,13 +73,15 @@ def make_constant(output="0", inputs=("a",)):
 def arena_from_graph(nodes, initial, bad=(), goal=()):
     """A fully explored arena from `{name: (turn, [(label, succ), ...])}`,
     `turn` "c" or "e", numbered in order; controller labels must be unique.
+    A controller state's edges are put in the severity order of `ACTIONS`,
+    which a built arena keeps; labels that are no action keep their order.
     A state in `bad` is `BAD`, even if in `goal`; else one in `goal` is
     `GOAL`, and one without edges `HORIZON`."""
 
     def explore(arena, i):
         turn, edges = nodes[arena.states[i]]
         if turn == "c":
-            edges = sorted(edges, key=lambda e: ACTION_SEVERITY.get(e[0], 0))
+            edges = sorted(edges, key=lambda e: ACTIONS.index(e[0]) if e[0] in ACTIONS else 0)
         return tuple(e[0] for e in edges), tuple(arena.index[e[1]] for e in edges)
 
     arena = GameArena(explore, "full")

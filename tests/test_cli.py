@@ -5,7 +5,7 @@ import pytest
 from sharedctrl import cli, cosim
 from sharedctrl.cli import EXIT_OK, EXIT_UNREALIZABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sharedctrl.game import ArenaCapExceeded, Strategy, serialize_strategy
-from sharedctrl.lstar import EqOracleConfig, LearningSession
+from sharedctrl.lstar import LearningSession
 from sharedctrl.mealy import serialize
 
 
@@ -300,6 +300,9 @@ def test_refine_reports_an_arena_cap_error(tmp_path, capsys, monkeypatch):
     ("validate", "--oracle-walks", "10"),
     ("validate", "--oracle-len", "5"),
     ("validate", "--oracle-reset-prob", "0.5"),
+    ("learn", "--oracle-walks", "10"),
+    ("refine", "--oracle-len", "5"),
+    ("demo", "--oracle-reset-prob", "0.5"),
     ("learn", "--runs", "2"),
     ("synth", "--runs", "2"),
 ])
@@ -309,6 +312,8 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, fl
     out = tmp_path / "out"
     required = {
         "learn": [],
+        "refine": [],
+        "demo": [],
         "synth": ["--hm", "hm.mealy"],
         "validate": ["--hm", "hm.mealy", "--strategy", "strategy.txt"],
     }[command]
@@ -389,10 +394,7 @@ def test_cli_defaults_are_the_config_defaults():
     parse = cli.build_parser().parse_args
     learn, refine = parse(["learn", "--out", "o"]), parse(["refine", "--out", "o"])
     validate = parse(["validate", "--out", "o", "--hm", "h", "--strategy", "s"])
-    oracle, loop = EqOracleConfig(), cosim.RefineLoopConfig()
-    for args in (learn, refine):
-        assert (args.oracle_walks, args.oracle_len, args.oracle_reset_prob) == (
-            oracle.num_walks, oracle.max_walk_len, oracle.reset_prob)
+    loop = cosim.RefineLoopConfig()
     assert validate.runs == refine.runs == loop.runs and refine.max_iter == loop.max_iterations
     synth, demo = parse(["synth", "--out", "o", "--hm", "h"]), parse(["demo"])
     assert learn.seed == validate.seed == refine.seed == demo.seed == loop.seed

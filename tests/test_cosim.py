@@ -36,8 +36,8 @@ from sharedctrl.driver import (
     CognitiveDriver, DriverParams, FULL_CHAIN, SHORT_CHAIN, explicit_machine,
 )
 from sharedctrl.game import (
-    BAD, GOAL, HORIZON, OPEN, AbstractDriver, POS_SCALE, Strategy, TURN_CTRL, TURN_ENV,
-    VEL_SCALE, build_arena, parse_strategy, realizable, serialize_strategy,
+    BAD, GOAL, HORIZON, OPEN, AbstractDriver, POS_SCALE, Strategy, VEL_SCALE, build_arena,
+    parse_strategy, realizable, serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
@@ -336,7 +336,7 @@ def test_a_strategy_read_back_from_its_file_runs_the_same_episodes(
 def _env_state(k, pos, vel, row):
     """The arena's environment state of a follower on the lattice."""
     assert (pos * POS_SCALE).is_integer() and (vel * VEL_SCALE).is_integer()
-    return (TURN_ENV, k, pos, vel, row)
+    return (k, pos, vel, row)
 
 
 def _explored(arena, state):
@@ -365,7 +365,7 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
         assert env == _env_state(k, row.follow_pos, row.follow_vel,
                                  mirror.row_number[q, hinted])
         q, _acc = mirror.rows[q, hinted][row.perceived_level]
-        key = (TURN_CTRL, k, env[2], env[3], q, row.driver_acc)
+        key = (k, env[1], env[2], q, row.driver_acc)
         assert _explored(arena, env)[row.perceived_level] == key
         assert strategy.action_for(key) == row.action
         env = _explored(arena, key)[row.action]
@@ -392,7 +392,7 @@ def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
             plain = mirror.rows[q, 0][row.perceived_level][0]
             q = mirror.rows[q, hinted][row.perceived_level][0]
             moved += q != plain
-            assert key[4] == q
+            assert key[3] == q
             hinted = 1 if row.action == ACTION_HINT else 0
     assert moved  # the episodes took the hinted path
 
@@ -450,21 +450,11 @@ def make_session(params, seed=0, state_cap=None):
 
 
 def test_learning_session_seeds_its_oracle_from_the_seed(driver_params):
-    # the walk settings are kept; the oracle's own seed is replaced
-    oracle = EqOracleConfig(num_walks=7, max_walk_len=3, reset_prob=0.5, rng_seed=123)
-    session = learning_session(driver_params, oracle, seed=5, state_cap=4)
-    assert session.oracle.cfg == replace(oracle, rng_seed=derive_seed(5, "oracle"))
+    # the walk settings are the defaults; the oracle's seed is derived from `seed`
+    session = learning_session(driver_params, seed=5, state_cap=4)
+    assert session.oracle.cfg == EqOracleConfig(rng_seed=derive_seed(5, "oracle"))
     assert session.oracle.sul is session.sul and session.state_cap == 4
     assert session.table.alphabet == driver_params.levels()
-
-
-def test_refine_loop_config_refuses_an_oracle_seed_it_never_reads():
-    # the learner draws from `seed`; the walk settings are kept
-    with pytest.raises(ValueError, match=r"^oracle\.rng_seed \(3\) is never read: "
-                                         r"the learner draws from seed$"):
-        RefineLoopConfig(oracle=EqOracleConfig(rng_seed=3))
-    walks = EqOracleConfig(num_walks=7, max_walk_len=3)
-    assert RefineLoopConfig(oracle=walks, seed=3).oracle == walks
 
 
 def test_refine_loop_config_refuses_an_unknown_variant():
@@ -585,7 +575,7 @@ def test_refine_counts_only_words_that_add_a_suffix(default_sc, driver_params,
     # the coarse strategy's 25 episodes, seeded as a loop's first iteration
     # seeds them: 25 distinguishing words, 21 of them find their suffix in E
     hm, _arena, strategy = coarse_synthesis
-    session = learning_session(driver_params, EqOracleConfig(), 0, state_cap=2)
+    session = learning_session(driver_params, 0, state_cap=2)
     assert serialize(session.run()[0]) == serialize(hm)
     violating = []
     for r in range(25):

@@ -33,7 +33,6 @@ from sharedctrl.game import (
     certify,
     check_templates,
     extract_strategy,
-    minimal_intervention,
     parse_strategy,
     realizable,
     serialize_strategy,
@@ -42,7 +41,7 @@ from sharedctrl.game import (
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import AlphabetMismatch, MealyMachine, minimize
 from sharedctrl.scenario import Scenario, braking_scenario
-from sharedctrl.supervisor import ACTION_HINT, arbitrate
+from sharedctrl.supervisor import ACTION_HINT, ACTIONS, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
 
 from conftest import (
@@ -140,6 +139,16 @@ def fixture_override_needed():
     return arena_from_graph(nodes, bad={"b1", "b2"}, goal={"g"}, initial="e0")
 
 
+def fixture_hint_suffices():
+    nodes = {
+        "c0": ("c", [("none", "b"), ("hint", "g2"), ("override", "g")]),
+        "g": ("e", []),
+        "g2": ("e", []),
+        "b": ("e", []),
+    }
+    return arena_from_graph(nodes, bad={"b"}, goal={"g", "g2"}, initial="c0")
+
+
 def fixture_stops_short():
     # the only safe play ends at the horizon, in a terminal that is no goal
     nodes = {
@@ -170,6 +179,7 @@ ALL_FIXTURES = [
     fixture_bad_goal_overlap,
     fixture_override_needed,
     fixture_severity_preference,
+    fixture_hint_suffices,
     fixture_stops_short,
 ]
 
@@ -256,12 +266,30 @@ def test_strategy_prefers_lowest_severity():
     assert strategy.actions["c0"] == "none"
 
 
-def test_minimal_intervention_predicate():
-    assert minimal_intervention("override", ["override"])
-    assert not minimal_intervention("override", ["hint", "override"])
-    assert not minimal_intervention("hint", ["none", "hint"])
-    assert minimal_intervention("none", ["none", "hint", "override"])
-    assert minimal_intervention("b", ["a", "b"])  # fixture labels rank alike
+def test_a_later_edge_is_more_severe_whatever_its_label():
+    # severity is an edge's position: labels that are no action keep the
+    # order they are given in, so taking the second edge where the first
+    # also wins is a needless escalation
+    nodes = {
+        "c0": ("c", [("a", "g"), ("b", "g2")]),
+        "g": ("e", []),
+        "g2": ("e", []),
+    }
+    arena = arena_from_graph(nodes, goal={"g", "g2"}, initial="c0")
+    assert arena.labels[arena.index["c0"]] == ("a", "b")
+    report = check_templates(arena, Strategy({"c0": "b"}, "full"), solve(arena))
+    assert report.safety_ok and report.reach_ok
+    assert not report.min_intervention_ok
+    assert report.min_intervention_witness == "c0"
+    assert "min_intervention=FAIL" in report.text()
+
+
+def test_every_variant_keeps_the_severity_order_of_actions():
+    # the rule rests on it: `ACTIONS` runs from least to most severe, and
+    # each variant's tuple is a subsequence of it
+    assert sorted(ACTIONS, key=SEVERITY.get) == list(ACTIONS)
+    for actions in VARIANT_ACTIONS.values():
+        assert tuple(a for a in ACTIONS if a in actions) == actions
 
 
 def test_templates_accept_forced_override():
@@ -273,10 +301,15 @@ def test_templates_accept_forced_override():
     assert report.min_intervention_ok
 
 
-def test_templates_reject_needless_override():
-    # none also wins at c0, so overriding there is not minimal
-    arena = fixture_severity_preference()
-    strategy = Strategy({"c0": "override"}, "full")
+@pytest.mark.parametrize("make, action", [
+    (fixture_severity_preference, "override"),
+    (fixture_severity_preference, "hint"),
+    (fixture_hint_suffices, "override"),
+], ids=["override-where-none-wins", "hint-where-none-wins", "override-where-hint-wins"])
+def test_templates_reject_needless_override(make, action):
+    # a less severe action also wins at c0, so `action` is not minimal there
+    arena = make()
+    strategy = Strategy({"c0": action}, "full")
     report = check_templates(arena, strategy, solve(arena))
     assert report.safety_ok
     assert not report.min_intervention_ok
@@ -341,7 +374,7 @@ def explore_all(arena, scenario):
         i += 1
     assert all(es is not None for es in arena.edges)
     # non-trivial: the expansion reached the horizon through a full-depth play
-    assert any(s[1] == scenario.horizon_epochs for s in arena.states)
+    assert any(s[0] == scenario.horizon_epochs for s in arena.states)
     return arena
 
 
@@ -506,21 +539,21 @@ def documented_row(scenario, variant, state, mirror, params):
     Euler step with its
     velocity clamped into [0, v_max].  Every position and velocity it reads
     or makes sits on the lattice."""
-    if state[0] == TURN_ENV:
-        _, k, fp, fv, r = state
+    if len(state) == 4:  # an environment state
+        k, fp, fv, r = state
         _t, lp, lv, _acc = scenario.lead_track[k]
         assert on_lattice(lp, lv) and on_lattice(fp, fv)
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
-        return labels, [(TURN_CTRL, k, fp, fv, *mirror.distinct_rows[r][p]) for p in labels]
-    _, k, fp, fv, q, dacc = state
+        return labels, [(k, fp, fv, *mirror.distinct_rows[r][p]) for p in labels]
+    k, fp, fv, q, dacc = state
     labels = VARIANT_ACTIONS[variant]
     cfg = scenario.supervisor_config()
     succs = []
     for action in labels:
         pos, vel = advance(fp, fv, arbitrate(action, dacc, cfg), scenario.epoch, scenario.v_max)
         assert on_lattice(pos, vel)
-        succs.append((TURN_ENV, k + 1, pos, vel,
+        succs.append((k + 1, pos, vel,
                       mirror.row_number[q, 1 if action == ACTION_HINT else 0]))
     return labels, succs
 
@@ -529,9 +562,9 @@ def documented_outcome(scenario, state):
     """The outcome of a built-arena state: an environment state is `BAD` once
     the follower reaches the lead, else `GOAL` once it reaches `dest`, else
     `HORIZON` at the horizon; every other state is `OPEN`."""
-    if state[0] == TURN_CTRL:
+    if len(state) == 5:  # a controller state
         return OPEN
-    _, k, fp, *_rest = state
+    k, fp, *_rest = state
     if fp >= scenario.lead_track[k][1]:
         return BAD
     if fp >= scenario.dest:
@@ -550,12 +583,13 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
     arena = build_arena(hm, scenario, params=params, variant=variant)
     mirror = AbstractDriver(hm, params)
     assert arena.states[arena.initial] == (
-        TURN_ENV, 0, scenario.follow_pos, scenario.follow_vel, mirror.row_number[hm.initial, 0])
+        0, scenario.follow_pos, scenario.follow_vel, mirror.row_number[hm.initial, 0])
     assert on_lattice(scenario.follow_pos, scenario.follow_vel)
     i = 0
     while i < arena.n_states:
         state = arena.states[i]
-        assert arena.index[state] == i and arena.turn[i] == state[0]
+        assert arena.index[state] == i
+        assert arena.turn[i] == (TURN_ENV if len(state) == 4 else TURN_CTRL)
         assert arena.outcome[i] == documented_outcome(scenario, state)
         targets = arena.successors(i)
         if arena.outcome[i]:
@@ -635,10 +669,10 @@ def test_built_arena_bipartite(oracle_machine):
     sc = mini_scenario(offset=1)
     arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "full"), sc)
     for i in range(arena.n_states):
-        k = arena.states[i][1]
+        k = arena.states[i][0]
         step = (TURN_CTRL, k) if arena.turn[i] == TURN_ENV else (TURN_ENV, k + 1)
         for j in arena.successors(i):
-            assert (arena.turn[j], arena.states[j][1]) == step
+            assert (arena.turn[j], arena.states[j][0]) == step
 
 
 def test_default_arena_realizable(default_synthesis):
@@ -785,7 +819,7 @@ def test_strategy_serialization_round_trip(default_synthesis):
 def test_serialize_strategy_refuses_a_key_off_the_lattice(fp, fv, named):
     # the file holds whole lattice units, so an off-lattice key is refused,
     # not truncated onto a neighbouring state
-    strategy = Strategy({(TURN_CTRL, 0, fp, fv, 0, 0): "none"}, "full")
+    strategy = Strategy({(0, fp, fv, 0, 0): "none"}, "full")
     with pytest.raises(ValueError, match=f"{named} is not on the arena lattice"):
         serialize_strategy(strategy)
 

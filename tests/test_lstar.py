@@ -279,7 +279,7 @@ def test_random_walk_eq_counterexamples_are_pinned(seed, word):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_learning_session_stats_are_pinned(seed):
-    _machine, stats = learning_session(DriverParams(), EqOracleConfig(), seed).run()
+    _machine, stats = learning_session(DriverParams(), seed).run()
     assert stats.report_text() == ("rounds=1\nmembership_queries=148\nequivalence_queries=1\n"
                                    "states=9\ntransitions=36\nconverged=true\n")
 

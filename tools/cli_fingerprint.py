@@ -108,10 +108,9 @@ def runs():
     yield ["synth", "--scenario", "{tmp}/files/scenario.txt",
            "--driver-params", "{tmp}/files/params.txt", "--hm", hm,
            "--out", "{tmp}/synth-files"]
-    # a seed and oracle walk other than the defaults, through both commands
-    # that learn: `refine`'s traces depend on the seed
-    learner = ["--seed", "7", "--oracle-walks", "60", "--oracle-len", "12",
-               "--oracle-reset-prob", "0.2"]
+    # a seed other than the default, through both commands that learn:
+    # `refine`'s traces depend on the seed
+    learner = ["--seed", "7"]
     yield ["learn", *learner, "--out", "{tmp}/learn-seed7"]
     yield ["refine", "--scenario", "default", *learner, "--out", "{tmp}/refine-seed7"]
     yield ["learn", "--driver-params", "{tmp}/files/five-levels.txt",
