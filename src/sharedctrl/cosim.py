@@ -40,7 +40,8 @@ from .game import (
 from .lstar import EqOracleConfig, LearningSession, NotDistinguishing, RandomWalkOracle
 from .mealy import minimize, serialize
 from .supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, arbitrate, safe_now
-from .world import VehicleState, WorldState, advance, headway_metrics, judge, quantize_thw
+from .world import (VehicleState, WorldState, advance, headway_metrics, judge,
+                    quantize_thw, sensor_perturb)
 
 TRACE_COLUMNS = (
     "t", "lead_pos", "follow_pos", "lead_vel", "follow_vel", "thw", "ttc",
@@ -121,40 +122,43 @@ def epoch_context(scenario, params, k, fpos, fvel):
     The empty tuple when `world.judge` finds that it has overtaken or
     reached, else `(t, lead_pos, lead_vel, thw, ttc, perceivable)`: the row
     time, the lead from `scenario.lead_track`, the headway metrics and the
-    levels the sensor may report.  Of `params`, only the boundaries
-    `thw_levels` count.
+    levels that `sensor_perturb` may report for the quantized headway.  Of
+    `params`, only the boundaries `thw_levels` count.
     """
     _t, lpos, lvel, _lacc = scenario.lead_track[k]
     if any(judge(fpos, lpos, scenario.dest)):
         return ()
     thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
-    perceivable = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
+    level = quantize_thw(thw, params.thw_levels)
+    perceivable = sensor_perturb(level, scenario.sensor_offset, params.num_levels)
     return k * scenario.epoch, lpos, lvel, thw, ttc, perceivable
 
 
 def execute(strategy, sul, scenario, cfg, seed, hm, params):
     """Run one seeded episode of `sul`, the driver of `params`; returns the trace.
 
-    Per epoch: sample the perceived headway level, query the full driver,
-    find the matching abstraction state in the mirror's table, look up the
-    strategy action, arbitrate, and advance the follower.  The key looked
-    up is the game's controller state `(k, fpos, fvel, q, dacc)` in the
-    episode's own floats, since the game plays in the same metres.  A
-    lookup miss means the driver left the learned abstraction; the fail-safe
-    fallback forces Intervention at maximal braking and is counted on the
-    trace.  Rows whose action the strategy supplied carry its `certified`
-    flag; fallback rows are never certified.
+    An episode is a play of the arena in which the real driver supplies
+    `dacc`.  Its state at epoch `k` is the environment state `(k, fpos,
+    fvel, r)`, `r` the number of a mirror row, and it steps the mirror as
+    `explore` does: the perceived level picks `q` from row `r`, the strategy
+    is looked up at the controller state `(k, fpos, fvel, q, dacc)` in the
+    episode's own floats, and `q` with the action's hint flag gives the next
+    `r`.  A lookup miss means the driver left the learned abstraction; the
+    fail-safe fallback forces Intervention at maximal braking and is counted
+    on the trace.  Rows whose action the strategy supplied carry its
+    `certified` flag; fallback rows are never certified.
 
     What depends only on the follower's state `(k, fpos, fvel)` is its
     `epoch_context`, cached in `scenario.epoch_contexts` under the boundaries
     and the exact floats the episode holds, so every later episode that
     reaches the state reuses it.  The cache holds no machine, strategy or
-    driver: the perception draw, the driver query, the mirror's row and the
+    driver: the perception draw, the driver query, the mirror's step and the
     lookup run every epoch.  The follower is advanced in local variables
     with `advance`, so an epoch builds only its `TraceRow`, and the final
     world is built once.  Every float is what iterating `step_world` gives.
     """
-    mirror_rows = AbstractDriver.shared(hm, params).rows
+    mirror = AbstractDriver.shared(hm, params)
+    mirror_rows, row_number = mirror.rows, mirror.row_number
     contexts = scenario.epoch_contexts.setdefault(params.thw_levels, {})
     context_of = contexts.get
     choice = random.Random(seed).choice
@@ -163,8 +167,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     eps, v_max = scenario.epoch, scenario.v_max
     sul.reset()
     fpos, fvel, facc = scenario.follow_pos, scenario.follow_vel, 0.0
-    q = hm.initial
-    hinted = 0
+    r = row_number[hm.initial, 0]
     rows = []
     append = rows.append
     misses = 0
@@ -177,7 +180,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         t, lpos, lvel, thw, ttc, perceivable = context
         perceived = choice(perceivable)
         chain, dacc = query(perceived)
-        q = mirror_rows[q, hinted][perceived][0]
+        q = mirror_rows[r][perceived][0]
         action = action_for((k, fpos, fvel, q, dacc))
         if action is None:
             misses += 1
@@ -189,9 +192,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
             certified = certified_entry
         if action == ACTION_HINT:
             apply_hint()
-            hinted = 1
-        else:
-            hinted = 0
+        r = row_number[q, 1 if action == ACTION_HINT else 0]
         # in field order: a keyword call costs about twice as much
         append(TraceRow(t, lpos, lvel, fpos, fvel, thw, ttc, ACTION_MODE[action],
                         dacc, applied, action, perceived, chain, certified))
@@ -240,8 +241,8 @@ def episode_passed(trace, verdict):
 
 def learning_session(params, seed, state_cap=None):
     """The L* session on a fresh driver of `params`.  Its random-walk oracle
-    walks as `EqOracleConfig` says by default and draws from the one seed
-    derived for it from `seed`: the only source of the learner's randomness."""
+    draws its walks from the one seed derived for it from `seed`: the only
+    source of the learner's randomness."""
     sul = CognitiveDriver(params)
     oracle = RandomWalkOracle(sul, EqOracleConfig(rng_seed=derive_seed(seed, "oracle")))
     return LearningSession(sul, params.levels(), oracle, state_cap=state_cap)

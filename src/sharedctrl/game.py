@@ -52,10 +52,9 @@ driver does not give.
 
 `AbstractDriver`, the abstraction's mirror shared with co-simulation, is
 the one place that interprets its `(rule_chain, acc)` outputs and refuses
-any other shape.  It is one table, built once, that the game and
-co-simulation only look up in: per abstraction state and hint flag, the
-successor and acceleration of each level, and the number of that row among
-the distinct ones, which the arena's environment states hold.  The
+any other shape.  It is one table of distinct rows, built once, that an
+episode steps as `explore` does: a row number and a perceived level give
+`q`, and `q` and the action's hint flag give the next row number.  The
 response to a hint is the driver's, checked by `monitor`.
 
 A strategy's plays are walked in one place, `_walk`, which applies the three
@@ -83,7 +82,7 @@ from .supervisor import (
     ACTIONS,
     arbitrate,
 )
-from .world import advance, headway_metrics, judge, quantize_thw
+from .world import advance, headway_metrics, judge, quantize_thw, sensor_perturb
 
 TURN_ENV = 0
 TURN_CTRL = 1
@@ -139,17 +138,17 @@ class AbstractDriver:
 
     The one place that interprets `hm`'s `(rule_chain, acc)` outputs: it
     raises `ValueError` naming an output that is no such pair with a
-    real-number `acc`.  One table, built once and never changed:
-    `rows[state, hinted]` maps each level to `(successor, acc)`, the
-    machine's own entry unless hinted.  `row_number[state, hinted]` numbers
-    that row among the distinct ones, equal rows alike, and
-    `distinct_rows[number]` is the row, which an environment state of the
-    arena reads by the number it holds.  After a hint, a repeated stimulus
-    (a chain other than `FULL_CHAIN`) re-deliberates instead of replaying
-    the cached decision: the acceleration law runs at the level's
-    representative headway, and the successor is resolved through the
-    (level, acc) state annotations recovered from incoming edges.  It keeps
-    no reference to the machine, so `shared` lets it die with it.
+    real-number `acc`.  One table, built once and never changed: `rows`
+    lists the distinct rows, each `{level: (successor, acc)}`, in the state
+    order of `hm.delta`, plain before hinted; `row_number[state, hinted]` is
+    the index of a state's row, the machine's own entries unless hinted, and
+    is what an arena's environment state and an episode hold.  After a hint,
+    a repeated stimulus (a chain other than `FULL_CHAIN`) re-deliberates
+    instead of replaying the cached decision: the acceleration law runs at
+    the level's representative headway, and the successor is resolved
+    through the (level, acc) state annotations recovered from incoming
+    edges.  It keeps no reference to the machine, so `shared` lets it die
+    with it.
     """
 
     _shared = weakref.WeakKeyDictionary()  # machine -> {DriverParams: mirror}
@@ -168,21 +167,21 @@ class AbstractDriver:
                 if succ not in annotated:
                     annotated.add(succ)
                     by_profile.setdefault((level, acc), succ)
-        self.rows = {}  # (state, hinted) -> {level: (successor, acc)}
+        numbers = {}  # a row's entries in level order -> its number
+        self.row_number = {}  # (state, hinted) -> the number of its row
         for state, row in hm.delta.items():
-            plain = {level: (succ, out[1]) for level, (succ, out) in row.items()}
-            hinted = dict(plain)
-            for level, (succ, (chain, acc)) in row.items():
+            plain, hinted = [], []
+            for level in hm.inputs:
+                succ, (chain, acc) = row[level]
+                plain.append((succ, acc))
                 if chain != FULL_CHAIN:  # a repeated stimulus: re-deliberate
                     rep = params.representative(level)
                     acc = decide_acceleration(rep, rep, params.decision_epoch, params, acc)
-                    hinted[level] = (by_profile.get((level, acc), succ), acc)
-            self.rows[state, 0], self.rows[state, 1] = plain, hinted
-        numbers = {}  # a row's entries in level order -> its number
-        self.row_number = {
-            key: numbers.setdefault(tuple(row[level] for level in hm.inputs), len(numbers))
-            for key, row in self.rows.items()}
-        self.distinct_rows = [dict(zip(hm.inputs, entries)) for entries in numbers]
+                    succ = by_profile.get((level, acc), succ)
+                hinted.append((succ, acc))
+            for flag, entries in enumerate((plain, hinted)):
+                self.row_number[state, flag] = numbers.setdefault(tuple(entries), len(numbers))
+        self.rows = [dict(zip(hm.inputs, entries)) for entries in numbers]
 
     @classmethod
     def shared(cls, hm, params):
@@ -308,13 +307,14 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         raise ValueError(f"unknown variant {variant!r}")
     driver = AbstractDriver.shared(hm, params)
     grid_lattice_checks(scenario, params, driver.accelerations)
-    row_number, distinct_rows = driver.row_number, driver.distinct_rows
+    row_number, rows = driver.row_number, driver.rows
 
     actions = VARIANT_ACTIONS[variant]
     eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
     horizon = scenario.horizon_epochs
     lead = scenario.lead_track
-    perceived = scenario.perceptions(params.num_levels)
+    perceived = {level: sensor_perturb(level, scenario.sensor_offset, params.num_levels)
+                 for level in params.levels()}  # one shared label row per level
     moves_of = {}  # (fv, driver acc) -> [(fv after the step, hinted)] per action
 
     def outcome(k, fp):  # how plays end with the follower at `fp` in epoch `k`
@@ -331,7 +331,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
             _t, lp, lv, _lacc = lead[k]
             thw, _ttc = headway_metrics(lp, lv, fp, fv)
             labels = perceived[quantize_thw(thw, params.thw_levels)]
-            row = distinct_rows[r]
+            row = rows[r]
             for p in labels:
                 q2, dacc = row[p]
                 t = (k, fp, fv, q2, dacc)

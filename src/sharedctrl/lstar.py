@@ -17,30 +17,20 @@ from dataclasses import dataclass
 from .mealy import MealyMachine
 
 MAX_ROUNDS = 100  # hypothesis rounds before a session gives up unconverged
+NUM_WALKS = 500  # random walks per equivalence query
+MAX_WALK_LEN = 20  # symbols per walk at most
+RESET_PROB = 0.09  # chance of ending a walk before each symbol after the first
 
 
 class NotDistinguishing(ValueError):
     """A submitted counterexample does not separate hypothesis and SUL."""
 
 
-class TableNotReady(RuntimeError):
-    """Hypothesis requested from a table that is not closed."""
-
-
 @dataclass(frozen=True)
 class EqOracleConfig:
-    """Random-walk equivalence oracle settings."""
+    """Random-walk equivalence oracle settings: the seed of its walks."""
 
-    num_walks: int = 500
-    max_walk_len: int = 20
-    reset_prob: float = 0.09
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.reset_prob <= 1:
-            raise ValueError("reset_prob must lie in [0, 1]")
-        if self.num_walks < 1 or self.max_walk_len < 1:
-            raise ValueError("num_walks and max_walk_len must be >= 1")
 
 
 @dataclass
@@ -126,8 +116,7 @@ def close(table, sul, stats, state_cap):
 
     Only rows new to S join it, so S's rows stay pairwise distinct.
     `state_cap` (None for no cap) bounds |S| to build a deliberately coarse
-    table; closing stops early once the cap is reached and the caller must
-    then build the hypothesis with `allow_partial`.
+    table; closing stops early once the cap is reached.
     """
     while state_cap is None or len(table.S) < state_cap:
         word = unmatched(table)
@@ -138,19 +127,13 @@ def close(table, sul, stats, state_cap):
     return table
 
 
-def is_closed(table):
-    return unmatched(table) is None
-
-
-def build_hypothesis(table, allow_partial):
+def build_hypothesis(table):
     """Hypothesis machine: one state per word of S, whose rows are distinct.
 
-    The table must be closed.  With `allow_partial`, successor rows that
+    Build it from a table that `close` has closed.  Successor rows that
     closing never matched (possible only under a state cap) fall back to the
     initial state, producing a deliberately coarse but well-formed machine.
     """
-    if not allow_partial and not is_closed(table):
-        raise TableNotReady("table must be closed")
     state_of = {table.row(s): q for q, s in enumerate(table.S)}
     delta = {q: {a: (state_of.get(table.row(s + (a,)), 0), table.T[(s, (a,))][0])
                  for a in table.alphabet}
@@ -203,16 +186,17 @@ def process_counterexample(table, ce, sul, hypothesis, stats):
 def random_walk_eq(sul, hypothesis, cfg, stats):
     """Seeded random-walk conformance test.
 
-    Runs `num_walks` walks with geometric restarts; returns the first input
-    prefix on which SUL and hypothesis outputs diverge, else None.  Fully
-    deterministic for a given `rng_seed`.
+    Runs `NUM_WALKS` walks of at most `MAX_WALK_LEN` symbols, each ended
+    early with probability `RESET_PROB` before every symbol after its first;
+    returns the first input prefix on which SUL and hypothesis outputs
+    diverge, else None.  Fully deterministic for a given `rng_seed`.
 
     Each symbol is drawn exactly as `random.Random(rng_seed).choice(alphabet)`
     draws it, after the same `random()` restart check: the rejection loop
     that `choice` runs on `getrandbits` is written out, which consumes the
     same bits and saves three calls per step of the loop that dominates a
-    learn.  The hypothesis steps through `delta` unchecked for the same
-    reason.
+    learn.  The hypothesis steps through `delta` unchecked, and the
+    constants are bound to locals, for the same reason.
     """
     rng = random.Random(cfg.rng_seed)
     rand, getrandbits = rng.random, rng.getrandbits
@@ -220,9 +204,9 @@ def random_walk_eq(sul, hypothesis, cfg, stats):
     delta, initial, alphabet = hypothesis.delta, hypothesis.initial, hypothesis.inputs
     n = len(alphabet)
     k = n.bit_length()
-    reset_prob, max_walk_len = cfg.reset_prob, cfg.max_walk_len
+    reset_prob, max_walk_len = RESET_PROB, MAX_WALK_LEN
     stats.equivalence_queries += 1
-    for _ in range(cfg.num_walks):
+    for _ in range(NUM_WALKS):
         reset()
         state = initial
         word = []
@@ -275,7 +259,7 @@ class LearningSession:
     def _hypothesis(self):
         fill(self.table, self.sul, self.stats)
         close(self.table, self.sul, self.stats, self.state_cap)
-        return build_hypothesis(self.table, allow_partial=self.state_cap is not None)
+        return build_hypothesis(self.table)
 
     def run(self):
         """Iterate closing / hypothesis / oracle until the oracle passes."""

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .config_text import ConfigError, config_lines, finite, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
-from .world import LeadProfile, VehicleState, WorldState, sensor_perturb, step_world
+from .world import LeadProfile, VehicleState, WorldState, step_world
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,12 @@ class Scenario:
     """Initial conditions, lead profile, horizon, sensor noise, thresholds
     and override clamp of one driving situation, each a plain field.
 
-    `lead_track` (the lead's motion) and `perceptions` (the sensor's
-    perception sets) follow from the fields alone, so they are computed
-    once per scenario and shared by the game and every co-simulation
-    episode on it.  So do the `epoch_contexts` that `cosim.execute` fills:
-    what one follower state of an episode determines.  They are caches, not
-    fields: equality ignores them, and
-    `dataclasses.replace` makes a scenario without them.
+    `lead_track` (the lead's motion) follows from the fields alone, so it
+    is computed once per scenario and shared by the game and every
+    co-simulation episode on it.  So do the `epoch_contexts` that
+    `cosim.execute` fills: what one follower state of an episode determines.
+    They are the scenario's two caches, not fields: equality ignores them,
+    and `dataclasses.replace` makes a scenario without them.
     """
 
     name: str = "default"
@@ -56,8 +55,10 @@ class Scenario:
         if self.dest <= self.follow_pos:
             raise ValueError(f"dest ({self.dest}) must lie ahead of "
                              f"follow_pos ({self.follow_pos})")
-        if self.epoch <= 0 or self.horizon_epochs < 0:
-            raise ValueError("epoch must be positive, horizon non-negative")
+        if self.epoch <= 0:
+            raise ValueError(f"epoch ({self.epoch}) must be positive")
+        if self.horizon_epochs < 0:
+            raise ValueError(f"horizon_epochs ({self.horizon_epochs}) must be >= 0")
         if self.sensor_offset < 0:
             raise ValueError("sensor_offset must be >= 0")
         if not self.v_max > 0:
@@ -80,20 +81,6 @@ class Scenario:
         for _ in range(self.horizon_epochs):
             worlds.append(step_world(worlds[-1], 0.0, self.epoch, self.profile, v_max=self.v_max))
         return tuple((w.t, w.lead.pos, w.lead.vel, w.lead.acc) for w in worlds)
-
-    @cached_property
-    def _perceptions(self):
-        return {}  # num_levels -> {level: perceivable levels}
-
-    def perceptions(self, num_levels):
-        """Level -> the levels the sensor model may report for it, for
-        `num_levels` quantization levels; shared, so never mutate it."""
-        sets = self._perceptions.get(num_levels)
-        if sets is None:
-            sets = self._perceptions[num_levels] = {
-                level: sensor_perturb(level, self.sensor_offset, num_levels)
-                for level in range(1, num_levels + 1)}
-        return sets
 
     @cached_property
     def epoch_contexts(self):

@@ -162,11 +162,6 @@ def toggle():
     return make_toggle()
 
 
-@pytest.fixture
-def constant():
-    return make_constant()
-
-
 @pytest.fixture(scope="session")
 def driver_params():
     return DriverParams()

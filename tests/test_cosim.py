@@ -359,20 +359,18 @@ def test_seeded_episode_follows_the_arena(synthesized, driver_params, oracle_mac
     trace = run_once(strategy, scenario, driver_params, oracle_machine, seed)
     assert trace.lookup_misses == 0
     mirror = AbstractDriver(oracle_machine, driver_params)
-    q, hinted = oracle_machine.initial, 0
+    r = mirror.row_number[oracle_machine.initial, 0]  # the mirror stepped as `execute` does
     env = arena.states[arena.initial]  # where the previous row's action led
     for k, row in enumerate(trace.rows):
-        assert env == _env_state(k, row.follow_pos, row.follow_vel,
-                                 mirror.row_number[q, hinted])
-        q, _acc = mirror.rows[q, hinted][row.perceived_level]
+        assert env == _env_state(k, row.follow_pos, row.follow_vel, r)
+        q, _acc = mirror.rows[r][row.perceived_level]
         key = (k, env[1], env[2], q, row.driver_acc)
         assert _explored(arena, env)[row.perceived_level] == key
         assert strategy.action_for(key) == row.action
         env = _explored(arena, key)[row.action]
-        hinted = 1 if row.action == ACTION_HINT else 0
+        r = mirror.row_number[q, 1 if row.action == ACTION_HINT else 0]
     final = trace.final_world.follow
-    assert env == _env_state(len(trace.rows), final.pos, final.vel,
-                             mirror.row_number[q, hinted])
+    assert env == _env_state(len(trace.rows), final.pos, final.vel, r)
 
 
 def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
@@ -387,13 +385,13 @@ def test_episode_steps_the_mirror_with_the_previous_hint(default_sc):
         strategy = RecordingStrategy(ConstantStrategy(ACTION_HINT))
         trace = run_once(strategy, default_sc, params, hm, seed)
         assert len(strategy.asked) == len(trace.rows)
-        q, hinted = hm.initial, 0
+        q, r = hm.initial, mirror.row_number[hm.initial, 0]
         for row, key in zip(trace.rows, strategy.asked):
-            plain = mirror.rows[q, 0][row.perceived_level][0]
-            q = mirror.rows[q, hinted][row.perceived_level][0]
+            plain = mirror.rows[mirror.row_number[q, 0]][row.perceived_level][0]
+            q = mirror.rows[r][row.perceived_level][0]
             moved += q != plain
             assert key[3] == q
-            hinted = 1 if row.action == ACTION_HINT else 0
+            r = mirror.row_number[q, 1 if row.action == ACTION_HINT else 0]
     assert moved  # the episodes took the hinted path
 
 

@@ -42,7 +42,7 @@ from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import AlphabetMismatch, MealyMachine, minimize
 from sharedctrl.scenario import Scenario, braking_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTIONS, arbitrate
-from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw
+from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw, sensor_perturb
 
 from conftest import (
     HINT_PARAMS, ConstantStrategy, RecordingStrategy, arena_from_graph, lattice_scenarios,
@@ -397,12 +397,12 @@ def test_build_arena_offset_one_branches(oracle_machine):
 
 def test_built_arena_shares_one_label_row_per_state(oracle_machine):
     # labels are never per edge: an explored state holds the variant's action
-    # tuple or one of the scenario's perception rows, position by position
-    # with its successors' numbers
-    sc = mini_scenario(offset=1)
-    arena = explore_all(build_arena(oracle_machine, sc, DriverParams(), "no-override"), sc)
+    # tuple or the arena's one perception row of its level, position by
+    # position with its successors' numbers
+    sc, params = mini_scenario(offset=1), DriverParams()
+    arena = explore_all(build_arena(oracle_machine, sc, params, "no-override"), sc)
     actions = VARIANT_ACTIONS["no-override"]
-    rows = sc.perceptions(DriverParams().num_levels)
+    shared = set()  # the identities of the environment states' label rows
     assert len(arena.won) == arena.n_states
     for i in range(arena.n_states):
         labels, targets = arena.labels[i], arena.edges[i]
@@ -411,9 +411,14 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
         elif arena.turn[i] == TURN_CTRL:
             assert labels is actions
         else:
-            assert any(labels is row for row in rows.values())
+            k, fp, fv, _r = arena.states[i]
+            _t, lp, lv, _acc = sc.lead_track[k]
+            level = quantize_thw(headway_metrics(lp, lv, fp, fv)[0], params.thw_levels)
+            assert labels == sensor_perturb(level, sc.sensor_offset, params.num_levels)
+            shared.add(id(labels))
         assert len(labels) == len(targets)
         assert all(type(j) is int for j in targets)
+    assert 1 < len(shared) <= params.num_levels
 
 
 def test_build_arena_outcomes_are_the_four_values(oracle_machine, default_sc):
@@ -463,7 +468,8 @@ def test_mirror_rows_give_the_driver_acceleration(params, redeliberated):
     # every state's access word replayed, a hint applied or not, one level
     # perceived; `redeliberated` hinted entries differ from the plain ones
     hm = minimize(explicit_machine(params))
-    rows = AbstractDriver(hm, params).rows
+    mirror = AbstractDriver(hm, params)
+    rows, number = mirror.rows, mirror.row_number
     words = access_words(hm)
     assert len(words) == len(hm.states)
     sul = CognitiveDriver(params)
@@ -475,8 +481,9 @@ def test_mirror_rows_give_the_driver_acceleration(params, redeliberated):
                     sul.query(symbol)
                 if hinted:
                     sul.apply_hint()
-                assert sul.query(level)[1] == rows[q, hinted][level][1], (word, hinted, level)
-    assert sum(rows[q, 1][level][1] != rows[q, 0][level][1]
+                assert sul.query(level)[1] == rows[number[q, hinted]][level][1], \
+                    (word, hinted, level)
+    assert sum(rows[number[q, 1]][level][1] != rows[number[q, 0]][level][1]
                for q in hm.states for level in hm.inputs) == redeliberated
 
 
@@ -485,16 +492,19 @@ def test_mirror_rows_give_the_driver_acceleration(params, redeliberated):
     (DriverParams(thw_levels=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), 72, 13),
 ], ids=["default", "hint-params", "k1-k2-1", "eight-levels"])
 def test_mirror_numbers_each_distinct_row_once(params, keys, distinct):
-    # an environment state holds the number of its row: each `(q, hinted)`
-    # key's number names its own row, and no two numbers name equal rows
+    # an environment state holds the number of its row: each state's plain
+    # number names the row built from `hm.delta`, numbers come in the state
+    # order of `hm.delta`, plain before hinted, and no two name equal rows
     hm = minimize(explicit_machine(params))
     mirror = AbstractDriver(hm, params)
-    assert len(mirror.row_number) == len(mirror.rows) == keys
-    for key, row in mirror.rows.items():
-        assert mirror.distinct_rows[mirror.row_number[key]] == row
-    assert len(mirror.distinct_rows) == distinct
-    assert all(a != b for i, a in enumerate(mirror.distinct_rows)
-               for b in mirror.distinct_rows[i + 1:])
+    assert len(mirror.row_number) == keys
+    assert list(mirror.row_number) == [(q, h) for q in hm.delta for h in (0, 1)]
+    for q, row in hm.delta.items():
+        assert mirror.rows[mirror.row_number[q, 0]] == {
+            level: (succ, out[1]) for level, (succ, out) in row.items()}
+    assert list(dict.fromkeys(mirror.row_number.values())) == list(range(distinct))
+    assert len(mirror.rows) == distinct
+    assert all(a != b for i, a in enumerate(mirror.rows) for b in mirror.rows[i + 1:])
 
 
 def test_build_arena_state_cap(oracle_machine, default_sc, monkeypatch):
@@ -544,8 +554,9 @@ def documented_row(scenario, variant, state, mirror, params):
         _t, lp, lv, _acc = scenario.lead_track[k]
         assert on_lattice(lp, lv) and on_lattice(fp, fv)
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
-        labels = scenario.perceptions(params.num_levels)[quantize_thw(thw, params.thw_levels)]
-        return labels, [(k, fp, fv, *mirror.distinct_rows[r][p]) for p in labels]
+        labels = sensor_perturb(quantize_thw(thw, params.thw_levels), scenario.sensor_offset,
+                                params.num_levels)
+        return labels, [(k, fp, fv, *mirror.rows[r][p]) for p in labels]
     k, fp, fv, q, dacc = state
     labels = VARIANT_ACTIONS[variant]
     cfg = scenario.supervisor_config()
@@ -1121,7 +1132,8 @@ def test_driver_check_follows_the_abstraction_state_of_the_path(
     delta = {s: dict(row) for s, row in hm.delta.items()}
     delta[q][level] = (succ, (chain[::-1], acc))
     wrong = MealyMachine(hm.inputs, delta, initial=hm.initial)
-    assert AbstractDriver(wrong, driver_params).rows == mirror.rows
+    wrong_mirror = AbstractDriver(wrong, driver_params)
+    assert (wrong_mirror.rows, wrong_mirror.row_number) == (mirror.rows, mirror.row_number)
     assert build_arena(wrong, default_sc, driver_params, "full").states == \
         build_arena(hm, default_sc, driver_params, "full").states
     with pytest.raises(DriverDisagrees) as caught:

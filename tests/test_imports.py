@@ -1,5 +1,6 @@
-"""Every imported name in the package and the tests is used, and every
-top-level function and class of the package is used or exported.
+"""Every imported name in the package and the tests is used, every
+top-level function and class of the package is used or exported, and every
+fixture of the tests is requested.
 
 `__init__.py` is skipped by the import scan: its imports are the package's
 exports.
@@ -10,7 +11,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/sharedctrl/*.py"))
-FILES = sorted(p for p in [*PACKAGE, *ROOT.glob("tests/*.py")] if p.name != "__init__.py")
+TESTS = sorted(ROOT.glob("tests/*.py"))
+FILES = sorted(p for p in [*PACKAGE, *TESTS] if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -78,3 +80,32 @@ def test_every_definition_is_used_or_exported():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     dead = unreferenced_definitions(sources, exports(sources.pop("__init__.py")))
     assert not dead, "defined but never used or exported: " + ", ".join(dead)
+
+
+def is_fixture(decorator):
+    """Whether a decorator is `pytest.fixture`, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Attribute) and target.attr == "fixture"
+
+
+def unrequested_fixtures(sources):
+    """`name: fixture` for each fixture of `sources` (`{name: text}`) that is
+    no parameter of any function in them."""
+    functions = [(name, node) for name, text in sources.items()
+                 for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+    requested = {arg.arg for _name, node in functions
+                 for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    return sorted(f"{name}: {node.name}" for name, node in functions
+                  if node.name not in requested and any(map(is_fixture, node.decorator_list)))
+
+
+def test_scan_flags_an_unrequested_fixture():
+    sources = {"conftest.py": "import pytest\n\n\n@pytest.fixture\ndef used():\n    pass\n\n\n"
+                              "@pytest.fixture(scope='session')\ndef unused(used):\n    pass\n",
+               "test_a.py": "def test_x(used):\n    pass\n"}
+    assert unrequested_fixtures(sources) == ["conftest.py: unused"]
+
+
+def test_every_fixture_is_requested():
+    unrequested = unrequested_fixtures({p.name: p.read_text(encoding="utf-8") for p in TESTS})
+    assert not unrequested, "fixtures no test requests: " + ", ".join(unrequested)

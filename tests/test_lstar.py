@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharedctrl.cosim import learning_session
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
+from sharedctrl import lstar
 from sharedctrl.lstar import (
     EqOracleConfig,
     LearnStats,
@@ -13,13 +14,12 @@ from sharedctrl.lstar import (
     NotDistinguishing,
     ObservationTable,
     RandomWalkOracle,
-    TableNotReady,
     build_hypothesis,
     close,
     fill,
-    is_closed,
     process_counterexample,
     random_walk_eq,
+    unmatched,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 
@@ -75,9 +75,9 @@ def test_close_adds_toggle_successor():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
     fill(table, sul, LearnStats())
-    assert not is_closed(table)
+    assert unmatched(table) is not None
     close(table, sul, LearnStats(), None)
-    assert is_closed(table)
+    assert unmatched(table) is None
     assert ("a",) in table.S
 
 
@@ -113,20 +113,12 @@ def test_counterexample_splits_rows_equal_on_single_symbols():
     assert equivalent(machine, truth) == (True, None)
 
 
-def test_build_hypothesis_requires_closed():
-    sul = MachineSUL(make_toggle())
-    table = ObservationTable(("a",))
-    fill(table, sul, LearnStats())
-    with pytest.raises(TableNotReady):
-        build_hypothesis(table, False)
-
-
 def test_build_hypothesis_toggle_exact():
     sul = MachineSUL(make_toggle())
     table = ObservationTable(("a",))
     fill(table, sul, LearnStats())
     close(table, sul, LearnStats(), None)
-    hyp = build_hypothesis(table, False)
+    hyp = build_hypothesis(table)
     assert equivalent(hyp, make_toggle()) == (True, None)
 
 
@@ -134,7 +126,7 @@ def test_hypothesis_agrees_with_table(fresh_driver):
     table = ObservationTable(fresh_driver.alphabet)
     fill(table, fresh_driver, LearnStats())
     close(table, fresh_driver, LearnStats(), None)
-    hyp = build_hypothesis(table, False)
+    hyp = build_hypothesis(table)
     for s in table.S:
         for e in table.E:
             assert hyp.run(s + e)[len(s):] == table.T[(s, e)]
@@ -152,7 +144,7 @@ def test_process_counterexample_rejects_agreeing_word():
     table = ObservationTable(("a",))
     fill(table, sul, LearnStats())
     close(table, sul, LearnStats(), None)
-    hyp = build_hypothesis(table, False)
+    hyp = build_hypothesis(table)
     with pytest.raises(NotDistinguishing):
         process_counterexample(table, ("a",), sul, hyp, LearnStats())
 
@@ -163,7 +155,7 @@ def test_process_counterexample_adds_one_suffix():
     table = ObservationTable(("a", "b"))
     fill(table, sul, LearnStats())
     close(table, sul, LearnStats(), None)
-    hyp = build_hypothesis(table, False)
+    hyp = build_hypothesis(table)
     same, ce = equivalent(hyp, truth)
     assert not same
     S, E = list(table.S), list(table.E)
@@ -172,17 +164,17 @@ def test_process_counterexample_adds_one_suffix():
     (suffix,) = table.E[len(E):]
     assert table.E[:len(E)] == E
     assert ce[-len(suffix):] == suffix
-    assert not is_closed(table)  # the suffix splits a row the hypothesis merged
+    assert unmatched(table) is not None  # the suffix splits a row the hypothesis merged
 
 
 def test_random_walk_eq_passes_on_exact_machine(fresh_driver, oracle_machine):
-    cfg = EqOracleConfig(num_walks=100, rng_seed=5)
+    cfg = EqOracleConfig(rng_seed=5)
     assert random_walk_eq(fresh_driver, oracle_machine, cfg, LearnStats()) is None
 
 
 def test_random_walk_eq_finds_toggle_divergence():
     stub = MealyMachine(("a",), {0: {"a": (0, "0")}})
-    cfg = EqOracleConfig(num_walks=50, max_walk_len=5, rng_seed=1)
+    cfg = EqOracleConfig(rng_seed=1)
     ce = random_walk_eq(MachineSUL(make_toggle()), stub, cfg, LearnStats())
     assert ce is not None
     assert len(ce) == 2  # divergence appears at the second step
@@ -199,16 +191,17 @@ def test_random_walk_eq_deterministic(fresh_driver):
 
 def choice_random_walk_eq(sul, hypothesis, cfg, stats):
     """The random-walk oracle as first written: `rng.choice` for each symbol
-    and `hypothesis.step` for each prediction."""
+    and `hypothesis.step` for each prediction, under the walk settings that
+    `lstar` holds when it is called."""
     rng = random.Random(cfg.rng_seed)
     alphabet = hypothesis.inputs
     stats.equivalence_queries += 1
-    for _ in range(cfg.num_walks):
+    for _ in range(lstar.NUM_WALKS):
         sul.reset()
         state = hypothesis.initial
         word = []
-        while len(word) < cfg.max_walk_len:
-            if word and rng.random() < cfg.reset_prob:
+        while len(word) < lstar.MAX_WALK_LEN:
+            if word and rng.random() < lstar.RESET_PROB:
                 break
             symbol = rng.choice(alphabet)
             word.append(symbol)
@@ -252,14 +245,15 @@ def walk_hypothesis(params, kind):
 
 @pytest.mark.parametrize("params", [DriverParams(), EIGHT_LEVELS], ids=["4-level", "8-level"])
 @pytest.mark.parametrize("kind", ["exact", 1, 2])
-@pytest.mark.parametrize("cfg", [EqOracleConfig(),
-                                 EqOracleConfig(num_walks=37, max_walk_len=5, reset_prob=0.3)],
+@pytest.mark.parametrize("walks", [{}, {"NUM_WALKS": 37, "MAX_WALK_LEN": 5, "RESET_PROB": 0.3}],
                          ids=["default", "short"])
-def test_random_walk_eq_walks_as_rng_choice_does(params, kind, cfg):
+def test_random_walk_eq_walks_as_rng_choice_does(params, kind, walks, monkeypatch):
+    for name, value in walks.items():
+        monkeypatch.setattr(lstar, name, value)
     hypothesis = walk_hypothesis(params, kind)
     found = 0
     for seed in range(50):
-        seeded = EqOracleConfig(cfg.num_walks, cfg.max_walk_len, cfg.reset_prob, seed)
+        seeded = EqOracleConfig(rng_seed=seed)
         runs = []
         for oracle in (random_walk_eq, choice_random_walk_eq):
             sul, stats = CallLog(CognitiveDriver(params)), LearnStats()

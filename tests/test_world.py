@@ -228,6 +228,8 @@ def test_scenario_validation():
     (dict(lead_vel=-0.5), "lead_vel"),
     (dict(follow_vel=-2.0), "follow_vel"),
     (dict(sensor_offset=-1), "sensor_offset"),
+    (dict(horizon_epochs=-1), "horizon_epochs"),
+    (dict(epoch=0.0), "epoch"),
 ])
 def test_scenario_rejects_non_positive_v_max_and_negative_speeds(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -263,7 +265,7 @@ def test_scenario_rejects_a_start_not_behind_the_lead(fields):
 def test_equal_scenarios_hash_equal():
     # a frozen value: equal scenarios hash equal, caches or not
     sc = default_scenario()
-    assert sc.lead_track and sc.perceptions(4)
+    assert sc.lead_track and sc.epoch_contexts == {}
     assert hash(sc) == hash(default_scenario()) == hash(Scenario.from_text(sc.to_text()))
     assert hash(LeadProfile([(0, 0), (5, -2)])) == hash(LeadProfile([(0.0, 0.0), (5.0, -2.0)]))
     assert len({default_scenario(), default_scenario(), braking_scenario()}) == 2
@@ -294,10 +296,9 @@ def test_scenario_initial_world():
 def test_scenario_caches_are_not_fields():
     # computed once per scenario, ignored by equality, not carried by `replace`
     sc = default_scenario()
-    track, sets = sc.lead_track, sc.perceptions(4)
-    assert sc.lead_track is track and sc.perceptions(4) is sets
+    track, contexts = sc.lead_track, sc.epoch_contexts
+    assert sc.lead_track is track and sc.epoch_contexts is contexts
     assert len(track) == sc.horizon_epochs + 1
-    assert sets == {level: sensor_perturb(level, sc.sensor_offset, 4) for level in range(1, 5)}
     assert Scenario.from_text(sc.to_text()) == sc
     shorter = replace(sc, horizon_epochs=3)
-    assert shorter.lead_track == track[:4]
+    assert shorter.lead_track == track[:4] and shorter.epoch_contexts is not contexts
