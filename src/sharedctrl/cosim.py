@@ -125,7 +125,7 @@ def epoch_context(scenario, params, k, fpos, fvel):
     levels that `sensor_perturb` may report for the quantized headway.  Of
     `params`, only the boundaries `thw_levels` count.
     """
-    _t, lpos, lvel, _lacc = scenario.lead_track[k]
+    lpos, lvel = scenario.lead_track[k]
     if any(judge(fpos, lpos, scenario.dest)):
         return ()
     thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
@@ -155,7 +155,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     driver: the perception draw, the driver query, the mirror's step and the
     lookup run every epoch.  The follower is advanced in local variables
     with `advance`, so an epoch builds only its `TraceRow`, and the final
-    world is built once.  Every float is what iterating `step_world` gives.
+    world is built once.  Every float is what iterating `advance` gives.
     """
     mirror = AbstractDriver.shared(hm, params)
     mirror_rows, row_number = mirror.rows, mirror.row_number
@@ -166,7 +166,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     action_for, certified_entry = strategy.action_for, strategy.certified
     eps, v_max = scenario.epoch, scenario.v_max
     sul.reset()
-    fpos, fvel, facc = scenario.follow_pos, scenario.follow_vel, 0.0
+    fpos, fvel = scenario.follow_pos, scenario.follow_vel
     r = row_number[hm.initial, 0]
     rows = []
     append = rows.append
@@ -197,9 +197,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         append(TraceRow(t, lpos, lvel, fpos, fvel, thw, ttc, ACTION_MODE[action],
                         dacc, applied, action, perceived, chain, certified))
         fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
-        facc = applied
-    t, lpos, lvel, lacc = scenario.lead_track[len(rows)]
-    final = WorldState(VehicleState(lpos, lvel, lacc), VehicleState(fpos, fvel, facc), t)
+    final = WorldState(VehicleState(*scenario.lead_track[len(rows)]), VehicleState(fpos, fvel))
     return SimTrace(rows, final, misses)
 
 

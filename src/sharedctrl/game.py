@@ -16,9 +16,10 @@ controller turn at `k`, a controller edge to the environment turn at
 `k + 1`, so a built arena is a DAG of depth 2·horizon.  The solver needs
 the arena to be acyclic and raises `ValueError` on a cycle.
 
-The game plays in the metres and floats of co-simulation: it reads the lead
-from `scenario.lead_track`, steps the follower with `world.advance` and
-judges with `world.judge`, so a game state holds an episode's follower state
+The game plays in the metres and floats of co-simulation: it reads the
+lead's `(pos, vel)` from `scenario.lead_track`, which the scenario steps
+with `world.advance`, steps the follower with the same `advance` and judges
+with `world.judge`, so a game state holds an episode's follower state
 exactly.  The lattice (0.25 m, 0.5 m/s) is the precondition that keeps every
 float exact, checked by `grid_lattice_checks`, and the integer encoding of
 strategy files.  The objective is `monitor`'s strong until over
@@ -277,7 +278,7 @@ def grid_lattice_checks(scenario, params, accelerations=()):
     accs |= {scenario.acc_floor, scenario.acc_cap, *accelerations}
     for a in sorted(accs):
         _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
-    for _t, pos, vel, _acc in scenario.lead_track:
+    for pos, vel in scenario.lead_track:
         _scaled(pos, POS_SCALE, "lead position")
         _scaled(vel, VEL_SCALE, "lead velocity")
     _scaled(scenario.dest, POS_SCALE, "dest")
@@ -318,7 +319,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     moves_of = {}  # (fv, driver acc) -> [(fv after the step, hinted)] per action
 
     def outcome(k, fp):  # how plays end with the follower at `fp` in epoch `k`
-        bad, goal = judge(fp, lead[k][1], dest)
+        bad, goal = judge(fp, lead[k][0], dest)
         return BAD if bad else GOAL if goal else HORIZON if k == horizon else OPEN
 
     def explore(arena, i):
@@ -328,7 +329,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         succs = []
         if arena.turn[i] == TURN_ENV:
             k, fp, fv, r = s
-            _t, lp, lv, _lacc = lead[k]
+            lp, lv = lead[k]
             thw, _ttc = headway_metrics(lp, lv, fp, fv)
             labels = perceived[quantize_thw(thw, params.thw_levels)]
             row = rows[r]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .config_text import ConfigError, config_lines, finite, parse_config, read_file
 from .supervisor import HazardThresholds, SupervisorConfig
-from .world import LeadProfile, VehicleState, WorldState, step_world
+from .world import LeadProfile, advance
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Scenario:
     and override clamp of one driving situation, each a plain field.
 
     `lead_track` (the lead's motion) follows from the fields alone, so it
-    is computed once per scenario and shared by the game and every
+    is stepped once per scenario and shared by the game and every
     co-simulation episode on it.  So do the `epoch_contexts` that
     `cosim.execute` fills: what one follower state of an episode determines.
     They are the scenario's two caches, not fields: equality ignores them,
@@ -63,24 +63,24 @@ class Scenario:
             raise ValueError("sensor_offset must be >= 0")
         if not self.v_max > 0:
             raise ValueError("v_max must be positive")
-        if not (self.lead_vel >= 0 and self.follow_vel >= 0):
-            raise ValueError("lead_vel and follow_vel must be >= 0")
+        for name in ("lead_vel", "follow_vel"):  # `advance` keeps every later speed in range
+            vel = getattr(self, name)
+            if not 0 <= vel <= self.v_max:
+                raise ValueError(f"{name} ({vel}) must lie in [0, v_max] = [0, {self.v_max}]")
         self.supervisor_config()  # checks the thresholds and the override clamp
-
-    def initial_world(self):
-        return WorldState(
-            lead=VehicleState(self.lead_pos, self.lead_vel, self.profile.acc_at(0.0)),
-            follow=VehicleState(self.follow_pos, self.follow_vel, 0.0),
-        )
 
     @cached_property
     def lead_track(self):
-        """The lead's `(t, pos, vel, acc)` at epochs 0..horizon: iterated
-        `step_world` from `initial_world`, so `t` is accumulated as it does."""
-        worlds = [self.initial_world()]
+        """The lead's `(pos, vel)` at epochs 0..horizon: stepped with
+        `world.advance` under `profile.acc_at(t)`, `t` accumulated as
+        `t += epoch`."""
+        pos, vel, t = self.lead_pos, self.lead_vel, 0.0
+        track = [(pos, vel)]
         for _ in range(self.horizon_epochs):
-            worlds.append(step_world(worlds[-1], 0.0, self.epoch, self.profile, v_max=self.v_max))
-        return tuple((w.t, w.lead.pos, w.lead.vel, w.lead.acc) for w in worlds)
+            pos, vel = advance(pos, vel, self.profile.acc_at(t), self.epoch, self.v_max)
+            t += self.epoch
+            track.append((pos, vel))
+        return tuple(track)
 
     @cached_property
     def epoch_contexts(self):

@@ -5,17 +5,17 @@ acceleration profile and a follower driven by an external acceleration
 command.  Explicit Euler integration with positions advanced by the old
 velocity; velocities are clamped to [0, v_max].
 
-`advance` is the one definition of a vehicle's step, and `judge` of safety
-and reach at a follower position.  `step_world` applies `advance` to both
-vehicles; the game and co-simulation apply it to the follower alone, since
-the lead's motion depends only on the scenario: `Scenario.lead_track`
-integrates it with `step_world` once, and the game and every episode read
-it from there.
+`advance` is the one step of a vehicle, and `judge` the one judge of safety
+and reach at a follower position.  The lead's motion depends only on the
+scenario, so its track is the scenario's: `Scenario.lead_track` steps the
+lead with `advance` once, and the game and every episode read it from there
+and step the follower with `advance` alone.
 
 `VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
 frozen one costs about three times as much to construct.  Nothing mutates a
-state once it is built; `step_world` always returns new ones.  A world holds
-the vehicles and the time; the speed limit and sensor offset are arguments.
+state once it is built.  A world holds the two vehicles' positions and
+velocities, the only fields read of it; the speed limit and the sensor
+offset are the scenario's, and the time is a trace row's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class CollisionState(ValueError):
 class VehicleState:
     pos: float
     vel: float
-    acc: float = 0.0
 
 
 class LeadProfile:
@@ -66,21 +65,6 @@ class LeadProfile:
 class WorldState:
     lead: VehicleState
     follow: VehicleState
-    t: float = 0.0
-
-
-def step_world(world, follow_acc, dt, profile, *, v_max):
-    """Advance both vehicles by `dt`, velocities clamped to [0, v_max]; the
-    lead acceleration is read from `profile` at the current time."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lead, follow = world.lead, world.follow
-    lead_acc = profile.acc_at(world.t)
-    return WorldState(
-        VehicleState(*advance(lead.pos, lead.vel, lead_acc, dt, v_max), lead_acc),
-        VehicleState(*advance(follow.pos, follow.vel, follow_acc, dt, v_max), follow_acc),
-        world.t + dt,
-    )
 
 
 def advance(pos, vel, acc, dt, v_max):

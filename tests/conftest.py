@@ -66,6 +66,18 @@ def lattice_scenarios(draw, max_horizon=24):
     )
 
 
+def euler_step(pos, vel, acc, dt, v_max):
+    """The documented step of one vehicle, written out independently of
+    `world.advance`: the position by the old velocity, the velocity clamped
+    into [0, v_max]."""
+    return pos + vel * dt, min(max(vel + acc * dt, 0.0), v_max)
+
+
+def lead_acc(profile, t):
+    """The acceleration of the last profile segment that starts at or before `t`."""
+    return [a for start, a in profile.segments if start <= t][-1]
+
+
 def make_constant(output="0", inputs=("a",)):
     return MealyMachine(inputs, {0: {a: (0, output) for a in inputs}}, initial=0)
 

@@ -137,6 +137,21 @@ def test_synth_rejects_a_start_past_the_lead(tmp_path, capsys, oracle_machine):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["lead_vel", "follow_vel"])
+def test_synth_rejects_a_start_speed_above_v_max(tmp_path, capsys, oracle_machine, field):
+    # the world clamps every later speed into [0, v_max], so the first epoch
+    # would drop such a start speed to v_max
+    scenario_path = tmp_path / "fast.scenario"
+    scenario_path.write_text(f"{field}=20.0\nv_max=16.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--scenario", str(scenario_path),
+                 "--hm", str(write_hm(tmp_path, oracle_machine)), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert (f"{scenario_path}: {field} (20.0) must lie in [0, v_max] = [0, 16.0]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_synth_names_the_bad_line_of_an_abstraction_file(tmp_path, capsys, oracle_machine):
     lines = serialize(oracle_machine).splitlines()
     lines[-1] = "t 0 x 1 0"

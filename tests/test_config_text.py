@@ -16,20 +16,21 @@ def floats(lo, hi):
 def scenarios(draw):
     follow_pos = draw(floats(-1e3, 1e3))
     floor = draw(floats(-10.0, -0.01))
+    v_max = draw(floats(0.5, 80.0))
     times = sorted(draw(st.sets(floats(0.01, 100.0), max_size=4)))
     profile = [(0.0, draw(floats(-5.0, 5.0)))] + [(t, draw(floats(-5.0, 5.0))) for t in times]
     name = draw(st.text(alphabet="abcxyz019_- ", max_size=12)).strip()
     return Scenario(
         name=name,
         lead_pos=follow_pos + draw(floats(0.25, 1e3)),
-        lead_vel=draw(floats(0.0, 40.0)),
+        lead_vel=draw(floats(0.0, v_max)),
         follow_pos=follow_pos,
-        follow_vel=draw(floats(0.0, 40.0)),
+        follow_vel=draw(floats(0.0, v_max)),
         dest=follow_pos + draw(floats(0.01, 1e4)),
         epoch=draw(floats(0.01, 5.0)),
         horizon_epochs=draw(st.integers(0, 1000)),
         sensor_offset=draw(st.integers(0, 5)),
-        v_max=draw(floats(0.5, 80.0)),
+        v_max=v_max,
         profile=LeadProfile(profile),
         thw_safe=draw(floats(0.01, 10.0)),
         ttc_safe=draw(floats(0.01, 10.0)),

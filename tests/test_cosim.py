@@ -43,9 +43,9 @@ from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
 from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
-from sharedctrl.world import VehicleState, WorldState, judge, step_world
+from sharedctrl.world import VehicleState, WorldState, judge
 
-from conftest import ConstantStrategy, RecordingStrategy, lattice_scenarios
+from conftest import ConstantStrategy, RecordingStrategy, euler_step, lattice_scenarios, lead_acc
 
 
 def run_once(strategy, scenario, params, hm, seed=0):
@@ -87,7 +87,9 @@ def test_game_episode_and_monitor_judge_the_start_alike(follow_pos, dest, horizo
         (overtaken or reached)
     trace = run_once(ConstantStrategy("none"), sc, driver_params, oracle_machine)
     assert (trace.rows == []) == stops
-    verdict = monitor(SimTrace([], sc.initial_world()), sc.dest,
+    start = WorldState(VehicleState(sc.lead_pos, sc.lead_vel),
+                       VehicleState(sc.follow_pos, sc.follow_vel))
+    verdict = monitor(SimTrace([], start), sc.dest,
                       sc.supervisor_config().thresholds)
     assert verdict.status == (STATUS_SAFETY if overtaken else
                               STATUS_PASS if reached else STATUS_GOAL)
@@ -160,8 +162,7 @@ def _row(**kw):
 
 
 def _trace(rows, final_gap=10.0, final_pos=200.0):
-    final = WorldState(VehicleState(final_pos + final_gap, 10.0),
-                       VehicleState(final_pos, 10.0), 1.0)
+    final = WorldState(VehicleState(final_pos + final_gap, 10.0), VehicleState(final_pos, 10.0))
     return SimTrace(rows, final)
 
 
@@ -420,25 +421,29 @@ def test_a_repeated_hinted_step_keeps_a_realizable_strategy_on_track():
        strategy=st.sampled_from((ConstantStrategy("none"), ConstantStrategy("hint"),
                                  ConstantStrategy("override"), Strategy({}, "full"))),
        seed=st.integers(min_value=0, max_value=2**32))
-def test_episode_integrates_like_step_world(driver_params, oracle_machine,
-                                            scenario, strategy, seed):
-    # every float of an episode is what iterating `step_world` gives: the lead
-    # from the scenario alone, the follower from the previous row's applied
-    # acceleration; the empty strategy misses every lookup (fail-safe fallback)
+def test_episode_integrates_like_euler_steps(driver_params, oracle_machine,
+                                             scenario, strategy, seed):
+    # every float of an episode is what explicit Euler steps of both vehicles
+    # give: the lead under its profile at the accumulated time, the follower
+    # under the previous row's applied acceleration; the empty strategy misses
+    # every lookup (fail-safe fallback)
     trace = run_once(strategy, scenario, driver_params, oracle_machine, seed)
     cfg = scenario.supervisor_config()
-    world = scenario.initial_world()
+    eps, v_max = scenario.epoch, scenario.v_max
+    lead = scenario.lead_pos, scenario.lead_vel
+    follow = scenario.follow_pos, scenario.follow_vel
+    t = 0.0
     for k, row in enumerate(trace.rows):
-        assert row.t == k * scenario.epoch
-        assert (row.lead_pos, row.lead_vel) == (world.lead.pos, world.lead.vel)
-        assert (row.follow_pos, row.follow_vel) == (world.follow.pos, world.follow.vel)
+        assert row.t == k * eps
+        assert ((row.lead_pos, row.lead_vel), (row.follow_pos, row.follow_vel)) == (lead, follow)
         if isinstance(strategy, Strategy):
             assert row.action == ACTION_OVERRIDE and row.applied_acc == cfg.acc_floor
-        world = step_world(world, row.applied_acc, scenario.epoch, scenario.profile,
-                           v_max=scenario.v_max)
+        lead = euler_step(*lead, lead_acc(scenario.profile, t), eps, v_max)
+        follow = euler_step(*follow, row.applied_acc, eps, v_max)
+        t += eps
     if isinstance(strategy, Strategy):
         assert trace.lookup_misses == len(trace.rows)
-    assert trace.final_world == world
+    assert trace.final_world == WorldState(VehicleState(*lead), VehicleState(*follow))
 
 
 def make_session(params, seed=0, state_cap=None):

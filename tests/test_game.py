@@ -412,7 +412,7 @@ def test_built_arena_shares_one_label_row_per_state(oracle_machine):
             assert labels is actions
         else:
             k, fp, fv, _r = arena.states[i]
-            _t, lp, lv, _acc = sc.lead_track[k]
+            lp, lv = sc.lead_track[k]
             level = quantize_thw(headway_metrics(lp, lv, fp, fv)[0], params.thw_levels)
             assert labels == sensor_perturb(level, sc.sensor_offset, params.num_levels)
             shared.add(id(labels))
@@ -551,7 +551,7 @@ def documented_row(scenario, variant, state, mirror, params):
     or makes sits on the lattice."""
     if len(state) == 4:  # an environment state
         k, fp, fv, r = state
-        _t, lp, lv, _acc = scenario.lead_track[k]
+        lp, lv = scenario.lead_track[k]
         assert on_lattice(lp, lv) and on_lattice(fp, fv)
         thw, _ttc = headway_metrics(lp, lv, fp, fv)
         labels = sensor_perturb(quantize_thw(thw, params.thw_levels), scenario.sensor_offset,
@@ -576,7 +576,7 @@ def documented_outcome(scenario, state):
     if len(state) == 5:  # a controller state
         return OPEN
     k, fp, *_rest = state
-    if fp >= scenario.lead_track[k][1]:
+    if fp >= scenario.lead_track[k][0]:
         return BAD
     if fp >= scenario.dest:
         return GOAL

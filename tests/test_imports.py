@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used, every
+"""Every imported name in the package, the tests and the tools is used, every
 top-level function and class of the package is used or exported, and every
 fixture of the tests is requested.
 
@@ -12,7 +12,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/sharedctrl/*.py"))
 TESTS = sorted(ROOT.glob("tests/*.py"))
-FILES = sorted(p for p in [*PACKAGE, *TESTS] if p.name != "__init__.py")
+TOOLS = sorted(ROOT.glob("tools/*.py"))
+FILES = sorted(p for p in [*PACKAGE, *TESTS, *TOOLS] if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -31,7 +32,7 @@ def unused_imports(source):
 
 def test_scan_sees_the_files():
     names = {p.name for p in FILES}
-    assert {"lstar.py", "cli.py", "conftest.py", "test_imports.py"} <= names
+    assert {"lstar.py", "cli.py", "conftest.py", "test_imports.py", "cli_fingerprint.py"} <= names
 
 
 def test_scan_flags_an_unused_name():

@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sharedctrl.config_text import read_file
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario, load_scenario
@@ -16,16 +16,15 @@ from sharedctrl.world import (
     judge,
     quantize_thw,
     sensor_perturb,
-    step_world,
 )
 
+from conftest import euler_step, lattice_scenarios, lead_acc
+
 BOUNDS = (1.0, 2.0, 3.0)
-CRUISE = LeadProfile([(0.0, 0.0)])  # the lead keeps its velocity
 
 
 def make_world(lead_pos, lead_vel, follow_pos, follow_vel):
-    return WorldState(VehicleState(lead_pos, lead_vel),
-                      VehicleState(follow_pos, follow_vel), 0.0)
+    return WorldState(VehicleState(lead_pos, lead_vel), VehicleState(follow_pos, follow_vel))
 
 
 def thw_of(world):
@@ -38,35 +37,46 @@ def ttc_of(world):
                            world.follow.pos, world.follow.vel)[1]
 
 
-def test_step_world_at_rest():
-    w = make_world(20.0, 0.0, 0.0, 0.0)
-    w2 = step_world(w, 0.0, 0.5, CRUISE, v_max=40.0)
-    assert w2.lead.pos == 20.0 and w2.follow.pos == 0.0
-    assert w2.t == 0.5
+def test_advance_at_rest():
+    assert advance(20.0, 0.0, 0.0, 0.5, 40.0) == (20.0, 0.0)
 
 
-def test_step_world_euler_update():
-    w = make_world(100.0, 0.0, 0.0, 10.0)
-    w2 = step_world(w, 2.0, 0.5, CRUISE, v_max=40.0)
-    assert w2.follow.vel == 11.0
-    assert w2.follow.pos == 5.0  # old velocity advances the position
+def test_advance_euler_update():
+    # the old velocity advances the position
+    assert advance(0.0, 10.0, 2.0, 0.5, 40.0) == (5.0, 11.0)
 
 
-def test_step_world_velocity_clamps():
-    w = make_world(100.0, 0.0, 0.0, 0.4)
-    assert step_world(w, -3.0, 0.5, CRUISE, v_max=40.0).follow.vel == 0.0
-    fast = make_world(100.0, 0.0, 0.0, 39.9)
-    assert step_world(fast, 3.0, 0.5, CRUISE, v_max=40.0).follow.vel == 40.0
+def lead_scenario(lead_vel, segments, horizon=4):
+    return Scenario(lead_pos=50.0, lead_vel=lead_vel, follow_vel=10.0, horizon_epochs=horizon,
+                    v_max=16.0, profile=LeadProfile(segments))
 
 
-def test_step_world_uses_profile():
-    profile = LeadProfile([(0.0, 0.0), (1.0, -2.0)])
-    w = make_world(50.0, 10.0, 0.0, 10.0)
-    w1 = step_world(w, 0.0, 0.5, profile, v_max=40.0)
-    assert w1.lead.vel == 10.0          # acc 0 before t=1
-    w1b = WorldState(w1.lead, w1.follow, 1.0)
-    w2 = step_world(w1b, 0.0, 0.5, profile, v_max=40.0)
-    assert w2.lead.vel == 9.0           # braking segment active
+def test_lead_track_clamps_the_lead_speed():
+    assert [v for _p, v in lead_scenario(0.4, [(0.0, -3.0)]).lead_track] == [0.4, 0, 0, 0, 0]
+    assert [v for _p, v in lead_scenario(15.9, [(0.0, 3.0)]).lead_track] == [15.9, 16, 16, 16, 16]
+
+
+def test_lead_track_uses_profile():
+    # acc 0 before t=1, then the braking segment
+    sc = lead_scenario(10.0, [(0.0, 0.0), (1.0, -2.0)])
+    assert sc.lead_track == ((50.0, 10.0), (55.0, 10.0), (60.0, 10.0), (65.0, 9.0), (69.5, 8.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=lattice_scenarios(), epoch=st.sampled_from((None, 0.3, 0.1, 0.7)))
+def test_lead_track_is_explicit_euler(scenario, epoch):
+    # the lead under the segment in force at the accumulated time, on and
+    # off the lattice
+    if epoch is not None:
+        scenario = replace(scenario, epoch=epoch)
+    pos, vel, t = scenario.lead_pos, scenario.lead_vel, 0.0
+    expected = [(pos, vel)]
+    for _ in range(scenario.horizon_epochs):
+        pos, vel = euler_step(pos, vel, lead_acc(scenario.profile, t), scenario.epoch,
+                              scenario.v_max)
+        t += scenario.epoch
+        expected.append((pos, vel))
+    assert scenario.lead_track == tuple(expected)
 
 
 NUMBERS = st.one_of(st.floats(), st.integers(-40, 40), st.sampled_from((0.0, -0.0, 0)))
@@ -82,18 +92,12 @@ def test_advance_clamps_as_min_of_max(pos, vel, acc, dt, v_max):
     assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in expected]
 
 
-def test_step_world_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        step_world(make_world(10, 0, 0, 0), 0.0, 0.0, CRUISE, v_max=40.0)
-
-
 def test_positions_never_regress():
-    w = make_world(50.0, 5.0, 0.0, 3.0)
+    pos, vel = 0.0, 3.0
     for _ in range(30):
-        w2 = step_world(w, -3.0, 0.5, CRUISE, v_max=40.0)
-        assert w2.follow.pos >= w.follow.pos
-        assert w2.follow.vel >= 0.0
-        w = w2
+        pos2, vel = advance(pos, vel, -3.0, 0.5, 40.0)
+        assert pos2 >= pos and vel >= 0.0
+        pos = pos2
 
 
 def test_compute_thw():
@@ -227,6 +231,9 @@ def test_scenario_validation():
     (dict(v_max=-1.0), "v_max"),
     (dict(lead_vel=-0.5), "lead_vel"),
     (dict(follow_vel=-2.0), "follow_vel"),
+    (dict(lead_vel=20.0), "lead_vel"),
+    (dict(follow_vel=20.0), "follow_vel"),
+    (dict(v_max=14.0), "follow_vel"),
     (dict(sensor_offset=-1), "sensor_offset"),
     (dict(horizon_epochs=-1), "horizon_epochs"),
     (dict(epoch=0.0), "epoch"),
@@ -285,12 +292,6 @@ def test_load_scenario_builtins(tmp_path):
     path = tmp_path / "custom.scenario"
     path.write_text(default_scenario().to_text(), encoding="utf-8")
     assert load_scenario(str(path)) == default_scenario()
-
-
-def test_scenario_initial_world():
-    sc = default_scenario()
-    w = sc.initial_world()
-    assert w.lead.pos == 50.0 and w.follow.vel == 15.0
 
 
 def test_scenario_caches_are_not_fields():
