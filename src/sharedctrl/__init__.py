@@ -10,6 +10,7 @@ from .driver import CognitiveDriver, DriverParams, FULL_CHAIN, SHORT_CHAIN
 from .game import (
     GameArena,
     Strategy,
+    arbitrate,
     build_arena,
     check_templates,
     extract_strategy,
@@ -18,8 +19,8 @@ from .game import (
 )
 from .lstar import EqOracleConfig, LearningSession
 from .mealy import MealyMachine, equivalent, minimize, parse, serialize, to_dot
-from .scenario import Scenario, braking_scenario, default_scenario, load_scenario
-from .supervisor import HazardThresholds, SupervisorConfig, arbitrate
+from .scenario import (HazardThresholds, Scenario, SupervisorConfig, braking_scenario,
+                       default_scenario, load_scenario)
 from .world import WorldState, quantize_thw
 
 __version__ = "0.1.0"

@@ -10,8 +10,10 @@ which it predicts another output than the real driver gives.
 
 A strategy is executed with the stateful cognitive driver in the loop (not
 the learned abstraction), while a mirror of the abstraction tracks which
-game state the play corresponds to.  Objective monitoring classifies each
-trace, and `episode_passed` judges an episode for the CLI and the loop: its
+game state the play corresponds to.  Each trace row shows its action's
+mode label, `ACTION_MODE`.  Objective monitoring classifies each trace, with
+the SafeNow hazard predicate `safe_now` for overrides the game did not
+certify, and `episode_passed` judges an episode for the CLI and the loop: its
 verdict passes and it took no strategy-lookup miss.  Each iteration of the
 refinement loop hands its words to L* through one `refine` call: the word
 of the driver check's disagreement, or else the words of the episodes that
@@ -27,9 +29,13 @@ from dataclasses import dataclass, field
 
 from .driver import CognitiveDriver, DriverParams, FULL_CHAIN
 from .game import (
+    ACTION_HINT,
+    ACTION_NONE,
+    ACTION_OVERRIDE,
     AbstractDriver,
     DriverDisagrees,
     VARIANT_ACTIONS,
+    arbitrate,
     build_arena,
     certify,
     extract_strategy,
@@ -39,7 +45,6 @@ from .game import (
 )
 from .lstar import EqOracleConfig, LearningSession, NotDistinguishing, RandomWalkOracle
 from .mealy import minimize, serialize
-from .supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, arbitrate, safe_now
 from .world import (VehicleState, WorldState, advance, headway_metrics, judge,
                     quantize_thw, sensor_perturb)
 
@@ -48,6 +53,13 @@ TRACE_COLUMNS = (
     "control_mode", "driver_acc", "follow_acc", "controller_action",
     "perceived_level", "rule_chain",
 )
+
+# the mode label each action shows in a trace
+ACTION_MODE = {
+    ACTION_NONE: "Nominal",
+    ACTION_HINT: "Advisory",
+    ACTION_OVERRIDE: "Intervention",
+}
 
 STATUS_PASS = "safe-and-reached"
 STATUS_SAFETY = "safety-violation"
@@ -199,6 +211,11 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
     final = WorldState(VehicleState(*scenario.lead_track[len(rows)]), VehicleState(fpos, fvel))
     return SimTrace(rows, final, misses)
+
+
+def safe_now(thw, ttc, th):
+    """SafeNow, the hazard predicate: `thw` and `ttc` at or above `th`."""
+    return thw >= th.thw_safe and ttc >= th.ttc_safe
 
 
 def monitor(trace, dest, thresholds):

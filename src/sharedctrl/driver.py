@@ -37,18 +37,18 @@ class DriverParams:
         # tuples keep the params hashable: they key the driver's transition table
         for name in ("acc_set", "thw_levels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-        if self.thw_follow <= 0 or self.decision_epoch <= 0:
-            raise ValueError("thw_follow and decision_epoch must be positive")
+        for name in ("k1", "k2", "thw_follow", "decision_epoch"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} ({value}) must be positive")
         if not self.acc_set or 0 not in self.acc_set:
-            raise ValueError("acc_set must be non-empty and contain 0")
-        if tuple(sorted(self.acc_set)) != tuple(self.acc_set):
-            raise ValueError("acc_set must be sorted")
+            raise ValueError(f"acc_set {self.acc_set} must be non-empty and contain 0")
+        if tuple(sorted(self.acc_set)) != self.acc_set:
+            raise ValueError(f"acc_set {self.acc_set} must be sorted")
         if not self.thw_levels or not all(0 < b < math.inf for b in self.thw_levels):
-            raise ValueError(f"thw_levels must be positive finite headways, got {self.thw_levels}")
+            raise ValueError(f"thw_levels {self.thw_levels} must be positive finite headways")
         if any(b2 <= b1 for b1, b2 in zip(self.thw_levels, self.thw_levels[1:])):
-            raise ValueError("thw_levels boundaries must be strictly increasing")
+            raise ValueError(f"thw_levels {self.thw_levels} must be strictly increasing")
 
     @property
     def num_levels(self):

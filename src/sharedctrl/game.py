@@ -7,6 +7,11 @@ environment move (sensor level choice plus the deterministic driver
 response) followed by one controller move (pick an action; physics then
 advances deterministically).
 
+The supervisor's controllable actions are defined here: `none`, `hint` and
+`override`, in `ACTIONS`' severity order, least severe first.  Each design
+variant of `VARIANT_ACTIONS` offers a subset of them, and `arbitrate` gives
+the acceleration an action applies: an override clamps the driver's.
+
 The arena is explored on demand, not enumerated.  A depth-first solver
 walks forward from the initial state through the successor logic and
 expands only the states that deciding it needs: a controller state stops at
@@ -76,13 +81,6 @@ from types import MappingProxyType
 
 from .driver import FULL_CHAIN, decide_acceleration, explicit_machine
 from .mealy import AlphabetMismatch
-from .supervisor import (
-    ACTION_HINT,
-    ACTION_NONE,
-    ACTION_OVERRIDE,
-    ACTIONS,
-    arbitrate,
-)
 from .world import advance, headway_metrics, judge, quantize_thw, sensor_perturb
 
 TURN_ENV = 0
@@ -93,6 +91,13 @@ POS_SCALE = 4   # lattice units per metre
 VEL_SCALE = 2   # lattice units per (m/s)
 ARENA_STATE_CAP = 2_000_000  # explored states at most, per arena
 
+ACTION_NONE = "none"
+ACTION_HINT = "hint"
+ACTION_OVERRIDE = "override"
+# the severity order, least severe first: the game lists a controller state's
+# edges in this order, and an edge is more severe than every edge before it
+ACTIONS = (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE)
+
 # ordered by growing action set: each variant includes the actions of the one
 # before, and each tuple keeps the severity order of `ACTIONS`
 VARIANT_ACTIONS = {
@@ -100,6 +105,15 @@ VARIANT_ACTIONS = {
     "no-override": (ACTION_NONE, ACTION_HINT),
     "full": (ACTION_NONE, ACTION_HINT, ACTION_OVERRIDE),
 }
+
+
+def arbitrate(action, driver_acc, cfg):
+    """Applied acceleration under `action`: an override clamps the driver's
+    acceleration into [acc_floor, acc_cap]; none and hint pass it through."""
+    if action == ACTION_OVERRIDE:
+        return min(max(driver_acc, cfg.acc_floor), cfg.acc_cap)
+    return driver_acc
+
 
 class ArenaCapExceeded(RuntimeError):
     """Explored product grew past `ARENA_STATE_CAP` states."""

@@ -5,8 +5,10 @@ Scenarios live in the `key=value` text of `config_text`: the plain fields
 are the keys, and each lead-profile segment is one `profile t acc` line
 (named when out of order).  A scenario is the one source of the supervisor's
 thresholds (`thw_safe`, `ttc_safe`) and clamp and of the sensor's error
-bound.  Built in: the default car-following setting and a harsher braking
-variant used for design-space exploration.
+bound; the supervisor's config classes, `HazardThresholds` and
+`SupervisorConfig`, are defined here, and `Scenario.supervisor_config`
+builds them from those fields.  Built in: the default car-following setting
+and a harsher braking variant used for design-space exploration.
 """
 
 from __future__ import annotations
@@ -15,8 +17,37 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config_text import ConfigError, config_lines, finite, parse_config, read_file
-from .supervisor import HazardThresholds, SupervisorConfig
 from .world import LeadProfile, advance
+
+
+@dataclass(frozen=True)
+class HazardThresholds:
+    """SafeNow's bounds, with no defaults: `Scenario.supervisor_config`
+    builds them from the scenario's `thw_safe` and `ttc_safe` fields."""
+
+    thw_safe: float
+    ttc_safe: float
+
+    def __post_init__(self):
+        for name in ("thw_safe", "ttc_safe"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} ({value}) must be positive")
+
+
+@dataclass(frozen=True)
+class SupervisorConfig:
+    """The thresholds and the override clamp [acc_floor, acc_cap]."""
+
+    thresholds: HazardThresholds
+    acc_floor: float
+    acc_cap: float
+
+    def __post_init__(self):
+        if not self.acc_cap < 0:
+            raise ValueError(f"acc_cap ({self.acc_cap}) must be negative")
+        if not self.acc_floor <= self.acc_cap:
+            raise ValueError(f"acc_floor ({self.acc_floor}) must be <= acc_cap ({self.acc_cap})")
 
 
 @dataclass(frozen=True)
@@ -60,9 +91,9 @@ class Scenario:
         if self.horizon_epochs < 0:
             raise ValueError(f"horizon_epochs ({self.horizon_epochs}) must be >= 0")
         if self.sensor_offset < 0:
-            raise ValueError("sensor_offset must be >= 0")
+            raise ValueError(f"sensor_offset ({self.sensor_offset}) must be >= 0")
         if not self.v_max > 0:
-            raise ValueError("v_max must be positive")
+            raise ValueError(f"v_max ({self.v_max}) must be positive")
         for name in ("lead_vel", "follow_vel"):  # `advance` keeps every later speed in range
             vel = getattr(self, name)
             if not 0 <= vel <= self.v_max:
@@ -71,14 +102,14 @@ class Scenario:
 
     @cached_property
     def lead_track(self):
-        """The lead's `(pos, vel)` at epochs 0..horizon: stepped with
-        `world.advance` under `profile.acc_at(t)`, `t` accumulated as
-        `t += epoch`."""
-        pos, vel, t = self.lead_pos, self.lead_vel, 0.0
+        """The lead's `(pos, vel)` at epochs 0..horizon: from epoch `k` to
+        `k + 1` stepped with `world.advance` under the last profile segment
+        that starts at or before `k * epoch`, the time of a trace's row `k`."""
+        pos, vel = self.lead_pos, self.lead_vel
         track = [(pos, vel)]
-        for _ in range(self.horizon_epochs):
-            pos, vel = advance(pos, vel, self.profile.acc_at(t), self.epoch, self.v_max)
-            t += self.epoch
+        for k in range(self.horizon_epochs):
+            acc = [a for start, a in self.profile.segments if start <= k * self.epoch][-1]
+            pos, vel = advance(pos, vel, acc, self.epoch, self.v_max)
             track.append((pos, vel))
         return tuple(track)
 

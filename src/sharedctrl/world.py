@@ -8,14 +8,17 @@ velocity; velocities are clamped to [0, v_max].
 `advance` is the one step of a vehicle, and `judge` the one judge of safety
 and reach at a follower position.  The lead's motion depends only on the
 scenario, so its track is the scenario's: `Scenario.lead_track` steps the
-lead with `advance` once, and the game and every episode read it from there
+lead with `advance` once, under the `LeadProfile` segment in force at each
+epoch's time `k * epoch`, and the game and every episode read it from there
 and step the follower with `advance` alone.
 
-`VehicleState` and `WorldState` are slotted, not frozen, dataclasses, since a
-frozen one costs about three times as much to construct.  Nothing mutates a
-state once it is built.  A world holds the two vehicles' positions and
-velocities, the only fields read of it; the speed limit and the sensor
-offset are the scenario's, and the time is a trace row's.
+`LeadProfile` is a frozen dataclass of its validated segments, a value like
+the scenario that holds it.  `VehicleState` and `WorldState` are slotted,
+not frozen, dataclasses, since a frozen one costs about three times as much
+to construct.  Nothing mutates a state once it is built.  A world holds the
+two vehicles' positions and velocities, the only fields read of it; the
+speed limit and the sensor offset are the scenario's, and the time is a
+trace row's.
 """
 
 from __future__ import annotations
@@ -35,30 +38,21 @@ class VehicleState:
     vel: float
 
 
+@dataclass(frozen=True)
 class LeadProfile:
-    """Piecewise-constant acceleration schedule for the lead vehicle."""
+    """Piecewise-constant acceleration schedule for the lead vehicle: its
+    `segments` are `(start, acc)` float pairs, the first starting at t=0 and
+    the starts strictly increasing.  A segment holds until the next starts."""
 
-    def __init__(self, segments):
-        segments = [(float(t), float(a)) for t, a in segments]
+    segments: tuple
+
+    def __post_init__(self):
+        segments = tuple((float(t), float(a)) for t, a in self.segments)
         if not segments or segments[0][0] != 0.0:
             raise ValueError("profile must start at t=0")
-        times = [t for t, _ in segments]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if any(t2 <= t1 for (t1, _), (t2, _) in zip(segments, segments[1:])):
             raise ValueError("profile times must be strictly increasing")
-        self.segments = tuple(segments)
-        self._times = tuple(times)
-
-    def acc_at(self, t):
-        idx = bisect_right(self._times, t) - 1
-        if idx < 0:
-            idx = 0
-        return self.segments[idx][1]
-
-    def __eq__(self, other):
-        return isinstance(other, LeadProfile) and self.segments == other.segments
-
-    def __hash__(self):
-        return hash(self.segments)
+        object.__setattr__(self, "segments", segments)
 
 
 @dataclass(slots=True)

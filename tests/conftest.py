@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from sharedctrl.cosim import synthesize
 from sharedctrl.driver import CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
-    BAD, GOAL, HORIZON, OPEN, TURN_CTRL, TURN_ENV, GameArena,
+    ACTIONS, BAD, GOAL, HORIZON, OPEN, TURN_CTRL, TURN_ENV, GameArena,
     arena_stats_text, build_arena, extract_strategy, solve,
 )
 from sharedctrl.mealy import MealyMachine, equivalent, minimize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
-from sharedctrl.supervisor import ACTIONS
 from sharedctrl.world import LeadProfile
 
 # default params, and params whose hinted re-deliberation changes the

@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharedctrl.config_text import ConfigError
 from sharedctrl.driver import DriverParams
-from sharedctrl.scenario import Scenario, braking_scenario
-from sharedctrl.supervisor import HazardThresholds
+from sharedctrl.scenario import HazardThresholds, Scenario, braking_scenario
 from sharedctrl.world import LeadProfile
 
 

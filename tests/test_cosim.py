@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharedctrl import cosim
 from sharedctrl.cosim import (
+    ACTION_MODE,
     RefineLoopConfig,
     SimTrace,
     TraceRow,
@@ -23,6 +24,7 @@ from sharedctrl.cosim import (
     monitor,
     refine,
     refine_loop,
+    safe_now,
     synthesize,
     write_trace_csv,
     STATUS_GOAL,
@@ -36,13 +38,12 @@ from sharedctrl.driver import (
     CognitiveDriver, DriverParams, FULL_CHAIN, SHORT_CHAIN, explicit_machine,
 )
 from sharedctrl.game import (
-    BAD, GOAL, HORIZON, OPEN, AbstractDriver, POS_SCALE, Strategy, VEL_SCALE, build_arena,
-    parse_strategy, realizable, serialize_strategy,
+    ACTION_HINT, ACTION_OVERRIDE, BAD, GOAL, HORIZON, OPEN, AbstractDriver, POS_SCALE, Strategy,
+    VEL_SCALE, build_arena, parse_strategy, realizable, serialize_strategy,
 )
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import equivalent, minimize, serialize
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario
-from sharedctrl.supervisor import ACTION_HINT, ACTION_MODE, ACTION_OVERRIDE, safe_now
 from sharedctrl.world import VehicleState, WorldState, judge
 
 from conftest import ConstantStrategy, RecordingStrategy, euler_step, lattice_scenarios, lead_acc
@@ -249,7 +250,6 @@ def test_monitor_priority_order():
 def test_monitor_double_entry(default_synthesis, default_sc, driver_params,
                               oracle_machine):
     """Replaying the predicates row-by-row gives the same verdict."""
-    from sharedctrl.supervisor import safe_now
     _arena, _region, strategy = default_synthesis
     trace = run_once(strategy, default_sc, driver_params, oracle_machine, seed=9)
     verdict = monitor(trace, default_sc.dest, default_sc.supervisor_config().thresholds)
@@ -424,7 +424,7 @@ def test_a_repeated_hinted_step_keeps_a_realizable_strategy_on_track():
 def test_episode_integrates_like_euler_steps(driver_params, oracle_machine,
                                              scenario, strategy, seed):
     # every float of an episode is what explicit Euler steps of both vehicles
-    # give: the lead under its profile at the accumulated time, the follower
+    # give: the lead under its profile at the row's time, the follower
     # under the previous row's applied acceleration; the empty strategy misses
     # every lookup (fail-safe fallback)
     trace = run_once(strategy, scenario, driver_params, oracle_machine, seed)
@@ -432,15 +432,13 @@ def test_episode_integrates_like_euler_steps(driver_params, oracle_machine,
     eps, v_max = scenario.epoch, scenario.v_max
     lead = scenario.lead_pos, scenario.lead_vel
     follow = scenario.follow_pos, scenario.follow_vel
-    t = 0.0
     for k, row in enumerate(trace.rows):
         assert row.t == k * eps
         assert ((row.lead_pos, row.lead_vel), (row.follow_pos, row.follow_vel)) == (lead, follow)
         if isinstance(strategy, Strategy):
             assert row.action == ACTION_OVERRIDE and row.applied_acc == cfg.acc_floor
-        lead = euler_step(*lead, lead_acc(scenario.profile, t), eps, v_max)
+        lead = euler_step(*lead, lead_acc(scenario.profile, row.t), eps, v_max)
         follow = euler_step(*follow, row.applied_acc, eps, v_max)
-        t += eps
     if isinstance(strategy, Strategy):
         assert trace.lookup_misses == len(trace.rows)
     assert trace.final_world == WorldState(VehicleState(*lead), VehicleState(*follow))

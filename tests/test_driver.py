@@ -33,6 +33,28 @@ def test_params_validation():
         DriverParams(thw_levels=(1.0, 1.0))        # not increasing
 
 
+@pytest.mark.parametrize("fields, text, message", [
+    (dict(k1=0.0), "k1=0.0", r"^k1 \(0\.0\) must be positive$"),
+    (dict(k2=-0.5), "k2=-0.5", r"^k2 \(-0\.5\) must be positive$"),
+    (dict(thw_follow=0.0), "thw_follow=0.0", r"^thw_follow \(0\.0\) must be positive$"),
+    (dict(decision_epoch=-1.0), "decision_epoch=-1.0",
+     r"^decision_epoch \(-1\.0\) must be positive$"),
+    (dict(acc_set=(-2, -1, 1)), "acc_set=-2,-1,1",
+     r"^acc_set \(-2, -1, 1\) must be non-empty and contain 0$"),
+    (dict(acc_set=(1, 0, -1)), "acc_set=1,0,-1", r"^acc_set \(1, 0, -1\) must be sorted$"),
+    (dict(thw_levels=(-1.0, 2.0)), "thw_levels=-1.0,2.0",
+     r"^thw_levels \(-1\.0, 2\.0\) must be positive finite headways$"),
+    (dict(thw_levels=(1.0, 1.0)), "thw_levels=1.0,1.0",
+     r"^thw_levels \(1\.0, 1\.0\) must be strictly increasing$"),
+])
+def test_params_refusals_name_their_field_and_value(fields, text, message):
+    # what a params file that breaks one check prints after its path
+    with pytest.raises(ValueError, match=message):
+        DriverParams(**fields)
+    with pytest.raises(ValueError, match=message):
+        DriverParams.from_text(text + "\n")
+
+
 @pytest.mark.parametrize("levels", [(), (-1.0, 2.0), (0.0, 2.0), (1.0, math.inf),
                                     (math.nan,)])
 def test_params_reject_empty_or_nonpositive_headway_levels(levels):

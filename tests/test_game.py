@@ -12,6 +12,8 @@ from sharedctrl import game
 from sharedctrl.cosim import episode, episode_passed, synthesize
 from sharedctrl.driver import FULL_CHAIN, CognitiveDriver, DriverParams, explicit_machine
 from sharedctrl.game import (
+    ACTION_HINT,
+    ACTIONS,
     AbstractDriver,
     ArenaCapExceeded,
     BAD,
@@ -28,6 +30,7 @@ from sharedctrl.game import (
     Unrealizable,
     VARIANT_ACTIONS,
     VEL_SCALE,
+    arbitrate,
     arena_stats_text,
     build_arena,
     certify,
@@ -41,7 +44,6 @@ from sharedctrl.game import (
 from sharedctrl.lstar import EqOracleConfig, LearningSession, RandomWalkOracle
 from sharedctrl.mealy import AlphabetMismatch, MealyMachine, minimize
 from sharedctrl.scenario import Scenario, braking_scenario
-from sharedctrl.supervisor import ACTION_HINT, ACTIONS, arbitrate
 from sharedctrl.world import LeadProfile, advance, headway_metrics, quantize_thw, sensor_perturb
 
 from conftest import (

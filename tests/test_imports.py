@@ -1,4 +1,5 @@
 """Every imported name in the package, the tests and the tools is used, every
+module of the package but the entry point is imported by another, every
 top-level function and class of the package is used or exported, and every
 fixture of the tests is requested.
 
@@ -44,6 +45,33 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(ROOT)}: {name}"
               for p in FILES for name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def unimported_modules(sources, entry_points):
+    """Each module of `sources` (`{file name: text}`, one package's modules)
+    that is not in `entry_points` and that no other module of them imports,
+    as `from .m import x`, `from .m.sub import x` or `from . import m`."""
+    imported = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                imported.update({f"{t.split('.')[0]}.py" for t in targets} - {name})
+    return sorted(set(sources) - imported - set(entry_points))
+
+
+def test_scan_flags_an_unimported_module():
+    # `import c` is another package's module, and a module importing itself counts for nothing
+    sources = {"cli.py": "from .a import run\n", "a.py": "from . import b\nfrom .a import x\n",
+               "b.py": "import c\n", "c.py": "from .c import y\n", "d.py": "from .b.sub import z\n"}
+    assert unimported_modules(sources, {"cli.py"}) == ["c.py", "d.py"]
+
+
+def test_every_module_is_imported_by_another():
+    # `__init__.py` imports the exports, not what the pipeline calls
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+    orphans = unimported_modules(sources, {"cli.py"})
+    assert not orphans, "modules no other package module imports: " + ", ".join(orphans)
 
 
 def unreferenced_definitions(sources, exported):

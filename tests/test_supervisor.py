@@ -1,16 +1,13 @@
+"""The supervisor's parts: its thresholds and override clamp (`scenario`),
+the SafeNow predicate (`cosim`) and arbitration of an action (`game`)."""
+
 import math
 
 import pytest
 
-from sharedctrl.supervisor import (
-    ACTION_HINT,
-    ACTION_NONE,
-    ACTION_OVERRIDE,
-    HazardThresholds,
-    SupervisorConfig,
-    arbitrate,
-    safe_now,
-)
+from sharedctrl.cosim import safe_now
+from sharedctrl.game import ACTION_HINT, ACTION_NONE, ACTION_OVERRIDE, arbitrate
+from sharedctrl.scenario import HazardThresholds, SupervisorConfig
 
 TH = HazardThresholds(thw_safe=2.0, ttc_safe=3.0)
 CFG = SupervisorConfig(TH, acc_floor=-3.0, acc_cap=-1.0)

@@ -65,18 +65,24 @@ def test_lead_track_uses_profile():
 @settings(max_examples=200, deadline=None)
 @given(scenario=lattice_scenarios(), epoch=st.sampled_from((None, 0.3, 0.1, 0.7)))
 def test_lead_track_is_explicit_euler(scenario, epoch):
-    # the lead under the segment in force at the accumulated time, on and
-    # off the lattice
+    # the lead under the segment in force at `k * epoch`, a trace row's time,
+    # on and off the lattice
     if epoch is not None:
         scenario = replace(scenario, epoch=epoch)
-    pos, vel, t = scenario.lead_pos, scenario.lead_vel, 0.0
+    pos, vel = scenario.lead_pos, scenario.lead_vel
     expected = [(pos, vel)]
-    for _ in range(scenario.horizon_epochs):
-        pos, vel = euler_step(pos, vel, lead_acc(scenario.profile, t), scenario.epoch,
-                              scenario.v_max)
-        t += scenario.epoch
+    for k in range(scenario.horizon_epochs):
+        pos, vel = euler_step(pos, vel, lead_acc(scenario.profile, k * scenario.epoch),
+                              scenario.epoch, scenario.v_max)
         expected.append((pos, vel))
     assert scenario.lead_track == tuple(expected)
+
+
+def test_lead_track_starts_a_segment_at_its_epoch():
+    # the row at k = 10 reads t = 10 * 0.1 = 1.0, so the braking segment is in
+    # force from there, although ten additions of 0.1 give 0.9999999999999999
+    sc = Scenario(epoch=0.1, horizon_epochs=12, profile=LeadProfile([(0.0, 0.0), (1.0, -2.0)]))
+    assert [v for _p, v in sc.lead_track[10:12]] == [12.0, 11.8]
 
 
 NUMBERS = st.one_of(st.floats(), st.integers(-40, 40), st.sampled_from((0.0, -0.0, 0)))
@@ -201,14 +207,6 @@ def test_judge_gives_overtaken_and_reached(follow_pos, lead_pos, dest, atoms):
     assert judge(follow_pos, lead_pos, dest) == atoms
 
 
-def test_profile_lookup():
-    p = LeadProfile([(0.0, 0.0), (5.0, -2.0), (8.0, 0.0)])
-    assert p.acc_at(0.0) == 0.0
-    assert p.acc_at(5.0) == -2.0
-    assert p.acc_at(7.9) == -2.0
-    assert p.acc_at(8.0) == 0.0
-
-
 def test_scenario_round_trip(tmp_path):
     sc = braking_scenario()
     path = tmp_path / "braking.scenario"
@@ -237,6 +235,12 @@ def test_scenario_validation():
     (dict(sensor_offset=-1), "sensor_offset"),
     (dict(horizon_epochs=-1), "horizon_epochs"),
     (dict(epoch=0.0), "epoch"),
+    (dict(sensor_offset=-2), r"^sensor_offset \(-2\) must be >= 0$"),
+    (dict(v_max=0.0), r"^v_max \(0\.0\) must be positive$"),
+    (dict(thw_safe=0.0), r"^thw_safe \(0\.0\) must be positive$"),
+    (dict(ttc_safe=-1.0), r"^ttc_safe \(-1\.0\) must be positive$"),
+    (dict(acc_cap=0.5), r"^acc_cap \(0\.5\) must be negative$"),
+    (dict(acc_floor=-1.0, acc_cap=-2.0), r"^acc_floor \(-1\.0\) must be <= acc_cap \(-2\.0\)$"),
 ])
 def test_scenario_rejects_non_positive_v_max_and_negative_speeds(fields, message):
     with pytest.raises(ValueError, match=message):
