@@ -39,7 +39,7 @@ class DriverParams:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("k1", "k2", "thw_follow", "decision_epoch"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ValueError(f"{name} ({value}) must be positive")
         if not self.acc_set or 0 not in self.acc_set:
             raise ValueError(f"acc_set {self.acc_set} must be non-empty and contain 0")

@@ -72,6 +72,8 @@ report, `check_templates` looks each action up in a given strategy, and
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 import weakref
 from collections import deque
@@ -599,10 +601,16 @@ def _walk(arena, region, pick):
     strategy takes, or raises `StrategyRejected` with the reason, which the
     walk completes with the checks up to there.  Returns the
     `TemplateReport`.
+
+    The walk holds its queue and one byte per arena state, `seen[j]`, set
+    once state `j` is queued.  Exploring a state, or asking the region about
+    one, can number new states; `seen` grows to cover them only when a
+    successor lies past its end.
     """
     report = TemplateReport()
     states, turn, outcome = arena.states, arena.turn, arena.outcome
-    seen = {arena.initial}
+    seen = bytearray(len(states))
+    seen[arena.initial] = 1
     queue = deque([arena.initial])
     while queue:
         i = queue.popleft()
@@ -621,24 +629,32 @@ def _walk(arena, region, pick):
         targets = arena.successors(i)
         if turn[i] == TURN_ENV:
             for j in targets:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
+                try:
+                    if seen[j]:
+                        continue
+                except IndexError:  # numbered since `seen` last grew
+                    seen.extend(bytes(len(states) - len(seen)))
+                seen[j] = 1
+                queue.append(j)
         else:
             try:
                 pos = pick(s, arena.labels[i], targets)
             except StrategyRejected as err:
-                report.visited = len(seen) - len(queue)  # the states taken off the queue
+                report.visited = seen.count(1) - len(queue)  # the states taken off the queue
                 raise StrategyRejected(f"template check rejected the strategy: {err}; "
                                        "checks up to there:\n" + report.text()) from None
             j = targets[pos]
             if report.min_intervention_ok and any(t in region for t in targets[:pos]):
                 report.min_intervention_ok = False
                 report.min_intervention_witness = s
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    report.visited = len(seen)
+            try:
+                if seen[j]:
+                    continue
+            except IndexError:  # numbered since `seen` last grew
+                seen.extend(bytes(len(states) - len(seen)))
+            seen[j] = 1
+            queue.append(j)
+    report.visited = seen.count(1)
     return report
 
 
@@ -718,21 +734,44 @@ def serialize_strategy(strategy):
     """Canonical text form: sorted `state-key action` lines, one per
     controller state the strategy labels (those its plays reach).  The file
     encodes the key's position and velocity as whole lattice units; a key
-    off the lattice raises `ValueError`."""
-    lines = [f"strategy v1 {strategy.variant} {len(strategy.actions)}"]
+    off the lattice raises `ValueError`.
+
+    Each line is written, as it is made, to one byte buffer, which holds the
+    text at a byte per character; the sorted keys are the only list.  (An
+    `io.StringIO` saves nothing: CPython 3.11 keeps each string written to
+    it alive until `getvalue` joins them, as a list of lines would.)"""
+    out = io.BytesIO()
+    out.write(f"strategy v1 {strategy.variant} {len(strategy.actions)}\n".encode())
     for state in sorted(strategy.actions):
         k, fp, fv, hm_state, dacc = state
         action = strategy.actions[state]
-        lines.append(f"{k} {_scaled(fp, POS_SCALE, 'strategy position')} "
-                     f"{_scaled(fv, VEL_SCALE, 'strategy velocity')} {hm_state} {dacc!r} {action}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{k} {_scaled(fp, POS_SCALE, 'strategy position')} "
+                  f"{_scaled(fv, VEL_SCALE, 'strategy velocity')} {hm_state} {dacc!r} "
+                  f"{action}\n".encode())
+    return out.getvalue().decode()
+
+
+def _lines(text):
+    """`text.splitlines()` as an iterator that splits 16 KiB of `text` at a
+    time: a piece that ends just after a `\\n` splits as the whole text does."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + 16384) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def parse_strategy(text):
     """Inverse of `serialize_strategy`: lattice units back to the metres and
     metres per second of the keys.  A malformed line raises `ValueError`
-    naming its line number and text."""
-    lines = ((number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    naming its line number and text.
+
+    The text is split 16 KiB at a time, never into one list of all its
+    lines.  The strategy holds a key tuple per line and no other object per
+    line: the keys share one float per position and one per velocity, looked
+    up by its lattice integer, and the actions are the objects of
+    `ACTIONS`."""
+    lines = ((number, ln) for number, ln in enumerate(_lines(text), 1) if ln.strip())
     number, ln = next(lines, (0, None))
     if ln is None:
         raise ValueError("empty strategy text")
@@ -750,6 +789,9 @@ def parse_strategy(text):
         count = int(header[3])
     except ValueError:
         raise bad(number, ln, "bad strategy line count") from None
+    position = functools.cache(lambda n: n / POS_SCALE)  # one float per lattice integer
+    velocity = functools.cache(lambda n: n / VEL_SCALE)
+    actions = {action: action for action in ACTIONS}
     mapping = {}
     for number, ln in lines:
         parts = ln.split()
@@ -757,16 +799,16 @@ def parse_strategy(text):
             raise bad(number, ln, "bad strategy line")
         try:
             k, fp, fv, hm_state = (int(x) for x in parts[:4])
-            fp, fv = fp / POS_SCALE, fv / VEL_SCALE
+            fp, fv = position(fp), velocity(fv)
             raw = parts[4]
             dacc = int(raw) if raw.lstrip("-").isdigit() else float(raw)
         except (ValueError, OverflowError):
             raise bad(number, ln, "bad number in strategy line") from None
         if isinstance(dacc, float) and not math.isfinite(dacc):
             raise bad(number, ln, "non-finite dacc in strategy line")
-        action = parts[5]
-        if action not in ACTIONS:
-            raise bad(number, ln, f"unknown action {action!r}")
+        action = actions.get(parts[5])
+        if action is None:
+            raise bad(number, ln, f"unknown action {parts[5]!r}")
         key = (k, fp, fv, hm_state, dacc)
         if key in mapping:
             raise bad(number, ln, "repeated strategy state")

@@ -33,25 +33,29 @@ def test_params_validation():
         DriverParams(thw_levels=(1.0, 1.0))        # not increasing
 
 
-@pytest.mark.parametrize("fields, text, message", [
-    (dict(k1=0.0), "k1=0.0", r"^k1 \(0\.0\) must be positive$"),
-    (dict(k2=-0.5), "k2=-0.5", r"^k2 \(-0\.5\) must be positive$"),
-    (dict(thw_follow=0.0), "thw_follow=0.0", r"^thw_follow \(0\.0\) must be positive$"),
+@pytest.mark.parametrize("fields, text, message, file_message", [
+    (dict(k1=0.0), "k1=0.0", r"^k1 \(0\.0\) must be positive$", None),
+    (dict(k2=-0.5), "k2=-0.5", r"^k2 \(-0\.5\) must be positive$", None),
+    (dict(thw_follow=0.0), "thw_follow=0.0", r"^thw_follow \(0\.0\) must be positive$", None),
     (dict(decision_epoch=-1.0), "decision_epoch=-1.0",
-     r"^decision_epoch \(-1\.0\) must be positive$"),
+     r"^decision_epoch \(-1\.0\) must be positive$", None),
     (dict(acc_set=(-2, -1, 1)), "acc_set=-2,-1,1",
-     r"^acc_set \(-2, -1, 1\) must be non-empty and contain 0$"),
-    (dict(acc_set=(1, 0, -1)), "acc_set=1,0,-1", r"^acc_set \(1, 0, -1\) must be sorted$"),
+     r"^acc_set \(-2, -1, 1\) must be non-empty and contain 0$", None),
+    (dict(acc_set=(1, 0, -1)), "acc_set=1,0,-1", r"^acc_set \(1, 0, -1\) must be sorted$", None),
     (dict(thw_levels=(-1.0, 2.0)), "thw_levels=-1.0,2.0",
-     r"^thw_levels \(-1\.0, 2\.0\) must be positive finite headways$"),
+     r"^thw_levels \(-1\.0, 2\.0\) must be positive finite headways$", None),
     (dict(thw_levels=(1.0, 1.0)), "thw_levels=1.0,1.0",
-     r"^thw_levels \(1\.0, 1\.0\) must be strictly increasing$"),
+     r"^thw_levels \(1\.0, 1\.0\) must be strictly increasing$", None),
+    # a file cannot hold NaN: its parser refuses the number before the params see it
+    *((dict([(name, math.nan)]), f"{name}=nan", rf"^{name} \(nan\) must be positive$",
+       rf"^line 1: bad value for '{name}': 'nan' is not a finite number$")
+      for name in ("k1", "k2", "thw_follow", "decision_epoch")),
 ])
-def test_params_refusals_name_their_field_and_value(fields, text, message):
+def test_params_refusals_name_their_field_and_value(fields, text, message, file_message):
     # what a params file that breaks one check prints after its path
     with pytest.raises(ValueError, match=message):
         DriverParams(**fields)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=file_message or message):
         DriverParams.from_text(text + "\n")
 
 

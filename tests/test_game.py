@@ -817,13 +817,64 @@ def test_always_override_fails_minimal_intervention(default_synthesis):
     assert report.min_intervention_witness is not None
 
 
-def test_strategy_serialization_round_trip(default_synthesis):
-    _arena, _region, strategy = default_synthesis
+# (explored states after the solve, after the walk, report text) of
+# `check_templates` with a constant override: it leaves the solver's plays,
+# so the walk explores states numbered after it began
+OVERRIDE_WALK_PINS = {
+    "default": (1590, 1725,
+                "states_visited=85\nsafety=pass\n"
+                "reachability=FAIL (goal_terminals=0, horizon_terminals=1)\n"
+                "min_intervention=FAIL\nmin_intervention_witness=(0, 0.0, 15.0, 3, 1)\n"),
+    "braking": (42272, 42588,
+                "states_visited=206\nsafety=pass\n"
+                "reachability=FAIL (goal_terminals=0, horizon_terminals=2)\n"
+                "min_intervention=FAIL\nmin_intervention_witness=(0, 0.0, 14.0, 2, -1)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_WALK_PINS))
+def test_a_walk_that_explores_past_the_solve_is_pinned(request, oracle_machine, driver_params,
+                                                       name):
+    # a fresh arena: the session's may have been explored further
+    scenario = request.getfixturevalue(f"{name}_sc")
+    arena = build_arena(oracle_machine, scenario, driver_params, "full")
+    solved = arena.n_states
+    report = check_templates(arena, ConstantStrategy("override"), solve(arena))
+    assert (solved, arena.n_states, report.text()) == OVERRIDE_WALK_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["default", "braking"])
+def test_strategy_serialization_round_trip(request, name):
+    _arena, _region, strategy = request.getfixturevalue(f"{name}_synthesis")
     text = serialize_strategy(strategy)
     again = parse_strategy(text)
     assert again.actions == strategy.actions
     assert again.variant == strategy.variant
     assert serialize_strategy(again) == text
+    # a parsed strategy holds no object per line but its key tuple: the
+    # actions are those of `ACTIONS`, and the keys share one float per value
+    assert all(any(action is a for a in ACTIONS) for action in again.actions.values())
+    for field in (1, 2):  # position, velocity
+        values = [key[field] for key in again.actions]
+        assert len({id(value) for value in values}) == len(set(values))
+    # the text is read in pieces: line endings and line numbers past the
+    # first piece read as in one piece
+    assert parse_strategy(text.replace("\n", "\r\n")).actions == strategy.actions
+    number = len(text.splitlines()) + 2  # after an empty line
+    with pytest.raises(ValueError) as err:
+        parse_strategy(text + "\n0 0 0 0 0 fly\n")
+    assert str(err.value) == f"line {number}: unknown action 'fly': '0 0 0 0 0 fly'"
+
+
+@settings(max_examples=100, deadline=None)
+@given(pieces=st.lists(st.sampled_from(["0 0 30 0 0 none", "", " ", "\n", "\r\n", "\r",
+                                        "\x0c", "\x1c", "\u2028", "\x85"]),
+                       min_size=1, max_size=40),
+       repeat=st.integers(min_value=1, max_value=3000))
+def test_strategy_lines_split_as_splitlines(pieces, repeat):
+    # long enough texts to cut in several pieces, at random places in a line
+    text = "".join(pieces) * repeat
+    assert list(game._lines(text)) == text.splitlines()
 
 
 @pytest.mark.parametrize("fp, fv, named", [(0.1, 15.0, "strategy position 0.1"),
