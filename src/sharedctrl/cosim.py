@@ -45,7 +45,7 @@ from .game import (
 )
 from .lstar import EqOracleConfig, LearningSession, NotDistinguishing, RandomWalkOracle
 from .mealy import minimize, serialize
-from .world import (VehicleState, WorldState, advance, headway_metrics, judge,
+from .world import (EPOCH, VehicleState, WorldState, advance, headway_metrics, judge,
                     quantize_thw, sensor_perturb)
 
 TRACE_COLUMNS = (
@@ -133,9 +133,9 @@ def epoch_context(scenario, params, k, fpos, fvel):
 
     The empty tuple when `world.judge` finds that it has overtaken or
     reached, else `(t, lead_pos, lead_vel, thw, ttc, perceivable)`: the row
-    time, the lead from `scenario.lead_track`, the headway metrics and the
-    levels that `sensor_perturb` may report for the quantized headway.  Of
-    `params`, only the boundaries `thw_levels` count.
+    time `k * EPOCH`, the lead from `scenario.lead_track`, the headway
+    metrics and the levels that `sensor_perturb` may report for the
+    quantized headway.  Of `params`, only the boundaries `thw_levels` count.
     """
     lpos, lvel = scenario.lead_track[k]
     if any(judge(fpos, lpos, scenario.dest)):
@@ -143,7 +143,7 @@ def epoch_context(scenario, params, k, fpos, fvel):
     thw, ttc = headway_metrics(lpos, lvel, fpos, fvel)
     level = quantize_thw(thw, params.thw_levels)
     perceivable = sensor_perturb(level, scenario.sensor_offset, params.num_levels)
-    return k * scenario.epoch, lpos, lvel, thw, ttc, perceivable
+    return k * EPOCH, lpos, lvel, thw, ttc, perceivable
 
 
 def execute(strategy, sul, scenario, cfg, seed, hm, params):
@@ -176,7 +176,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
     choice = random.Random(seed).choice
     query, apply_hint = sul.query, sul.apply_hint
     action_for, certified_entry = strategy.action_for, strategy.certified
-    eps, v_max = scenario.epoch, scenario.v_max
+    v_max = scenario.v_max
     sul.reset()
     fpos, fvel = scenario.follow_pos, scenario.follow_vel
     r = row_number[hm.initial, 0]
@@ -208,7 +208,7 @@ def execute(strategy, sul, scenario, cfg, seed, hm, params):
         # in field order: a keyword call costs about twice as much
         append(TraceRow(t, lpos, lvel, fpos, fvel, thw, ttc, ACTION_MODE[action],
                         dacc, applied, action, perceived, chain, certified))
-        fpos, fvel = advance(fpos, fvel, applied, eps, v_max)
+        fpos, fvel = advance(fpos, fvel, applied, EPOCH, v_max)
     final = WorldState(VehicleState(*scenario.lead_track[len(rows)]), VehicleState(fpos, fvel))
     return SimTrace(rows, final, misses)
 

@@ -7,7 +7,8 @@ decision.  The acceleration update follows a discretized car-following law:
 
     delta_a = k1 * (thw - prev_thw) + k2 * (thw - thw_follow) * dt
 
-with the result snapped to the nearest admissible acceleration.
+over one decision epoch, `dt = world.EPOCH`, with the result snapped to the
+nearest admissible acceleration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 from .config_text import config_lines, parse_config
 from .mealy import MealyMachine
+from .world import EPOCH
 
 FULL_CHAIN = ("attend", "read", "encode", "retrieve", "decide")
 SHORT_CHAIN = ("attend", "read", "encode", "n_ret")
@@ -29,7 +31,6 @@ class DriverParams:
     k1: float = 1.0           # gain on headway change, 1/s^2
     k2: float = 0.5           # gain on headway error rate, 1/s^3
     thw_follow: float = 2.0   # desired time headway, s
-    decision_epoch: float = 0.5  # elapsed time between stimuli, s
     acc_set: tuple = (-3, -2, -1, 0, 1, 2)      # admissible accelerations, m/s^2
     thw_levels: tuple = (1.0, 2.0, 3.0)         # quantization boundaries, s
 
@@ -37,7 +38,7 @@ class DriverParams:
         # tuples keep the params hashable: they key the driver's transition table
         for name in ("acc_set", "thw_levels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("k1", "k2", "thw_follow", "decision_epoch"):
+        for name in ("k1", "k2", "thw_follow"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} ({value}) must be positive")
@@ -80,8 +81,6 @@ class DriverParams:
 def decide_acceleration(thw, prev_thw, dt, params, prev_acc):
     """New acceleration: previous decision plus the car-following correction,
     snapped to the nearest member of `acc_set` (ties resolved toward 0)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     delta = params.k1 * (thw - prev_thw) + params.k2 * (thw - params.thw_follow) * dt
     target = prev_acc + delta
     return min(params.acc_set, key=lambda a: (abs(a - target), abs(a), a))
@@ -103,7 +102,7 @@ def driver_step(state, level, params):
     if level == last_level:
         return state, (SHORT_CHAIN, last_acc)
     thw = params.representative(level)
-    acc = decide_acceleration(thw, last_thw, params.decision_epoch, params, last_acc)
+    acc = decide_acceleration(thw, last_thw, EPOCH, params, last_acc)
     return (level, acc, thw), (FULL_CHAIN, acc)
 
 

@@ -2,7 +2,7 @@
 
 The arena is the synchronous product of driver abstraction, lead and
 follower kinematics, sensor perturbation, step scheduling, and the
-three-mode control skeleton.  Each 0.5 s decision epoch unfolds as one
+three-mode control skeleton.  Each decision epoch, `world.EPOCH`, is one
 environment move (sensor level choice plus the deterministic driver
 response) followed by one controller move (pick an action; physics then
 advances deterministically).
@@ -83,13 +83,13 @@ from types import MappingProxyType
 
 from .driver import FULL_CHAIN, decide_acceleration, explicit_machine
 from .mealy import AlphabetMismatch
-from .world import advance, headway_metrics, judge, quantize_thw, sensor_perturb
+from .world import EPOCH, advance, headway_metrics, judge, quantize_thw, sensor_perturb
 
 TURN_ENV = 0
 TURN_CTRL = 1
 OPEN, GOAL, BAD, HORIZON = range(4)  # a state's outcome: nonzero is terminal
 
-POS_SCALE = 4   # lattice units per metre
+POS_SCALE = 4   # lattice units per metre: one per velocity unit and `EPOCH`
 VEL_SCALE = 2   # lattice units per (m/s)
 ARENA_STATE_CAP = 2_000_000  # explored states at most, per arena
 
@@ -193,7 +193,7 @@ class AbstractDriver:
                 plain.append((succ, acc))
                 if chain != FULL_CHAIN:  # a repeated stimulus: re-deliberate
                     rep = params.representative(level)
-                    acc = decide_acceleration(rep, rep, params.decision_epoch, params, acc)
+                    acc = decide_acceleration(rep, rep, EPOCH, params, acc)
                     succ = by_profile.get((level, acc), succ)
                 hinted.append((succ, acc))
             for flag, entries in enumerate((plain, hinted)):
@@ -283,17 +283,14 @@ class GameArena:
 
 def grid_lattice_checks(scenario, params, accelerations=()):
     """The one check of what an arena for `scenario` and the driver of
-    `params` reads, in order: that the epoch, the velocity increment of each
-    acceleration (`acc_set`, the lead's, the clamp's and `accelerations`, an
-    abstraction's outputs), the lead track, `dest`, `v_max` and the
-    follower's start are on the lattice, then that the epoch is the driver's."""
-    eps = scenario.epoch
-    if not float(eps * POS_SCALE / VEL_SCALE).is_integer():
-        raise ValueError(f"epoch {eps} incompatible with the position lattice")
+    `params` reads, in order: that the velocity increment over `EPOCH` of
+    each acceleration (`acc_set`, the lead's, the clamp's and
+    `accelerations`, an abstraction's outputs), the lead track, `dest`,
+    `v_max` and the follower's start are on the lattice."""
     accs = set(params.acc_set) | {a for _, a in scenario.profile.segments}
     accs |= {scenario.acc_floor, scenario.acc_cap, *accelerations}
     for a in sorted(accs):
-        _scaled(a * eps, VEL_SCALE, "velocity increment for acc")
+        _scaled(a * EPOCH, VEL_SCALE, "velocity increment for acc")
     for pos, vel in scenario.lead_track:
         _scaled(pos, POS_SCALE, "lead position")
         _scaled(vel, VEL_SCALE, "lead velocity")
@@ -301,9 +298,6 @@ def grid_lattice_checks(scenario, params, accelerations=()):
     _scaled(scenario.v_max, VEL_SCALE, "v_max")
     _scaled(scenario.follow_pos, POS_SCALE, "follow_pos")
     _scaled(scenario.follow_vel, VEL_SCALE, "follow_vel")
-    if eps != params.decision_epoch:
-        raise ValueError(f"scenario epoch {eps} differs from the driver's "
-                         f"decision_epoch {params.decision_epoch}")
 
 
 def build_arena(hm, scenario, params, variant, *, check_driver=False):
@@ -327,7 +321,7 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
     row_number, rows = driver.row_number, driver.rows
 
     actions = VARIANT_ACTIONS[variant]
-    eps, v_max, dest = scenario.epoch, scenario.v_max, scenario.dest
+    v_max, dest = scenario.v_max, scenario.dest
     horizon = scenario.horizon_epochs
     lead = scenario.lead_track
     perceived = {level: sensor_perturb(level, scenario.sensor_offset, params.num_levels)
@@ -359,12 +353,12 @@ def build_arena(hm, scenario, params, variant, *, check_driver=False):
         moves = moves_of.get((fv, dacc))
         if moves is None:  # the velocity after `advance` does not depend on the position
             moves = moves_of[fv, dacc] = [
-                (advance(fp, fv, arbitrate(action, dacc, cfg), eps, v_max)[1],
+                (advance(fp, fv, arbitrate(action, dacc, cfg), EPOCH, v_max)[1],
                  1 if action == ACTION_HINT else 0)
                 for action in actions]
         k += 1
         # `advance` moves the follower by its old velocity, alike under every action
-        fp = advance(fp, fv, dacc, eps, v_max)[0]
+        fp = advance(fp, fv, dacc, EPOCH, v_max)[0]
         out = outcome(k, fp)  # shared by every successor
         for fv2, h in moves:
             t = (k, fp, fv2, row_number[q2, h])
@@ -556,19 +550,26 @@ class Strategy:
 
 @dataclass
 class TemplateReport:
-    """Result of the winning-condition template checks over strategy plays."""
+    """Result of the winning-condition template checks over strategy plays;
+    each `*_ok` is a view of its witness or counts, so none can contradict them."""
 
     visited: int = 0
-    safety_ok: bool = True
     safety_witness: object = None
     goal_terminals: int = 0
     horizon_terminals: int = 0
-    min_intervention_ok: bool = True
     min_intervention_witness: object = None
 
     @property
-    def reach_ok(self):  # a view of the counts, so a partial report cannot contradict them
+    def safety_ok(self):
+        return self.safety_witness is None
+
+    @property
+    def reach_ok(self):
         return self.horizon_terminals == 0 and self.goal_terminals > 0
+
+    @property
+    def min_intervention_ok(self):
+        return self.min_intervention_witness is None
 
     def text(self):
         lines = [
@@ -603,9 +604,10 @@ def _walk(arena, region, pick):
     `TemplateReport`.
 
     The walk holds its queue and one byte per arena state, `seen[j]`, set
-    once state `j` is queued.  Exploring a state, or asking the region about
-    one, can number new states; `seen` grows to cover them only when a
-    successor lies past its end.
+    once state `j` is queued: each successor of an environment state, and
+    the one that `pick` plays of a controller state.  Exploring a state, or
+    asking the region about one, can number new states; `seen` grows to
+    cover them only when a successor lies past its end.
     """
     report = TemplateReport()
     states, turn, outcome = arena.states, arena.turn, arena.outcome
@@ -616,8 +618,7 @@ def _walk(arena, region, pick):
         i = queue.popleft()
         s = states[i]
         if outcome[i] == BAD:
-            if report.safety_ok:
-                report.safety_ok = False
+            if report.safety_witness is None:
                 report.safety_witness = s
             continue
         if outcome[i]:
@@ -627,26 +628,18 @@ def _walk(arena, region, pick):
                 report.horizon_terminals += 1
             continue
         targets = arena.successors(i)
-        if turn[i] == TURN_ENV:
-            for j in targets:
-                try:
-                    if seen[j]:
-                        continue
-                except IndexError:  # numbered since `seen` last grew
-                    seen.extend(bytes(len(states) - len(seen)))
-                seen[j] = 1
-                queue.append(j)
-        else:
+        if turn[i] == TURN_CTRL:
             try:
                 pos = pick(s, arena.labels[i], targets)
             except StrategyRejected as err:
                 report.visited = seen.count(1) - len(queue)  # the states taken off the queue
                 raise StrategyRejected(f"template check rejected the strategy: {err}; "
                                        "checks up to there:\n" + report.text()) from None
-            j = targets[pos]
-            if report.min_intervention_ok and any(t in region for t in targets[:pos]):
-                report.min_intervention_ok = False
+            if pos and report.min_intervention_witness is None and any(
+                    t in region for t in targets[:pos]):
                 report.min_intervention_witness = s
+            targets = (targets[pos],)  # the strategy's edge is the one played
+        for j in targets:
             try:
                 if seen[j]:
                     continue

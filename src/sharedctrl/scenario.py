@@ -13,11 +13,12 @@ and a harsher braking variant used for design-space exploration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config_text import ConfigError, config_lines, finite, parse_config, read_file
-from .world import LeadProfile, advance
+from .world import EPOCH, LeadProfile, advance
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class SupervisorConfig:
 @dataclass(frozen=True)
 class Scenario:
     """Initial conditions, lead profile, horizon, sensor noise, thresholds
-    and override clamp of one driving situation, each a plain field.
+    and override clamp of one driving situation, each a plain field.  Every
+    scenario steps by `world.EPOCH`, which the class attribute `epoch` holds.
 
     `lead_track` (the lead's motion) follows from the fields alone, so it
     is stepped once per scenario and shared by the game and every
@@ -69,7 +71,6 @@ class Scenario:
     follow_pos: float = 0.0
     follow_vel: float = 15.0
     dest: float = 150.0
-    epoch: float = 0.5
     horizon_epochs: int = 28
     sensor_offset: int = 1
     v_max: float = 16.0
@@ -78,19 +79,18 @@ class Scenario:
     ttc_safe: float = 3.0
     acc_floor: float = -3.0
     acc_cap: float = -1.0
+    epoch = EPOCH  # unannotated, so a class attribute and no setting
 
     def __post_init__(self):
-        if self.lead_pos <= self.follow_pos:
-            raise ValueError(f"lead_pos ({self.lead_pos}) must lie ahead of "
-                             f"follow_pos ({self.follow_pos})")
-        if self.dest <= self.follow_pos:
-            raise ValueError(f"dest ({self.dest}) must lie ahead of "
-                             f"follow_pos ({self.follow_pos})")
-        if self.epoch <= 0:
-            raise ValueError(f"epoch ({self.epoch}) must be positive")
-        if self.horizon_epochs < 0:
+        for name in ("follow_pos", "lead_pos", "dest"):  # the start, then what lies ahead
+            pos = getattr(self, name)
+            if not math.isfinite(pos):
+                raise ValueError(f"{name} ({pos}) must be finite")
+            if name != "follow_pos" and not pos > self.follow_pos:
+                raise ValueError(f"{name} ({pos}) must lie ahead of follow_pos ({self.follow_pos})")
+        if not self.horizon_epochs >= 0:
             raise ValueError(f"horizon_epochs ({self.horizon_epochs}) must be >= 0")
-        if self.sensor_offset < 0:
+        if not self.sensor_offset >= 0:
             raise ValueError(f"sensor_offset ({self.sensor_offset}) must be >= 0")
         if not self.v_max > 0:
             raise ValueError(f"v_max ({self.v_max}) must be positive")
@@ -104,12 +104,12 @@ class Scenario:
     def lead_track(self):
         """The lead's `(pos, vel)` at epochs 0..horizon: from epoch `k` to
         `k + 1` stepped with `world.advance` under the last profile segment
-        that starts at or before `k * epoch`, the time of a trace's row `k`."""
+        that starts at or before `k * EPOCH`, the time of a trace's row `k`."""
         pos, vel = self.lead_pos, self.lead_vel
         track = [(pos, vel)]
         for k in range(self.horizon_epochs):
-            acc = [a for start, a in self.profile.segments if start <= k * self.epoch][-1]
-            pos, vel = advance(pos, vel, acc, self.epoch, self.v_max)
+            acc = [a for start, a in self.profile.segments if start <= k * EPOCH][-1]
+            pos, vel = advance(pos, vel, acc, EPOCH, self.v_max)
             track.append((pos, vel))
         return tuple(track)
 

@@ -5,12 +5,13 @@ acceleration profile and a follower driven by an external acceleration
 command.  Explicit Euler integration with positions advanced by the old
 velocity; velocities are clamped to [0, v_max].
 
-`advance` is the one step of a vehicle, and `judge` the one judge of safety
-and reach at a follower position.  The lead's motion depends only on the
-scenario, so its track is the scenario's: `Scenario.lead_track` steps the
-lead with `advance` once, under the `LeadProfile` segment in force at each
-epoch's time `k * epoch`, and the game and every episode read it from there
-and step the follower with `advance` alone.
+`advance` is the one step of a vehicle, over `EPOCH`, and `judge` the one
+judge of safety and reach at a follower position.  The lead's motion
+depends only on the scenario, so its track is the scenario's:
+`Scenario.lead_track` steps the lead with `advance` once, under the
+`LeadProfile` segment in force at each epoch's time `k * EPOCH`, and the
+game and every episode read it from there and step the follower with
+`advance` alone.
 
 `LeadProfile` is a frozen dataclass of its validated segments, a value like
 the scenario that holds it.  `VehicleState` and `WorldState` are slotted,
@@ -59,6 +60,9 @@ class LeadProfile:
 class WorldState:
     lead: VehicleState
     follow: VehicleState
+
+
+EPOCH = 0.5  # s: the one decision epoch, the step of the driver, the game and an episode
 
 
 def advance(pos, vel, acc, dt, v_max):

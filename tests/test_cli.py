@@ -349,30 +349,47 @@ def test_synth_names_the_bad_driver_params_file(tmp_path, capsys, oracle_machine
     assert str(params_path) in err and "line 1: bad value for 'k1'" in err
 
 
-@pytest.mark.parametrize("flag, text, message", [
-    ("--scenario", "epoch=1.0\nhorizon_epochs=14\n",
-     "scenario epoch 1.0 differs from the driver's decision_epoch 0.5"),
-    ("--driver-params", "decision_epoch=1.0\n",
-     "scenario epoch 0.5 differs from the driver's decision_epoch 1.0"),
-], ids=["scenario", "driver-params"])
-def test_synth_rejects_an_epoch_that_is_not_the_drivers(tmp_path, capsys, oracle_machine,
-                                                        flag, text, message):
-    # the game queries the driver once per epoch, which its law must integrate over
+EPOCH_KEY_FILES = {"--scenario": ("name=slow\nepoch=0.5\n", "epoch"),
+                   "--driver-params": ("k1=1.5\ndecision_epoch=0.5\n", "decision_epoch")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for flag in EPOCH_KEY_FILES
+    for command in ("learn", "synth", "validate", "refine", "demo")
+    if (command, flag) != ("learn", "--scenario")
+])
+def test_a_file_that_sets_the_epoch_is_refused_before_any_learn(tmp_path, capsys,
+                                                                oracle_machine,
+                                                                default_synthesis,
+                                                                command, flag):
+    # the step is `world.EPOCH`, no setting: a file that sets it, even to 0.5,
+    # is refused for its unknown key, named with its line
+    text, key = EPOCH_KEY_FILES[flag]
     path = tmp_path / "epoch.txt"
     path.write_text(text, encoding="utf-8")
-    code = main(["synth", flag, str(path), "--hm", str(write_hm(tmp_path, oracle_machine)),
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    strategy_path = tmp_path / "strategy.txt"
+    strategy_path.write_text(serialize_strategy(default_synthesis[2]), encoding="utf-8")
+    out = tmp_path / "out"
+    required = {
+        "learn": ["--out", str(out)],
+        "synth": ["--out", str(out), "--hm", str(write_hm(tmp_path, oracle_machine))],
+        "validate": ["--out", str(out), "--hm", str(write_hm(tmp_path, oracle_machine)),
+                     "--strategy", str(strategy_path)],
+        "refine": ["--out", str(out)],
+        "demo": [],
+    }[command]
+    assert main([command, flag, str(path)] + required) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {path}: line 2: unknown key {key!r}\n")
+    assert not out.exists()
 
 
 def test_demo_checks_the_scenario_before_it_learns(tmp_path, capsys):
-    path = tmp_path / "epoch.txt"
-    path.write_text("epoch=1.0\nhorizon_epochs=14\n", encoding="utf-8")
+    path = tmp_path / "off-lattice.txt"
+    path.write_text("dest=150.1\n", encoding="utf-8")
     assert main(["demo", "--scenario", str(path)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert "scenario epoch 1.0 differs from the driver's decision_epoch 0.5" in err
+    assert "dest 150.1 is not on the arena lattice" in err
 
 
 def test_learn_rejects_a_negative_headway_level(tmp_path, capsys):

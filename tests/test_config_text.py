@@ -26,7 +26,6 @@ def scenarios(draw):
         follow_pos=follow_pos,
         follow_vel=draw(floats(0.0, v_max)),
         dest=follow_pos + draw(floats(0.01, 1e4)),
-        epoch=draw(floats(0.01, 5.0)),
         horizon_epochs=draw(st.integers(0, 1000)),
         sensor_offset=draw(st.integers(0, 5)),
         v_max=v_max,
@@ -46,7 +45,6 @@ def driver_params(draw):
         k1=draw(floats(0.01, 10.0)),
         k2=draw(floats(0.01, 10.0)),
         thw_follow=draw(floats(0.01, 10.0)),
-        decision_epoch=draw(floats(0.01, 5.0)),
         acc_set=tuple(sorted(acc | {0})),
         thw_levels=tuple(sorted(draw(st.sets(floats(0.01, 10.0), min_size=1, max_size=5)))),
     )
@@ -81,23 +79,26 @@ def test_scenario_text_keys_are_the_field_names():
     keys = [line.split("=")[0] for line in braking_scenario().to_text().splitlines()
             if "=" in line]
     assert keys == ["name", "lead_pos", "lead_vel", "follow_pos", "follow_vel", "dest",
-                    "epoch", "horizon_epochs", "sensor_offset", "v_max", "thw_safe",
-                    "ttc_safe", "acc_floor", "acc_cap"]
+                    "horizon_epochs", "sensor_offset", "v_max", "thw_safe", "ttc_safe",
+                    "acc_floor", "acc_cap"]
 
 
 @pytest.mark.parametrize("cls, bad, message", [
     (Scenario, "horizon_epoch=5", "unknown key 'horizon_epoch'"),
     (Scenario, "lookahead=2", "unknown key 'lookahead'"),
     (Scenario, "thw_warn=1.5", "unknown key 'thw_warn'"),
+    # the step is `world.EPOCH`, no setting of either config
+    (Scenario, "epoch=0.5", "unknown key 'epoch'"),
+    (DriverParams, "decision_epoch=0.5", "unknown key 'decision_epoch'"),
     (Scenario, "horizon_epochs=5.7", "'horizon_epochs'"),
     (DriverParams, "k1=fast", "'k1'"),
     (Scenario, "dest 150", "expected key=value"),
     (Scenario, "profile 4.0", "expected 'profile t acc'"),
-    (Scenario, "epoch=0.5", "duplicate key 'epoch'"),
+    (Scenario, "dest=150.0", "duplicate key 'dest'"),
     (Scenario, "profile 1 0", "t=0"),
 ])
 def test_bad_lines_are_rejected_with_their_line_number(cls, bad, message):
-    text = "# header\nepoch=0.5\n" if cls is Scenario else "# header\nk2=0.5\n"
+    text = "# header\ndest=150.0\n" if cls is Scenario else "# header\nk2=0.5\n"
     with pytest.raises(ConfigError) as info:
         cls.from_text(text + bad + "\n")
     assert str(info.value).startswith("line 3: ")
@@ -111,7 +112,7 @@ def test_an_out_of_order_profile_row_is_rejected_with_its_line_number():
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 @pytest.mark.parametrize("cls, line", [
-    (Scenario, "epoch={}"),
+    (Scenario, "v_max={}"),
     (Scenario, "lead_pos={}"),
     (Scenario, "horizon_epochs={}"),
     (Scenario, "thw_safe={}"),
@@ -130,5 +131,5 @@ def test_non_finite_numbers_are_rejected_with_their_line_number(cls, line, value
                                  "profile 0 1e400"])
 def test_non_finite_profile_rows_are_rejected_with_their_line_number(row):
     with pytest.raises(ConfigError) as info:
-        Scenario.from_text("epoch=0.5\n" + row + "\n")
+        Scenario.from_text("dest=150.0\n" + row + "\n")
     assert str(info.value).startswith("line 2: expected 'profile t acc'")

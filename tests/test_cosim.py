@@ -637,9 +637,8 @@ def test_refine_loop_checks_the_scenario_before_it_learns(monkeypatch):
         raise AssertionError("learned before the scenario was checked")
 
     monkeypatch.setattr(cosim, "learning_session", learn)
-    sc = replace(default_scenario(), epoch=1.0, horizon_epochs=14)
-    with pytest.raises(ValueError, match=r"^scenario epoch 1\.0 differs from the driver's "
-                                         r"decision_epoch 0\.5$"):
+    sc = replace(default_scenario(), dest=150.1)
+    with pytest.raises(ValueError, match=r"^dest 150\.1 is not on the arena lattice$"):
         refine_loop(sc, RefineLoopConfig(runs=1))
 
 
@@ -784,9 +783,9 @@ def test_epoch_caches_are_kept_per_quantization(default_sc, driver_params):
 @pytest.mark.parametrize("action", ["none", "hint", "override"])
 def test_off_lattice_episodes_are_equal_warm_and_cold(driver_params, oracle_machine,
                                                       action):
-    # epoch 0.3 puts the follower off the arena lattice; the cache keys are the
-    # exact floats, so no two states share a context by rounding
-    scenario = replace(default_scenario(), epoch=0.3, horizon_epochs=45)
+    # a start at 0.1 m puts the follower off the arena lattice; the cache keys
+    # are the exact floats, so no two states share a context by rounding
+    scenario = replace(default_scenario(), follow_pos=0.1)
     strategy = ConstantStrategy(action)
     warm = [run_once(strategy, scenario, driver_params, oracle_machine, seed)
             for seed in range(8)]

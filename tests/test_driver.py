@@ -37,8 +37,6 @@ def test_params_validation():
     (dict(k1=0.0), "k1=0.0", r"^k1 \(0\.0\) must be positive$", None),
     (dict(k2=-0.5), "k2=-0.5", r"^k2 \(-0\.5\) must be positive$", None),
     (dict(thw_follow=0.0), "thw_follow=0.0", r"^thw_follow \(0\.0\) must be positive$", None),
-    (dict(decision_epoch=-1.0), "decision_epoch=-1.0",
-     r"^decision_epoch \(-1\.0\) must be positive$", None),
     (dict(acc_set=(-2, -1, 1)), "acc_set=-2,-1,1",
      r"^acc_set \(-2, -1, 1\) must be non-empty and contain 0$", None),
     (dict(acc_set=(1, 0, -1)), "acc_set=1,0,-1", r"^acc_set \(1, 0, -1\) must be sorted$", None),
@@ -49,7 +47,7 @@ def test_params_validation():
     # a file cannot hold NaN: its parser refuses the number before the params see it
     *((dict([(name, math.nan)]), f"{name}=nan", rf"^{name} \(nan\) must be positive$",
        rf"^line 1: bad value for '{name}': 'nan' is not a finite number$")
-      for name in ("k1", "k2", "thw_follow", "decision_epoch")),
+      for name in ("k1", "k2", "thw_follow")),
 ])
 def test_params_refusals_name_their_field_and_value(fields, text, message, file_message):
     # what a params file that breaks one check prints after its path

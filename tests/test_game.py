@@ -618,7 +618,6 @@ def test_built_arena_follows_the_documented_dynamics(scenario, params, machine, 
 # one value off the lattice per checked field, in the order the check
 # reports them, with the message that names it
 OFF_LATTICE = (
-    ({"epoch": 0.3}, "epoch 0.3 incompatible with the position lattice"),
     ({"acc_floor": -2.9}, "velocity increment for acc -1.45 is not on the arena lattice"),
     ({"lead_pos": 30.1}, "lead position 30.1 is not on the arena lattice"),
     ({"lead_vel": 10.1}, "lead velocity 10.1 is not on the arena lattice"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sharedctrl.config_text import read_file
 from sharedctrl.scenario import Scenario, braking_scenario, default_scenario, load_scenario
 from sharedctrl.world import (
+    EPOCH,
     CollisionState,
     LeadProfile,
     VehicleState,
@@ -63,26 +64,31 @@ def test_lead_track_uses_profile():
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenario=lattice_scenarios(), epoch=st.sampled_from((None, 0.3, 0.1, 0.7)))
-def test_lead_track_is_explicit_euler(scenario, epoch):
-    # the lead under the segment in force at `k * epoch`, a trace row's time,
-    # on and off the lattice
-    if epoch is not None:
-        scenario = replace(scenario, epoch=epoch)
+@given(scenario=lattice_scenarios())
+def test_lead_track_is_explicit_euler(scenario):
+    # the lead under the segment in force at `k * EPOCH`, a trace row's time
     pos, vel = scenario.lead_pos, scenario.lead_vel
     expected = [(pos, vel)]
     for k in range(scenario.horizon_epochs):
-        pos, vel = euler_step(pos, vel, lead_acc(scenario.profile, k * scenario.epoch),
-                              scenario.epoch, scenario.v_max)
+        pos, vel = euler_step(pos, vel, lead_acc(scenario.profile, k * EPOCH), EPOCH,
+                              scenario.v_max)
         expected.append((pos, vel))
     assert scenario.lead_track == tuple(expected)
 
 
 def test_lead_track_starts_a_segment_at_its_epoch():
-    # the row at k = 10 reads t = 10 * 0.1 = 1.0, so the braking segment is in
-    # force from there, although ten additions of 0.1 give 0.9999999999999999
-    sc = Scenario(epoch=0.1, horizon_epochs=12, profile=LeadProfile([(0.0, 0.0), (1.0, -2.0)]))
-    assert [v for _p, v in sc.lead_track[10:12]] == [12.0, 11.8]
+    # a segment starting at 1.2 s, off the 0.5 s grid, is in force from the
+    # step at k = 3 (t = 1.5 s), so the lead's speed first changes at entry 4
+    sc = Scenario(horizon_epochs=6, profile=LeadProfile([(0.0, 0.0), (1.2, -2.0)]))
+    assert [v for _p, v in sc.lead_track] == [12.0, 12.0, 12.0, 12.0, 11.0, 10.0, 9.0]
+
+
+def test_the_epoch_is_one_constant_and_no_setting():
+    # the driver's law, the world's step and the game all read `EPOCH`
+    assert EPOCH == 0.5 and Scenario.epoch == default_scenario().epoch == EPOCH
+    assert "epoch" not in Scenario.__dataclass_fields__
+    with pytest.raises(TypeError, match="epoch"):
+        Scenario(epoch=EPOCH)
 
 
 NUMBERS = st.one_of(st.floats(), st.integers(-40, 40), st.sampled_from((0.0, -0.0, 0)))
@@ -225,6 +231,25 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize("fields, message", [
+    (dict(lead_pos=math.nan), r"^lead_pos \(nan\) must be finite$"),
+    (dict(follow_pos=math.nan), r"^follow_pos \(nan\) must be finite$"),
+    (dict(dest=math.nan), r"^dest \(nan\) must be finite$"),
+    (dict(follow_pos=-math.inf), r"^follow_pos \(-inf\) must be finite$"),
+    (dict(dest=math.inf), r"^dest \(inf\) must be finite$"),
+    (dict(sensor_offset=math.nan), r"^sensor_offset \(nan\) must be >= 0$"),
+    (dict(horizon_epochs=math.nan), r"^horizon_epochs \(nan\) must be >= 0$"),
+])
+def test_scenario_refuses_nan_and_infinity_built_directly(fields, message):
+    # a file cannot hold them: its parser refuses the number first, naming the line
+    with pytest.raises(ValueError, match=message):
+        Scenario(**fields)
+    (key, value), = fields.items()
+    with pytest.raises(ValueError, match=(rf"^line 1: bad value for '{key}': "
+                                          rf"'{value}' is not a finite number$")):
+        Scenario.from_text(f"{key}={value}\n")
+
+
+@pytest.mark.parametrize("fields, message", [
     (dict(v_max=0.0), "v_max"),
     (dict(v_max=-1.0), "v_max"),
     (dict(lead_vel=-0.5), "lead_vel"),
@@ -234,7 +259,6 @@ def test_scenario_validation():
     (dict(v_max=14.0), "follow_vel"),
     (dict(sensor_offset=-1), "sensor_offset"),
     (dict(horizon_epochs=-1), "horizon_epochs"),
-    (dict(epoch=0.0), "epoch"),
     (dict(sensor_offset=-2), r"^sensor_offset \(-2\) must be >= 0$"),
     (dict(v_max=0.0), r"^v_max \(0\.0\) must be positive$"),
     (dict(thw_safe=0.0), r"^thw_safe \(0\.0\) must be positive$"),

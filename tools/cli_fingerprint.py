@@ -79,11 +79,15 @@ k2=1.0
 thw_levels=1.5,3.0
 """
 
-# a scenario on the lattice whose epoch is not the driver's: the commands that
-# learn must refuse it before they learn, with nothing on stdout
+# a scenario and driver parameters that set the step, which is no setting
+# (`world.EPOCH`): each file is refused for its unknown key, named with its
+# line, before anything is learned, with nothing on stdout
 BAD_EPOCH_TEXT = """\
 epoch=1.0
 horizon_epochs=14
+"""
+BAD_DECISION_EPOCH_TEXT = """\
+decision_epoch=1.0
 """
 
 
@@ -122,6 +126,8 @@ def runs():
                "--hm", "{tmp}/learn-hint/hm.mealy", "--out", f"{{tmp}}/synth-hint-{variant}"]
     yield ["demo", "--scenario", "{tmp}/files/bad-epoch.txt"]
     yield ["refine", "--scenario", "{tmp}/files/bad-epoch.txt", "--out", "{tmp}/refine-bad-epoch"]
+    yield ["learn", "--driver-params", "{tmp}/files/bad-decision-epoch.txt",
+           "--out", "{tmp}/learn-bad-decision-epoch"]
 
 
 def _digest(data, tmp):
@@ -162,7 +168,8 @@ def main():
         for name, text in (("scenario.txt", SCENARIO_TEXT), ("params.txt", PARAMS_TEXT),
                            ("five-levels.txt", FIVE_LEVELS_TEXT),
                            ("hint-params.txt", HINT_PARAMS_TEXT),
-                           ("bad-epoch.txt", BAD_EPOCH_TEXT)):
+                           ("bad-epoch.txt", BAD_EPOCH_TEXT),
+                           ("bad-decision-epoch.txt", BAD_DECISION_EPOCH_TEXT)):
             with open(os.path.join(tmp, "files", name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for argv in runs():
